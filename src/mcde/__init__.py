@@ -12,8 +12,8 @@ Typical use::
 
     score = contrast(load_csv("data.csv"), m=50, seed=42).score
 
-Hot kernels are numba-compiled by default; set ``MCDE_NUMBA=0`` to force
-the pure-numpy fallback.
+The hot kernels are vectorized numpy, the package's only runtime
+dependency.
 """
 
 from ._kernels import backend_name

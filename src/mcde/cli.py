@@ -14,7 +14,6 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from ._kernels import backend_name
 from .benchmark import (
     PowerResult,
     power,
@@ -93,8 +92,7 @@ def _cmd_estimate(args) -> int:
     if args.dims is not None:
         ds = select_subspace(ds, args.dims)
     threads = _threads(args)
-    _diag(f"seed={args.seed} m={args.m} alpha={args.alpha} threads={threads} "
-          f"backend={backend_name()}")
+    _diag(f"seed={args.seed} m={args.m} alpha={args.alpha} threads={threads}")
     estimate = contrast(ds, m=args.m, alpha=args.alpha, seed=args.seed, threads=threads)
     print(_fmt(estimate.score, args.full_precision))
     return 0
@@ -184,7 +182,7 @@ def _cmd_benchmark(args) -> int:
     threads = _threads(args)
     _diag(f"benchmark {args.bench_command} " +
           " ".join(f"{k}={v}" for k, v in sorted(cfg.items())) +
-          f" threads={threads} backend={backend_name()}")
+          f" threads={threads}")
 
     if args.bench_command == "power":
         spec = DependencySpec(cfg["kind"], cfg["n"], cfg["d"], cfg["noise"], seed=0)
@@ -236,7 +234,7 @@ def _cmd_monitor(args) -> int:
         drift_patience=args.drift_patience,
     )
     _diag(f"seed={args.seed} width={args.width} step={args.step} "
-          f"dims={','.join(map(str, cfg.dims))} backend={backend_name()}")
+          f"dims={','.join(map(str, cfg.dims))}")
 
     fh = sys.stdin if args.input == "-" else open(args.input, "r", encoding="utf-8-sig", newline="")
     try:

@@ -82,13 +82,16 @@ def mwp_test(
         mask.member, dim.row_ids, dim.adjusted_ranks, start, end
     )
     if n_prime >= 2:
-        correction = float(corr_sum) / (n_prime * (n_prime - 1.0))
-        spread = n_prime + 1.0 - correction
         # an all-tied window has no rank evidence; checked before the
         # empty/full branch so constant data scores 0 even when identical
-        # sort orders make the slice hit the window exactly
-        if spread <= 0.0:
+        # sort orders make the slice hit the window exactly.  The sum of
+        # g**3 - g reaches n'**3 - n' only when one tie group spans the
+        # window; tested on exact integers, as the float spread below can
+        # round above 0 for an all-tied window at large n'.
+        if corr_sum == n_prime**3 - n_prime:
             return TestOutcome(0.0, n1, n_prime, degenerate=True)
+        correction = float(corr_sum) / (n_prime * (n_prime - 1.0))
+        spread = n_prime + 1.0 - correction
     else:
         spread = n_prime + 1.0
     if n1 == 0 or n1 == n_prime:

@@ -19,7 +19,6 @@ function of the data, so index construction stays deterministic.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -80,16 +79,7 @@ def _build_dimension(column: np.ndarray, position: int) -> DimensionIndex:
     return DimensionIndex(order, adjusted, corrections)
 
 
-def construct_index(ds: Dataset, threads: int = 1) -> RankIndex:
-    """Build the rank index for every column of ``ds``.
-
-    Columns are independent, so ``threads > 1`` sorts them concurrently.
-    """
-    if threads > 1 and ds.d > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, ds.d)) as pool:
-            dims = tuple(
-                pool.map(lambda j: _build_dimension(ds.column(j), j), range(ds.d))
-            )
-    else:
-        dims = tuple(_build_dimension(ds.column(j), j) for j in range(ds.d))
+def construct_index(ds: Dataset) -> RankIndex:
+    """Build the rank index for every column of ``ds``."""
+    dims = tuple(_build_dimension(ds.column(j), j) for j in range(ds.d))
     return RankIndex(dims, ds.n)

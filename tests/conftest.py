@@ -11,21 +11,10 @@ import mcde
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    """Compile the jitted kernels before any test that measures time."""
+    """Run a few estimates once, so no timed test pays first-call costs."""
     ds = mcde.generate(mcde.DependencySpec("linear", 64, 3, 0.1, seed=1))
     mcde.contrast(ds, m=4, seed=0)
     mcde.contrast(mcde.discretise(ds, 3), m=4, seed=0)
-
-
-@pytest.fixture
-def numpy_backend(monkeypatch):
-    """Force the pure-numpy kernels for the duration of one test."""
-    from mcde import _kernels
-
-    monkeypatch.setattr(_kernels, "rank_scan", _kernels.rank_scan_numpy)
-    monkeypatch.setattr(_kernels, "mask_outside", _kernels.mask_outside_numpy)
-    monkeypatch.setattr(_kernels, "window_stats", _kernels.window_stats_numpy)
-    return _kernels
 
 
 def random_tied_column(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mcde import Dataset, construct_index, half_normal_cdf, mwp_test
+from mcde import Dataset, construct_index, contrast, half_normal_cdf, mwp_test
 from mcde.slicing import SliceMask
 from conftest import random_tied_column
 from oracles import mann_whitney_pc_oracle
@@ -77,6 +77,16 @@ def test_constant_reference_column_returns_zero():
     mask = SliceMask(np.array([True] * 15 + [False] * 15), 0)
     out = mwp_test(index, mask, 0, alpha=1.0, rng=_FixedStart())
     assert out.p_c == 0.0 and out.degenerate
+
+
+@pytest.mark.parametrize("n", [330_684, 2_200_000])
+def test_constant_reference_column_returns_zero_at_scale(n):
+    # iterations 0 and 3 take the constant column as reference.  At
+    # n=330684 the float spread of an all-tied window rounds above 0; at
+    # n=2.2M the group's g**3 - g does not fit in int64.
+    data = np.column_stack([np.zeros(n), np.random.default_rng(0).random(n)])
+    est = contrast(Dataset(data), m=4, alpha=1, seed=0, record_iterations=True)
+    assert est.per_iteration.tolist() == [0, 1, 1, 0]
 
 
 def test_tied_window_inside_larger_column_returns_zero():

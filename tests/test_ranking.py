@@ -96,16 +96,6 @@ def test_construction_deterministic():
         assert np.array_equal(da.row_ids, db.row_ids)
 
 
-def test_threaded_construction_identical():
-    rng = np.random.default_rng(4)
-    ds = Dataset(rng.random((1000, 4)))
-    serial = construct_index(ds)
-    threaded = construct_index(ds, threads=4)
-    for da, db in zip(serial.dims, threaded.dims):
-        assert np.array_equal(da.row_ids, db.row_ids)
-        assert np.array_equal(da.adjusted_ranks, db.adjusted_ranks)
-
-
 def test_projection_reuses_structures():
     ds = Dataset(np.random.default_rng(5).random((50, 4)))
     index = construct_index(ds)
