@@ -1,10 +1,11 @@
 """Hot numeric kernels, vectorized with numpy.
 
-The three inner loops that dominate runtime: per-column rank construction,
-masking rows outside a sorted-order window, and locally re-ranking a window
-while summing member ranks.  Rank sums are multiples of 0.5 far below
-2**52 and tie corrections are exact integers, so the results do not depend
-on summation order.
+The three inner loops that dominate runtime: per-column construction of
+tie-averaged ranks, masking rows outside a sorted-order window, and locally
+re-ranking a window while summing member ranks and the window's tie
+correction.  Rank sums are multiples of 0.5 far below 2**52 and tie
+corrections are exact integers, so the results do not depend on summation
+order.
 """
 
 from __future__ import annotations
@@ -45,22 +46,15 @@ def _tie_correction(counts: np.ndarray, width: int) -> int:
     return total + sum(g**3 - g for g in counts[big].tolist())
 
 
-def rank_scan(values: np.ndarray, order: np.ndarray):
-    """Walk a sorted column once, averaging tied ranks and summing corrections.
+def rank_scan(values: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Walk a sorted column once and average the ranks of tied values.
 
-    ``order`` must sort ``values`` ascending.  Returns ``(adjusted_ranks,
-    cum_corrections)``: the 0-based average rank at each sorted position and
-    the running sum of ``t**3 - t`` over tie groups.  All members of a tie
-    group carry the group's own correction term, so a window difference
-    ``b[end-1] - b[start-1]`` counts exactly the groups starting inside
-    ``[start, end)``.
+    ``order`` must sort ``values`` ascending.  Returns the 0-based average
+    rank at each sorted position.
     """
     gid, starts, counts = _tie_runs(values[order])
     ends = starts + counts - 1
-    adjusted = ((starts + ends) / 2.0)[gid]
-    tf = counts.astype(np.float64)
-    corrections = np.cumsum(tf * tf * tf - tf)[gid]
-    return adjusted, corrections
+    return ((starts + ends) / 2.0)[gid]
 
 
 def mask_outside(member: np.ndarray, order: np.ndarray, start: int, end: int) -> None:

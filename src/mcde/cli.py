@@ -155,8 +155,6 @@ def _read_config(path: str, defaults: dict) -> dict:
                 template = defaults[key]
                 if key in ("omega", "threshold"):  # optional numerics
                     out[key] = float(value) if key == "threshold" else int(value)
-                elif isinstance(template, bool):
-                    out[key] = value.lower() in ("1", "true", "yes", "on")
                 elif isinstance(template, int):
                     out[key] = int(value)
                 elif isinstance(template, float):

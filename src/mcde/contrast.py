@@ -39,8 +39,8 @@ class ContrastEstimate:
 def _one_iteration(index: RankIndex, m: int, alpha: float, seed: int) -> float:
     rng = iteration_rng(seed, m)
     ref_dim = int(rng.integers(0, index.d))
-    mask = draw_slice(index, ref_dim, alpha, rng)
-    return mwp_test(index, mask, ref_dim, alpha, rng).p_c
+    member = draw_slice(index, ref_dim, alpha, rng)
+    return mwp_test(index, member, ref_dim, alpha, rng).p_c
 
 
 def contrast(

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .ranking import RankIndex
-from .slicing import SliceMask, _iceil, _ifloor, check_alpha
+from .slicing import _iceil, _ifloor, check_alpha
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -60,47 +60,45 @@ def restriction_window(n: int, alpha: float, rng: np.random.Generator) -> tuple[
 
 def mwp_test(
     index: RankIndex,
-    mask: SliceMask,
+    member: np.ndarray,
     ref_dim: int,
-    alpha: float = 0.5,
-    rng: np.random.Generator | None = None,
+    alpha: float,
+    rng: np.random.Generator,
 ) -> TestOutcome:
-    """Confidence level that the slice breaks independence on ``ref_dim``."""
-    if ref_dim != mask.ref_dim:
-        raise ValueError(f"ref_dim {ref_dim} does not match mask.ref_dim {mask.ref_dim}")
-    if mask.member.shape[0] != index.n:
-        raise ValueError("mask and index row counts differ")
+    """Confidence level that the slice ``member`` breaks independence on ``ref_dim``.
+
+    ``member`` is the boolean row membership drawn by
+    :func:`mcde.slicing.draw_slice`.
+    """
+    if member.shape[0] != index.n:
+        raise ValueError("member and index row counts differ")
     alpha = check_alpha(alpha)
-    if rng is None:
-        rng = np.random.default_rng()
 
     dim = index.dims[ref_dim]
     start, end = restriction_window(index.n, alpha, rng)
     n_prime = end - start
 
     r1, n1, corr_sum = _kernels.window_stats(
-        mask.member, dim.row_ids, dim.adjusted_ranks, start, end
+        member, dim.row_ids, dim.adjusted_ranks, start, end
     )
-    if n_prime >= 2:
-        # an all-tied window has no rank evidence; checked before the
-        # empty/full branch so constant data scores 0 even when identical
-        # sort orders make the slice hit the window exactly.  The sum of
-        # g**3 - g reaches n'**3 - n' only when one tie group spans the
-        # window; tested on exact integers, as the float spread below can
-        # round above 0 for an all-tied window at large n'.
-        if corr_sum == n_prime**3 - n_prime:
-            return TestOutcome(0.0, n1, n_prime, degenerate=True)
-        correction = float(corr_sum) / (n_prime * (n_prime - 1.0))
-        spread = n_prime + 1.0 - correction
-    else:
-        spread = n_prime + 1.0
+    # an all-tied window has no rank evidence; checked before the empty/full
+    # branch so constant data scores 0 even when identical sort orders make
+    # the slice hit the window exactly.  The sum of g**3 - g reaches
+    # n'**3 - n' only when one tie group spans the window; tested on exact
+    # integers, as the float spread below can round above 0 for an all-tied
+    # window at large n'.  A one-row window, where both sides are 0, is left
+    # to the empty/full return and scores 1.
+    if n_prime >= 2 and corr_sum == n_prime**3 - n_prime:
+        return TestOutcome(0.0, n1, n_prime, degenerate=True)
     if n1 == 0 or n1 == n_prime:
         return TestOutcome(1.0, n1, n_prime, degenerate=True)
 
+    # past both returns n1, n2 >= 1 and at least two tie groups, so the
+    # spread, and with it sigma, is positive
+    correction = float(corr_sum) / (n_prime * (n_prime - 1.0))
+    spread = n_prime + 1.0 - correction
     u1 = r1 - n1 * (n1 - 1) / 2.0
     n2 = n_prime - n1
     mu = n1 * n2 / 2.0
     sigma = math.sqrt((n1 * n2 / 12.0) * spread)
-    if sigma == 0.0:
-        return TestOutcome(0.0, n1, n_prime, degenerate=True)
     return TestOutcome(half_normal_cdf(abs(u1 - mu) / sigma), n1, n_prime)

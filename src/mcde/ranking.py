@@ -1,20 +1,19 @@
-"""Per-dimension rank index: sorted row ids, tie-averaged ranks, corrections.
+"""Per-dimension rank index: sorted row ids and tie-averaged ranks.
 
 One sort per column, then a single pass that averages the 0-based ranks of
-tied values and accumulates the ``t**3 - t`` tie-correction term used by the
-test statistic's standard deviation.  Tie groups are detected by exact value
-equality; discretised data is expected to produce exact duplicates.  The
-correction is stored at every sorted position so a window's total can later
-be read off as a difference in O(1).
+tied values.  Tie groups are detected by exact value equality; discretised
+data is expected to produce exact duplicates.  Equal adjusted ranks mark a
+tie group, so the test derives each window's ``t**3 - t`` tie correction
+from them.
 
 Within a tie group the row order is pseudorandom, drawn from a fixed salt
-and the column's position.  Tied rows carry identical ranks and corrections
-either way, but slicing later keeps contiguous runs of sorted positions, so
-the order in which tied rows appear decides which of them a run catches.  A
-structured order (e.g. by row number) would repeat across columns and make
-slices of heavily tied but independent columns look dependent; a per-column
-random order keeps such slices statistically neutral.  The order is a pure
-function of the data, so index construction stays deterministic.
+and the column's position.  Tied rows carry identical ranks either way, but
+slicing later keeps contiguous runs of sorted positions, so the order in
+which tied rows appear decides which of them a run catches.  A structured
+order (e.g. by row number) would repeat across columns and make slices of
+heavily tied but independent columns look dependent; a per-column random
+order keeps such slices statistically neutral.  The order is a pure function
+of the data, so index construction stays deterministic.
 """
 
 from __future__ import annotations
@@ -37,15 +36,12 @@ _TIE_ORDER_SALT = 0x5B5E_1ED0
 class DimensionIndex:
     """Sorted view of one column.
 
-    ``row_ids[j]`` is the row holding the j-th smallest value,
-    ``adjusted_ranks[j]`` its 0-based rank with ties averaged, and
-    ``cum_corrections[j]`` the running sum of ``t**3 - t`` over tie groups
-    up to and including the group covering position j.
+    ``row_ids[j]`` is the row holding the j-th smallest value and
+    ``adjusted_ranks[j]`` its 0-based rank with ties averaged.
     """
 
     row_ids: np.ndarray
     adjusted_ranks: np.ndarray
-    cum_corrections: np.ndarray
 
     @property
     def n(self) -> int:
@@ -73,10 +69,10 @@ def _build_dimension(column: np.ndarray, position: int) -> DimensionIndex:
     column = np.ascontiguousarray(column, dtype=np.float64)
     tiebreak = iteration_rng(_TIE_ORDER_SALT, position).random(column.shape[0])
     order = np.lexsort((tiebreak, column))
-    adjusted, corrections = _kernels.rank_scan(column, order)
-    for arr in (order, adjusted, corrections):
+    adjusted = _kernels.rank_scan(column, order)
+    for arr in (order, adjusted):
         arr.setflags(write=False)
-    return DimensionIndex(order, adjusted, corrections)
+    return DimensionIndex(order, adjusted)
 
 
 def construct_index(ds: Dataset) -> RankIndex:

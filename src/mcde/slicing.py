@@ -10,7 +10,6 @@ rank space, which guarantees each condition keeps exactly that many rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,17 +34,6 @@ def check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
-@dataclass(frozen=True)
-class SliceMask:
-    """Boolean row membership for one slice, excluding ``ref_dim``."""
-
-    member: np.ndarray
-    ref_dim: int
-
-    def complement(self) -> "SliceMask":
-        return SliceMask(~self.member, self.ref_dim)
-
-
 def slice_size(n: int, d: int, alpha: float = 0.5) -> int:
     """Rows kept per condition: ``ceil(n * alpha**(1/(d-1)))``, in [1, n]."""
     if d < 2:
@@ -58,30 +46,26 @@ def slice_size(n: int, d: int, alpha: float = 0.5) -> int:
 
 
 def draw_slice(
-    index: RankIndex,
-    ref_dim: int,
-    alpha: float = 0.5,
-    rng: np.random.Generator | None = None,
-) -> SliceMask:
+    index: RankIndex, ref_dim: int, alpha: float, rng: np.random.Generator
+) -> np.ndarray:
     """Draw one random slice, conditioning on all dimensions but ``ref_dim``.
 
-    For every conditioning dimension (ascending order) a window start is
-    drawn uniformly from the 0-based starts {0, ..., n - size - 1} and rows
-    outside ``[start, start + size)`` in that dimension's sorted order are
-    masked out.  A full-width window keeps all rows and draws nothing.
+    Returns the boolean row membership of the slice.  For every conditioning
+    dimension (ascending order) a window start is drawn uniformly from the
+    0-based starts {0, ..., n - size - 1} and rows outside
+    ``[start, start + size)`` in that dimension's sorted order are masked
+    out.  A full-width window keeps all rows and draws nothing.
     """
     if not 0 <= ref_dim < index.d:
         raise ValueError(f"ref_dim {ref_dim} out of range for d={index.d}")
-    if rng is None:
-        rng = np.random.default_rng()
     n = index.n
     size = slice_size(n, index.d, alpha)
     member = np.ones(n, dtype=np.bool_)
     if size >= n:
-        return SliceMask(member, ref_dim)
+        return member
     for j in range(index.d):
         if j == ref_dim:
             continue
         start = int(rng.integers(0, n - size))
         _kernels.mask_outside(member, index.dims[j].row_ids, start, start + size)
-    return SliceMask(member, ref_dim)
+    return member

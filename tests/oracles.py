@@ -33,17 +33,17 @@ def average_ranks_oracle_fast(column):
 def tie_corrections_oracle(column):
     """Step function of running t**3 - t sums over sorted tie groups.
 
-    Position p carries the sum over all groups starting at or before p,
-    matching the stored per-position corrections.
+    Position p carries the exact integer sum over all groups starting at or
+    before p; the last entry is the whole column's correction.
     """
     ordered = sorted(column)
     out = []
-    running = 0.0
+    running = 0
     for _, group in itertools.groupby(ordered):
         t = len(list(group))
-        running += t**3 - t if t > 1 else 0.0
+        running += t**3 - t
         out.extend([running] * t)
-    return np.array(out)
+    return np.array(out, dtype=np.int64)
 
 
 def mann_whitney_pc_oracle(sample1, sample2):

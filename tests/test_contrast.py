@@ -90,6 +90,28 @@ def test_projected_index_scores_subspace():
     assert via_projection.score == pytest.approx(direct.score, abs=1e-12)
 
 
+@pytest.mark.parametrize("case", range(12))
+def test_row_permutation_invariance_on_tie_free_data(case):
+    """Permuting the rows of tie-free data leaves every iteration unchanged.
+
+    Tied data is excluded on purpose: the within-tie order comes from a
+    tie-break value drawn per row index, so permuting tied rows reorders them
+    within their group and changes which of them a slice keeps.
+    """
+    rng = np.random.default_rng(900 + case)
+    n = int(rng.integers(2, 3001))
+    d = int(rng.integers(2, 5))
+    x = rng.random((n, d))
+    x[:, 1] += x[:, 0] * rng.uniform(0, 2)
+    assert all(np.unique(x[:, j]).size == n for j in range(d))
+    alpha = float(rng.uniform(0.05, 1.0))
+    perm = rng.permutation(n)
+    kwargs = dict(m=30, alpha=alpha, seed=case, record_iterations=True)
+    a = contrast(mcde.Dataset(x), **kwargs)
+    b = contrast(mcde.Dataset(x[perm]), **kwargs)
+    assert a.per_iteration.tobytes() == b.per_iteration.tobytes()
+
+
 def test_independent_data_scores_near_half():
     scores = mcde.score_sample(
         mcde.DependencySpec("independent", 1000, 3, 0.0), reps=100, m=50, seed=77

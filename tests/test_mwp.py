@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mcde import Dataset, construct_index, contrast, half_normal_cdf, mwp_test
-from mcde.slicing import SliceMask
 from conftest import random_tied_column
 from oracles import mann_whitney_pc_oracle
 
@@ -51,8 +50,8 @@ def _two_col(values):
 def test_hand_computed_example():
     # n=4 distinct values, full restriction, slice holds ranks {2, 3}
     index = _two_col([0.1, 0.2, 0.3, 0.4])
-    mask = SliceMask(np.array([False, False, True, True]), 0)
-    out = mwp_test(index, mask, 0, alpha=1.0, rng=_FixedStart())
+    member = np.array([False, False, True, True])
+    out = mwp_test(index, member, 0, alpha=1.0, rng=_FixedStart())
     u1, mu = 4.0, 2.0
     sigma = math.sqrt((2 * 2 / 12) * 5)
     expected = math.erf((u1 - mu) / sigma / math.sqrt(2))
@@ -63,19 +62,26 @@ def test_hand_computed_example():
 
 def test_empty_and_full_slices_return_one():
     index = _two_col(np.arange(20.0))
-    empty = SliceMask(np.zeros(20, bool), 0)
-    full = SliceMask(np.ones(20, bool), 0)
-    for mask in (empty, full):
-        out = mwp_test(index, mask, 0, alpha=1.0, rng=_FixedStart())
+    for member in (np.zeros(20, bool), np.ones(20, bool)):
+        out = mwp_test(index, member, 0, alpha=1.0, rng=_FixedStart())
         assert out.p_c == 1.0 and out.degenerate
+    # a one-row restriction window (ceil(10 * 0.1) = 1) holds an empty or
+    # full slice, even where its sum of g**3 - g equals n'**3 - n' = 0 on a
+    # constant reference column
+    for column in (np.arange(10.0), np.ones(10)):
+        index = construct_index(Dataset(np.column_stack([column, np.arange(10.0)])))
+        for member in (np.zeros(10, bool), np.ones(10, bool)):
+            out = mwp_test(index, member, 0, alpha=0.1, rng=_FixedStart(4))
+            assert out.n_prime == 1
+            assert out.p_c == 1.0 and out.degenerate
 
 
 def test_constant_reference_column_returns_zero():
     index = construct_index(
         Dataset(np.column_stack([np.ones(30), np.arange(30.0)]))
     )
-    mask = SliceMask(np.array([True] * 15 + [False] * 15), 0)
-    out = mwp_test(index, mask, 0, alpha=1.0, rng=_FixedStart())
+    member = np.array([True] * 15 + [False] * 15)
+    out = mwp_test(index, member, 0, alpha=1.0, rng=_FixedStart())
     assert out.p_c == 0.0 and out.degenerate
 
 
@@ -93,8 +99,8 @@ def test_tied_window_inside_larger_column_returns_zero():
     # the restriction window lands inside one big tie group
     column = np.concatenate([[0.0], np.ones(18), [2.0]])
     index = construct_index(Dataset(np.column_stack([column, np.arange(20.0)])))
-    mask = SliceMask(np.array([True, False] * 10), 0)
-    out = mwp_test(index, mask, 0, alpha=0.5, rng=_FixedStart(5))
+    member = np.array([True, False] * 10)
+    out = mwp_test(index, member, 0, alpha=0.5, rng=_FixedStart(5))
     assert out.p_c == 0.0 and out.degenerate
 
 
@@ -108,7 +114,7 @@ def test_matches_textbook_oracle(case):
     member[pin] = True
     member[(pin + 1) % n] = False
     index = construct_index(Dataset(np.column_stack([column, rng.random(n)])))
-    out = mwp_test(index, SliceMask(member, 0), 0, alpha=1.0, rng=_FixedStart())
+    out = mwp_test(index, member, 0, alpha=1.0, rng=_FixedStart())
     expected = mann_whitney_pc_oracle(column[member], column[~member])
     assert out.p_c == pytest.approx(expected, abs=1e-9)
 
@@ -134,8 +140,8 @@ def test_swapping_slice_and_complement_is_symmetric():
     column = random_tied_column(rng, 200)
     index = construct_index(Dataset(np.column_stack([column, rng.random(200)])))
     member = rng.random(200) < 0.4
-    a = mwp_test(index, SliceMask(member, 0), 0, 0.5, np.random.default_rng(3))
-    b = mwp_test(index, SliceMask(~member, 0), 0, 0.5, np.random.default_rng(3))
+    a = mwp_test(index, member, 0, 0.5, np.random.default_rng(3))
+    b = mwp_test(index, ~member, 0, 0.5, np.random.default_rng(3))
     assert a.p_c == pytest.approx(b.p_c, abs=1e-12)
 
 
@@ -145,8 +151,8 @@ def test_invariant_under_monotone_transform():
     member = rng.random(150) < 0.5
     raw = construct_index(Dataset(base))
     warped = construct_index(Dataset(np.exp(3 * base)))
-    a = mwp_test(raw, SliceMask(member, 0), 0, 0.5, np.random.default_rng(4))
-    b = mwp_test(warped, SliceMask(member, 0), 0, 0.5, np.random.default_rng(4))
+    a = mwp_test(raw, member, 0, 0.5, np.random.default_rng(4))
+    b = mwp_test(warped, member, 0, 0.5, np.random.default_rng(4))
     assert a.p_c == b.p_c
 
 
@@ -158,21 +164,13 @@ def test_result_always_in_unit_interval(case):
     alpha = float(rng.uniform(0.05, 1.0))
     index = construct_index(Dataset(np.column_stack([column, rng.random(n)])))
     member = rng.random(n) < rng.random()
-    out = mwp_test(index, SliceMask(member, 0), 0, alpha, rng)
+    out = mwp_test(index, member, 0, alpha, rng)
     assert 0.0 <= out.p_c <= 1.0
     assert not math.isnan(out.p_c)
     assert 0 <= out.n1 <= out.n_prime
 
 
-def test_ref_dim_mismatch_rejected():
-    index = _two_col(np.arange(10.0))
-    mask = SliceMask(np.ones(10, bool), 1)
-    with pytest.raises(ValueError):
-        mwp_test(index, mask, 0, 0.5, np.random.default_rng(0))
-
-
 def test_row_count_mismatch_rejected():
     index = _two_col(np.arange(10.0))
-    mask = SliceMask(np.ones(9, bool), 0)
     with pytest.raises(ValueError):
-        mwp_test(index, mask, 0, 0.5, np.random.default_rng(0))
+        mwp_test(index, np.ones(9, bool), 0, 0.5, np.random.default_rng(0))

@@ -34,15 +34,14 @@ def _index(n, d, seed=0):
 
 def test_two_dim_slice_keeps_exactly_half():
     index = _index(4, 2)
-    mask = draw_slice(index, 0, 0.5, np.random.default_rng(1))
-    assert mask.member.sum() == 2
-    assert mask.ref_dim == 0
+    member = draw_slice(index, 0, 0.5, np.random.default_rng(1))
+    assert member.sum() == 2
 
 
 def test_full_alpha_keeps_all_rows():
     index = _index(25, 3)
-    mask = draw_slice(index, 1, 1.0, np.random.default_rng(2))
-    assert mask.member.all()
+    member = draw_slice(index, 1, 1.0, np.random.default_rng(2))
+    assert member.all()
 
 
 def test_exact_survivors_per_conditioning_dimension():
@@ -50,7 +49,7 @@ def test_exact_survivors_per_conditioning_dimension():
     index = _index(n, d, seed=3)
     size = slice_size(n, d, alpha)
     rng = iteration_rng(77, 0)
-    mask = draw_slice(index, 1, alpha, rng)
+    member = draw_slice(index, 1, alpha, rng)
     # replay the draws to recover each dimension's window
     replay = iteration_rng(77, 0)
     expected = np.ones(n, dtype=bool)
@@ -60,7 +59,7 @@ def test_exact_survivors_per_conditioning_dimension():
         kept[index.dims[j].row_ids[start:start + size]] = True
         assert kept.sum() == size
         expected &= kept
-    assert np.array_equal(mask.member, expected)
+    assert np.array_equal(member, expected)
 
 
 def test_mean_member_count_calibrated():
@@ -70,7 +69,7 @@ def test_mean_member_count_calibrated():
     total = 0
     draws = 10_000
     for _ in range(draws):
-        total += draw_slice(index, 0, alpha, rng).member.sum()
+        total += draw_slice(index, 0, alpha, rng).sum()
     mean = total / draws
     assert 485 <= mean <= 515
 
@@ -79,16 +78,10 @@ def test_same_seed_same_mask():
     index = _index(120, 4, seed=6)
     a = draw_slice(index, 2, 0.5, np.random.default_rng(9))
     b = draw_slice(index, 2, 0.5, np.random.default_rng(9))
-    assert np.array_equal(a.member, b.member)
+    assert np.array_equal(a, b)
 
 
 def test_invalid_ref_dim():
     index = _index(10, 2)
     with pytest.raises(ValueError):
         draw_slice(index, 2, 0.5, np.random.default_rng(0))
-
-
-def test_complement_flips_membership():
-    index = _index(50, 3)
-    mask = draw_slice(index, 0, 0.5, np.random.default_rng(3))
-    assert np.array_equal(mask.complement().member, ~mask.member)
