@@ -1,11 +1,16 @@
 """Hot numeric kernels, vectorized with numpy.
 
-The three inner loops that dominate runtime: per-column construction of
-tie-averaged ranks, masking rows outside a sorted-order window, and locally
-re-ranking a window while summing member ranks and the window's tie
-correction.  Rank sums are multiples of 0.5 far below 2**52 and tie
-corrections are exact integers, so the results do not depend on summation
-order.
+The three inner loops that dominate runtime: one pass per column that
+averages the ranks of tied values and records the column's tie runs,
+masking rows outside a sorted-order window, and the window statistics of
+the Mann-Whitney test.  The window statistics gather slice membership over
+the window once and sum it against the global tie-averaged ranks; those are
+already the window-local ranks, shifted by the window start, everywhere
+except in the at most two tie runs the window boundary cuts, which get an
+O(1) fix each.  The tie correction comes from the stored runs that overlap
+the window, clipped to it.  Rank sums are multiples of 0.5 far below 2**52
+and tie corrections are exact integers, so the results do not depend on
+summation order.
 """
 
 from __future__ import annotations
@@ -15,22 +20,6 @@ import numpy as np
 # below this width every window's sum of g**3 - g is at most
 # width**3 - width < 2**63, so it is exact in int64
 _INT64_SAFE_WIDTH = 2**21
-
-
-def _tie_runs(keys: np.ndarray):
-    """Runs of equal values in the sorted sequence ``keys``.
-
-    Returns ``(gid, starts, counts)``: the run number of every position, and
-    the first position and length of every run.
-    """
-    n = keys.shape[0]
-    first = np.empty(n, dtype=np.bool_)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    gid = np.cumsum(first) - 1
-    starts = np.flatnonzero(first)
-    counts = np.diff(np.append(starts, n))
-    return gid, starts, counts
 
 
 def _tie_correction(counts: np.ndarray, width: int) -> int:
@@ -46,15 +35,26 @@ def _tie_correction(counts: np.ndarray, width: int) -> int:
     return total + sum(g**3 - g for g in counts[big].tolist())
 
 
-def rank_scan(values: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Walk a sorted column once and average the ranks of tied values.
+def rank_scan(values: np.ndarray, order: np.ndarray):
+    """Walk a sorted column once, average the ranks of tied values and
+    record its tie runs.
 
-    ``order`` must sort ``values`` ascending.  Returns the 0-based average
-    rank at each sorted position.
+    ``order`` must sort ``values`` ascending.  Returns ``(adjusted_ranks,
+    run_starts, run_lengths)``: the 0-based average rank at each sorted
+    position, and the first position and length of every tie run of two or
+    more positions, ascending (both empty for a tie-free column).
     """
-    gid, starts, counts = _tie_runs(values[order])
-    ends = starts + counts - 1
-    return ((starts + ends) / 2.0)[gid]
+    keys = values[order]
+    n = keys.shape[0]
+    first = np.empty(n, dtype=np.bool_)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=n)
+    extra = counts - 1
+    adjusted = (starts + extra / 2.0)[np.cumsum(first) - 1]
+    tied = np.flatnonzero(extra)  # runs of two or more positions
+    return adjusted, starts[tied], counts[tied]
 
 
 def mask_outside(member: np.ndarray, order: np.ndarray, start: int, end: int) -> None:
@@ -63,25 +63,45 @@ def mask_outside(member: np.ndarray, order: np.ndarray, start: int, end: int) ->
     member[order[end:]] = False
 
 
-def window_stats(member, order, group_ids, start, end):
+def window_stats(member, order, adjusted_ranks, start, end, *, run_starts, run_lengths):
     """Rank the window [start, end) locally and sum member ranks.
 
-    Positions share a tie group when their ``group_ids`` entries are equal.
-    Each group contributes its window-local 0-based average rank to the
-    members inside it; groups cut off by the window boundary are ranked
-    among window rows only.  Returns ``(rank_sum, member_count,
-    tie_correction)`` with the correction as an exact integer sum of
-    ``g**3 - g`` over window-local group sizes, at any window width.
+    ``adjusted_ranks`` and the tie runs ``run_starts``/``run_lengths`` are a
+    column's :func:`rank_scan` output.  Each tie group contributes its
+    window-local 0-based average rank to the members inside it; the at most
+    two runs cut by the window boundary are ranked among window rows only.
+    Returns ``(rank_sum, member_count, tie_correction)`` with the correction
+    as an exact integer sum of ``g**3 - g`` over window-local group sizes,
+    at any window width.
     """
-    width = end - start
     w_member = member[order[start:end]]
-    gid, starts, counts = _tie_runs(group_ids[start:end])
-    local_mean = starts + (counts - 1) / 2.0
-    per_group = np.bincount(gid[w_member], minlength=starts.size)
-    r1 = float((per_group * local_mean).sum())
     n1 = int(np.count_nonzero(w_member))
-    corr = _tie_correction(counts.astype(np.int64), width)
-    return r1, n1, corr
+    # global ranks shifted by start are the local ranks of every position
+    # outside a cut run; einsum keeps the sum off BLAS
+    r1 = float(np.einsum("i,i->", w_member, adjusted_ranks[start:end])) - n1 * start
+    if not run_starts.size:  # tie-free column
+        return r1, n1, 0
+    # runs [first, last) overlap the window: the last run starting at or
+    # before start, if it reaches into the window, through the last one
+    # starting before end
+    first = int(np.searchsorted(run_starts, start, "right"))
+    if first and run_starts[first - 1] + run_lengths[first - 1] > start:
+        first -= 1
+    last = int(np.searchsorted(run_starts, end, "left"))
+    if first == last:
+        return r1, n1, 0
+    counts = run_lengths[first:last].copy()
+    for i in {first, last - 1}:
+        s = int(run_starts[i])
+        e = s + int(run_lengths[i])
+        a, b = max(s, start), min(e, end)
+        if b - a < e - s:
+            # cut run: its members move from the global mean rank
+            # (s + e - 1) / 2 to the window-local one (a + b - 1) / 2
+            counts[i - first] = b - a
+            cut_members = int(np.count_nonzero(w_member[a - start:b - start]))
+            r1 += cut_members * ((a + b) - (s + e)) / 2.0
+    return r1, n1, _tie_correction(counts, end - start)
 
 
 def backend_name() -> str:

@@ -149,19 +149,23 @@ def _read_config(path: str, defaults: dict) -> dict:
             key = key.replace("-", "_")
             if key not in defaults:
                 raise DataError(f"{path}:{line_no}: unknown key {key!r}")
-            if key in _LIST_PARSERS:
-                out[key] = _LIST_PARSERS[key](value)
-            else:
-                template = defaults[key]
-                if key in ("omega", "threshold"):  # optional numerics
-                    out[key] = float(value) if key == "threshold" else int(value)
-                elif isinstance(template, int):
-                    out[key] = int(value)
-                elif isinstance(template, float):
-                    out[key] = float(value)
-                else:
-                    out[key] = value
+            try:
+                out[key] = _parse_config_value(key, value, defaults[key])
+            except ValueError as exc:
+                raise DataError(f"{path}:{line_no}: invalid value for {key}: {exc}") from None
     return out
+
+
+def _parse_config_value(key: str, value: str, template):
+    if key in _LIST_PARSERS:
+        return _LIST_PARSERS[key](value)
+    if key in ("omega", "threshold"):  # optional numerics
+        return float(value) if key == "threshold" else int(value)
+    if isinstance(template, int):
+        return int(value)
+    if isinstance(template, float):
+        return float(value)
+    return value
 
 
 def _merge_bench(args) -> dict:

@@ -138,31 +138,45 @@ def read_csv(
     numbers and column numbers.
     """
     reader = csv.reader(source, delimiter=delimiter)
-    rows = [row for row in reader if row]
+    rows: list[list[str]] = []
+    # row i starts on file line i + shift; the shift changes only after
+    # blank lines and quoted multi-line cells, so it is recorded by the
+    # first row it applies to rather than per row
+    shifts: dict[int, int] = {}
+    shift = None
+    last_line = 0
+    for row in reader:
+        if row:
+            if last_line + 1 - len(rows) != shift:
+                shift = shifts[len(rows)] = last_line + 1 - len(rows)
+            rows.append(row)
+        last_line = reader.line_num
     if not rows:
         raise StructureError("empty input: no rows found")
 
     names: list[str] | None = None
-    start_line = 1
+    first = 0
     if has_header is None:
         has_header = not _looks_numeric(rows[0])
     if has_header:
         names = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
-        start_line = 2
-        if not rows:
+        first = 1
+        if len(rows) == 1:
             raise StructureError("no data rows after the header")
 
-    width = len(rows[0])
-    data = np.empty((len(rows), width), dtype=np.float64, order="F")
-    for i, row in enumerate(rows):
-        line_no = start_line + i
+    width = len(rows[first])
+    data = np.empty((len(rows) - first, width), dtype=np.float64, order="F")
+    shift = shifts[0]
+    for i in range(first, len(rows)):
+        row = rows[i]
+        shift = shifts.get(i, shift)
+        line_no = i + shift
         if len(row) != width:
             raise StructureError(
                 f"ragged row at line {line_no}: expected {width} cells, got {len(row)}"
             )
         for j, cell in enumerate(row):
-            data[i, j] = _parse_cell(cell.strip(), line_no, j + 1)
+            data[i - first, j] = _parse_cell(cell.strip(), line_no, j + 1)
     if names is not None and len(names) != width:
         raise StructureError(
             f"header has {len(names)} names but rows have {width} cells"

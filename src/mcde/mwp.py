@@ -3,12 +3,13 @@
 The test runs inside a random restriction window on the reference
 dimension's sorted order: only rows whose reference rank falls in
 ``[start, start + ceil(n * alpha))`` take part.  The window is ranked
-locally in one pass (0-based, ties averaged among window rows only), which
-reduces to shifting the global ranks by ``start`` whenever no tie group is
-cut by the window boundary, but stays exact when one is.  The statistic
+locally (0-based, ties averaged among window rows only): the global ranks
+shifted by ``start``, with the at most two tie runs cut by the window
+boundary re-averaged over their rows inside it.  The statistic
 ``U1 = R1 - n1*(n1-1)/2`` is centered at ``mu = n1*n2/2`` under
 independence, and its standard deviation carries the usual ``t**3 - t``
-tie correction over window-local tie groups.
+tie correction over window-local tie groups, read from the index's tie
+runs clipped to the window.
 
 Two degenerate regimes are reported with ``degenerate=True``: a window
 whose values are all tied carries no rank evidence and yields 0 (this is
@@ -79,7 +80,8 @@ def mwp_test(
     n_prime = end - start
 
     r1, n1, corr_sum = _kernels.window_stats(
-        member, dim.row_ids, dim.adjusted_ranks, start, end
+        member, dim.row_ids, dim.adjusted_ranks, start, end,
+        run_starts=dim.run_starts, run_lengths=dim.run_lengths,
     )
     # an all-tied window has no rank evidence; checked before the empty/full
     # branch so constant data scores 0 even when identical sort orders make

@@ -1,10 +1,12 @@
 """Per-dimension rank index: sorted row ids and tie-averaged ranks.
 
 One sort per column, then a single pass that averages the 0-based ranks of
-tied values.  Tie groups are detected by exact value equality; discretised
-data is expected to produce exact duplicates.  Equal adjusted ranks mark a
-tie group, so the test derives each window's ``t**3 - t`` tie correction
-from them.
+tied values and records where each tie group starts and how long it is.
+Tie groups are detected by exact value equality; discretised data is
+expected to produce exact duplicates.  The test reads each window's
+``t**3 - t`` tie correction from these runs, clipped to the window, so a
+column stores one start and one length per tie group of two or more rows
+and nothing for tie-free data.
 
 Within a tie group the row order is pseudorandom, drawn from a fixed salt
 and the column's position.  Tied rows carry identical ranks either way, but
@@ -37,11 +39,16 @@ class DimensionIndex:
     """Sorted view of one column.
 
     ``row_ids[j]`` is the row holding the j-th smallest value and
-    ``adjusted_ranks[j]`` its 0-based rank with ties averaged.
+    ``adjusted_ranks[j]`` its 0-based rank with ties averaged.  Every tie
+    group of two or more rows occupies the sorted positions
+    ``[run_starts[k], run_starts[k] + run_lengths[k])``; a tie-free column
+    stores two empty arrays.
     """
 
     row_ids: np.ndarray
     adjusted_ranks: np.ndarray
+    run_starts: np.ndarray
+    run_lengths: np.ndarray
 
     @property
     def n(self) -> int:
@@ -69,10 +76,10 @@ def _build_dimension(column: np.ndarray, position: int) -> DimensionIndex:
     column = np.ascontiguousarray(column, dtype=np.float64)
     tiebreak = iteration_rng(_TIE_ORDER_SALT, position).random(column.shape[0])
     order = np.lexsort((tiebreak, column))
-    adjusted = _kernels.rank_scan(column, order)
-    for arr in (order, adjusted):
+    adjusted, run_starts, run_lengths = _kernels.rank_scan(column, order)
+    for arr in (order, adjusted, run_starts, run_lengths):
         arr.setflags(write=False)
-    return DimensionIndex(order, adjusted)
+    return DimensionIndex(order, adjusted, run_starts, run_lengths)
 
 
 def construct_index(ds: Dataset) -> RankIndex:

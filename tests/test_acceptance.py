@@ -69,7 +69,9 @@ def test_criterion_2_index_matches_quadratic_rank_oracle():
         by_row[dim.row_ids] = dim.adjusted_ranks
         assert np.array_equal(by_row, average_ranks_oracle_fast(column))
         corr = window_stats(np.ones(column.size, dtype=bool), dim.row_ids,
-                            dim.adjusted_ranks, 0, column.size)[2]
+                            dim.adjusted_ranks, 0, column.size,
+                            run_starts=dim.run_starts,
+                            run_lengths=dim.run_lengths)[2]
         assert corr == tie_corrections_oracle(column)[-1]
     _passed(f"criterion 2: adjusted ranks and tie corrections exact on "
             f"{len(columns)} columns incl. all-tied and all-distinct")

@@ -2,6 +2,8 @@ import io
 import subprocess
 import sys
 
+import pytest
+
 import mcde
 from mcde.cli import run
 
@@ -214,6 +216,16 @@ def test_benchmark_config_unknown_key(capsys, tmp_path):
     code, _, err = _run(capsys, ["benchmark", "power", "--config", str(cfg)])
     assert code == 2
     assert "bogus" in err
+
+
+@pytest.mark.parametrize("entry", ["reps=abc", "gamma=high", "omega=none"])
+def test_benchmark_config_bad_value_names_file_and_line(capsys, tmp_path, entry):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"n=120\n# comment\n{entry}\n")
+    code, _, err = _run(capsys, ["benchmark", "power", "--config", str(cfg)])
+    assert code == 2
+    key = entry.split("=")[0]
+    assert err.startswith(f"mcde: error: {cfg}:3: invalid value for {key}: ")
 
 
 def test_monitor_stdin_to_stdout(capsys, monkeypatch):

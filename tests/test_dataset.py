@@ -40,6 +40,18 @@ def test_non_numeric_cell_names_location():
         read_csv(io.StringIO("a,b\nabc,0.2\n"))
 
 
+@pytest.mark.parametrize("text, error, where", [
+    ("a,b\n1,2\n\n3,x\n", ParseError, "line 4, column 2"),
+    ("a,b\n1,2\n\n3,4,5\n", StructureError, "ragged row at line 4:"),
+    ("\n\na,b\n1,2\nx,3\n", ParseError, "line 5, column 1"),
+    ("a,b\n\"1\n\",2\n3,x\n", ParseError, "line 4, column 2"),
+    ("1,2\n\n\n3,4\n5,inf\n", ValidationError, "line 5, column 2"),
+])
+def test_errors_name_file_lines_past_blank_and_multiline_rows(text, error, where):
+    with pytest.raises(error, match=where):
+        read_csv(io.StringIO(text))
+
+
 def test_empty_file_is_structure_error():
     with pytest.raises(StructureError):
         read_csv(io.StringIO(""))

@@ -14,6 +14,12 @@ def _sorted_order(rng, column):
     return np.lexsort((tiebreak, column))
 
 
+def _window_stats(member, order, column, start, end):
+    adj, run_starts, run_lengths = _kernels.rank_scan(column, order)
+    return _kernels.window_stats(member, order, adj, start, end,
+                                 run_starts=run_starts, run_lengths=run_lengths)
+
+
 def test_mask_outside_clears_exactly_the_rows_outside_the_window():
     n = 200
     order = np.random.default_rng(7).permutation(n)
@@ -33,15 +39,62 @@ def test_window_stats_matches_bruteforce(case):
     n = int(rng.integers(4, 120))
     column = random_tied_column(rng, n)
     order = _sorted_order(rng, column)
-    adj = _kernels.rank_scan(column, order)
     member = rng.random(n) < 0.5
     start = int(rng.integers(0, n - 1))
     end = int(rng.integers(start + 1, n + 1))
-    r1, n1, corr = _kernels.window_stats(member, order, adj, start, end)
+    r1, n1, corr = _window_stats(member, order, column, start, end)
     er1, en1, ecorr = local_window_stats_oracle(member, order, column, start, end)
     assert r1 == pytest.approx(er1, abs=1e-9)
     assert n1 == en1
     assert int(corr) == ecorr
+
+
+# sorted column with tie runs at positions [2, 6), [7, 10) and [12, 16)
+_RUNS = np.array([0, 1, 2, 2, 2, 2, 3, 4, 4, 4, 5, 6, 7, 7, 7, 7, 8], dtype=float)
+
+
+@pytest.mark.parametrize("column, start, end", [
+    (_RUNS, 4, 9),      # each window edge cuts a run
+    (_RUNS, 4, 7),      # the left edge cuts a run
+    (_RUNS, 1, 9),      # the right edge cuts a run
+    (_RUNS, 3, 14),     # both edges cut runs, a whole run between
+    (_RUNS, 3, 5),      # strictly inside one run
+    (_RUNS, 12, 16),    # exactly one run, uncut
+    (_RUNS, 0, 17),     # the whole column
+    (_RUNS, 6, 7),      # one row between runs
+    (_RUNS, 8, 9),      # one row inside a run
+    (np.arange(17.0), 3, 14),   # tie-free
+    (np.arange(17.0), 5, 6),    # tie-free, one row
+    (np.full(17, 2.0), 4, 11),  # one run spans the column
+])
+def test_window_stats_at_run_boundaries(column, start, end):
+    order = np.arange(column.size)
+    for seed in range(8):
+        member = np.random.default_rng(seed).random(column.size) < 0.5
+        got = _window_stats(member, order, column, start, end)
+        assert got == local_window_stats_oracle(member, order, column, start, end)
+
+
+def test_window_stats_cut_run_beyond_int64_width():
+    # a 2.15M-row run cut by the window's left end, then triples, the last
+    # one cut to a pair by the right end; g**3 - g of the cut run exceeds
+    # int64 and the window is wider than 2**21
+    head = 2_150_000
+    column = np.concatenate([np.zeros(head), np.repeat(np.arange(1.0, 16_668), 3)])
+    n = column.size
+    order = np.arange(n)
+    start, end = 10, n - 1
+    member = np.random.default_rng(0).random(n) < 0.5
+    r1, n1, corr = _window_stats(member, order, column, start, end)
+
+    groups = [head - start] + [3] * ((n - head) // 3 - 1) + [2]
+    assert sum(groups) == end - start and groups[0] > 2**21
+    assert corr == sum(g**3 - g for g in groups)
+    lengths = np.array(groups)
+    local = np.repeat(np.cumsum(lengths) - lengths + (lengths - 1) / 2.0, lengths)
+    window_member = member[start:end]
+    assert n1 == int(window_member.sum())
+    assert r1 == float(local[window_member].sum())
 
 
 @pytest.mark.parametrize("counts", [

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,13 +16,19 @@ def _index_of(column):
 def _column_correction(dim):
     """Sum of t**3 - t over the column's tie groups, as the test reads it."""
     ones = np.ones(dim.n, dtype=bool)
-    return window_stats(ones, dim.row_ids, dim.adjusted_ranks, 0, dim.n)[2]
+    return window_stats(ones, dim.row_ids, dim.adjusted_ranks, 0, dim.n,
+                        run_starts=dim.run_starts, run_lengths=dim.run_lengths)[2]
+
+
+def _runs(dim):
+    return list(zip(dim.run_starts.tolist(), dim.run_lengths.tolist()))
 
 
 def test_distinct_values_sorted():
     dim = _index_of([0.3, 0.1, 0.2])
     assert list(dim.row_ids) == [1, 2, 0]
     assert list(dim.adjusted_ranks) == [0.0, 1.0, 2.0]
+    assert _runs(dim) == []
     assert _column_correction(dim) == 0
 
 
@@ -29,19 +37,43 @@ def test_single_tie_pair():
     assert dim.row_ids[0] == 2
     assert set(dim.row_ids[1:]) == {0, 1}
     assert list(dim.adjusted_ranks) == [0.0, 1.5, 1.5]
+    assert _runs(dim) == [(1, 2)]
     assert _column_correction(dim) == 6
 
 
 def test_constant_column():
     dim = _index_of([3.7] * 4)
     assert np.all(dim.adjusted_ranks == 1.5)
+    assert _runs(dim) == [(0, 4)]
     assert _column_correction(dim) == 60
 
 
 def test_tie_group_at_last_position():
     dim = _index_of([1.0, 2.0, 3.0, 3.0])
     assert list(dim.adjusted_ranks) == [0.0, 1.0, 2.5, 2.5]
+    assert _runs(dim) == [(2, 2)]
     assert _column_correction(dim) == 6
+
+
+def test_tie_free_column_stores_no_runs():
+    dim = _index_of(np.random.default_rng(11).random(1000))
+    assert [f.name for f in dataclasses.fields(dim)] == [
+        "row_ids", "adjusted_ranks", "run_starts", "run_lengths"]
+    assert dim.run_starts.size == 0 and dim.run_lengths.size == 0
+
+
+@pytest.mark.parametrize("omega", [1, 2, 10, 100])
+def test_runs_of_discretised_column_carry_its_tie_correction(omega):
+    rng = np.random.default_rng(omega)
+    column = np.floor(rng.random(2000) * omega) / omega
+    dim = _index_of(column)
+    assert np.all(dim.run_lengths >= 2)
+    assert np.all(np.diff(dim.run_starts) >= dim.run_lengths[:-1])
+    sorted_values = column[dim.row_ids]
+    for s, g in _runs(dim):
+        assert np.all(sorted_values[s:s + g] == sorted_values[s])
+    total = sum(g**3 - g for g in dim.run_lengths.tolist())
+    assert total == tie_corrections_oracle(column)[-1]
 
 
 @pytest.mark.parametrize("case", range(30))
