@@ -11,7 +11,6 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .benchmark import (
@@ -150,22 +149,21 @@ def _read_config(path: str, defaults: dict) -> dict:
             if key not in defaults:
                 raise DataError(f"{path}:{line_no}: unknown key {key!r}")
             try:
-                out[key] = _parse_config_value(key, value, defaults[key])
+                out[key] = _flag_type(key, defaults[key])(value)
             except ValueError as exc:
                 raise DataError(f"{path}:{line_no}: invalid value for {key}: {exc}") from None
     return out
 
 
-def _parse_config_value(key: str, value: str, template):
+def _flag_type(key: str, template):
+    """Parser of one benchmark setting, for its flag and its config value."""
     if key in _LIST_PARSERS:
-        return _LIST_PARSERS[key](value)
-    if key in ("omega", "threshold"):  # optional numerics
-        return float(value) if key == "threshold" else int(value)
-    if isinstance(template, int):
-        return int(value)
-    if isinstance(template, float):
-        return float(value)
-    return value
+        return _LIST_PARSERS[key]
+    if key == "omega":  # optional numerics: their default is None
+        return int
+    if key == "threshold":
+        return float
+    return type(template)
 
 
 def _merge_bench(args) -> dict:
@@ -219,10 +217,6 @@ def _cmd_benchmark(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _stream_rows(fh, delimiter: str):
-    return csv.reader(fh, delimiter=delimiter)
-
-
 def _cmd_monitor(args) -> int:
     cfg = WindowConfig(
         width=args.width,
@@ -240,7 +234,7 @@ def _cmd_monitor(args) -> int:
 
     fh = sys.stdin if args.input == "-" else open(args.input, "r", encoding="utf-8-sig", newline="")
     try:
-        rows = _stream_rows(fh, args.delimiter)
+        rows = csv.reader(fh, delimiter=args.delimiter)
         first = next(rows, None)
         if first is None:
             raise DataError("empty stream")
@@ -326,19 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
         bp.add_argument("--threads", type=int, default=None)
         defaults = _BENCH_DEFAULTS[name]
         for key, template in defaults.items():
-            flag = "--" + key.replace("_", "-")
-            if key in _LIST_PARSERS:
-                bp.add_argument(flag, type=_LIST_PARSERS[key], default=None)
-            elif key == "kind":
-                bp.add_argument(flag, choices=DEPENDENCY_KINDS, default=None)
-            elif key in ("omega",):
-                bp.add_argument(flag, type=int, default=None)
-            elif key in ("threshold",):
-                bp.add_argument(flag, type=float, default=None)
-            elif isinstance(template, float):
-                bp.add_argument(flag, type=float, default=None)
-            else:
-                bp.add_argument(flag, type=int, default=None)
+            bp.add_argument("--" + key.replace("_", "-"), type=_flag_type(key, template),
+                            choices=DEPENDENCY_KINDS if key == "kind" else None,
+                            default=None)
         bp.set_defaults(func=_cmd_benchmark)
 
     mon = sub.add_parser("monitor", help="sliding-window scores over streaming CSV rows")

@@ -1,14 +1,18 @@
 """Numerical datasets: validation, CSV input/output, column projection.
 
-Values are held column-major (Fortran order) because every downstream pass
-walks single columns.  Datasets are immutable after construction; the
-backing array is marked read-only so they can be shared across threads.
+CSV rows are parsed as the reader yields them, into one flat buffer of
+floats, so no per-row object outlives its row.  Values are held
+column-major (Fortran order) because every downstream pass walks single
+columns.  Datasets are immutable after construction; the backing array is
+marked read-only so they can be shared across threads.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
+from array import array
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -110,7 +114,7 @@ def _parse_cell(cell: str, line_no: int, col_no: int) -> float:
         raise ParseError(
             f"cannot parse {cell!r} as a number at line {line_no}, column {col_no}"
         ) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValidationError(
             f"non-finite value {cell!r} at line {line_no}, column {col_no}"
         )
@@ -138,50 +142,38 @@ def read_csv(
     numbers and column numbers.
     """
     reader = csv.reader(source, delimiter=delimiter)
-    rows: list[list[str]] = []
-    # row i starts on file line i + shift; the shift changes only after
-    # blank lines and quoted multi-line cells, so it is recorded by the
-    # first row it applies to rather than per row
-    shifts: dict[int, int] = {}
-    shift = None
+    names: list[str] | None = None
+    width = 0
+    cells = array("d")
     last_line = 0
     for row in reader:
-        if row:
-            if last_line + 1 - len(rows) != shift:
-                shift = shifts[len(rows)] = last_line + 1 - len(rows)
-            rows.append(row)
-        last_line = reader.line_num
-    if not rows:
-        raise StructureError("empty input: no rows found")
-
-    names: list[str] | None = None
-    first = 0
-    if has_header is None:
-        has_header = not _looks_numeric(rows[0])
-    if has_header:
-        names = [cell.strip() for cell in rows[0]]
-        first = 1
-        if len(rows) == 1:
-            raise StructureError("no data rows after the header")
-
-    width = len(rows[first])
-    data = np.empty((len(rows) - first, width), dtype=np.float64, order="F")
-    shift = shifts[0]
-    for i in range(first, len(rows)):
-        row = rows[i]
-        shift = shifts.get(i, shift)
-        line_no = i + shift
-        if len(row) != width:
+        # a row starts on the line after the previous one ended, which
+        # counts blank lines and quoted multi-line cells
+        line_no, last_line = last_line + 1, reader.line_num
+        if not row:
+            continue
+        if not width:
+            if names is None and (
+                not _looks_numeric(row) if has_header is None else has_header
+            ):
+                names = [cell.strip() for cell in row]
+                continue
+            width = len(row)
+        elif len(row) != width:
             raise StructureError(
                 f"ragged row at line {line_no}: expected {width} cells, got {len(row)}"
             )
-        for j, cell in enumerate(row):
-            data[i - first, j] = _parse_cell(cell.strip(), line_no, j + 1)
+        for j, cell in enumerate(row, 1):
+            cells.append(_parse_cell(cell.strip(), line_no, j))
+    if not width:
+        if names is None:
+            raise StructureError("empty input: no rows found")
+        raise StructureError("no data rows after the header")
     if names is not None and len(names) != width:
         raise StructureError(
             f"header has {len(names)} names but rows have {width} cells"
         )
-    return Dataset(data, names)
+    return Dataset(np.frombuffer(cells).reshape(-1, width), names)
 
 
 def load_csv(

@@ -177,13 +177,17 @@ def test_criterion_6_robustness_to_discretisation():
 # -------------------------------------------------------------------- 7 ---
 
 
-def _median_index_time(data, runs=11):
-    times = []
+def _index_time_ratio(small, large, runs=11):
+    """Median build time of ``large`` over that of ``small``.  The builds
+    alternate, one of each per round, so that both medians see the same
+    phase of a host whose speed drifts."""
+    times = ([], [])
     for _ in range(runs):
-        t0 = time.perf_counter()
-        construct_index(data)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+        for data, out in zip((small, large), times):
+            t0 = time.perf_counter()
+            construct_index(data)
+            out.append(time.perf_counter() - t0)
+    return statistics.median(times[1]) / statistics.median(times[0])
 
 
 def test_criterion_7_complexity_scaling():
@@ -201,7 +205,7 @@ def test_criterion_7_complexity_scaling():
         small = mcde.generate(DependencySpec("independent", n, 3, 0.0, seed=71))
         large = mcde.generate(DependencySpec("independent", 2 * n, 3, 0.0, seed=72))
         construct_index(small)  # warm
-        index_ratios[n] = _median_index_time(large) / _median_index_time(small)
+        index_ratios[n] = _index_time_ratio(small, large)
         assert index_ratios[n] <= 2.6, (n, index_ratios[n])
 
     # contrast grows at most linearly in d at fixed n

@@ -1,4 +1,5 @@
 import io
+import os
 import subprocess
 import sys
 
@@ -276,15 +277,19 @@ def test_monitor_lenient_skips(capsys, monkeypatch):
 
 
 def test_console_script_pipe_end_to_end():
+    # the children import the same mcde package as this test, installed or not
+    package_root = os.path.dirname(os.path.dirname(mcde.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + path if path else ""))
     gen = subprocess.run(
         [sys.executable, "-m", "mcde", "generate", "--kind", "linear",
          "--n", "400", "--d", "3", "--noise", "0", "--seed", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert gen.returncode == 0
     est = subprocess.run(
         [sys.executable, "-m", "mcde", "estimate", "--input", "-", "--m", "50"],
-        input=gen.stdout, capture_output=True, text=True,
+        input=gen.stdout, capture_output=True, text=True, env=env,
     )
     assert est.returncode == 0
     assert float(est.stdout) >= 0.95

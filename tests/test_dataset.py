@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,10 +47,29 @@ def test_non_numeric_cell_names_location():
     ("\n\na,b\n1,2\nx,3\n", ParseError, "line 5, column 1"),
     ("a,b\n\"1\n\",2\n3,x\n", ParseError, "line 4, column 2"),
     ("1,2\n\n\n3,4\n5,inf\n", ValidationError, "line 5, column 2"),
+    # of two row faults the earlier one is reported; the header width is checked last
+    ("1,2\n3,inf\n4,x\n", ValidationError, "line 2, column 2"),
+    ("1,2\n3,x\n4,5,6\n", ParseError, "line 2, column 2"),
+    ("1,2\n3, \tx  \n", ParseError, "cannot parse 'x' as a number at line 2, column 2"),
+    ("a,b,c\n1,2\n3,x\n", ParseError, "line 3, column 2"),
+    ("a,b\n\n\n", StructureError, "no data rows after the header"),
 ])
 def test_errors_name_file_lines_past_blank_and_multiline_rows(text, error, where):
     with pytest.raises(error, match=where):
         read_csv(io.StringIO(text))
+
+
+def test_read_csv_peak_memory_is_a_small_multiple_of_the_values():
+    values = np.random.default_rng(5).random((20_000, 3))
+    text = io.StringIO(csv_string(Dataset(values)))
+    tracemalloc.start()
+    try:
+        ds = read_csv(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(ds.values, values)
+    assert peak <= 4 * ds.values.nbytes, peak / ds.values.nbytes
 
 
 def test_empty_file_is_structure_error():
