@@ -54,7 +54,7 @@ from .generators import (
 )
 from .mwp import TestOutcome, half_normal_cdf, mwp_test
 from .ranking import DimensionIndex, RankIndex, construct_index
-from .slicing import draw_slice, slice_size
+from .slicing import slice_size
 from .stream import (
     RowError,
     StreamFormatError,
@@ -95,7 +95,6 @@ __all__ = [
     "DimensionIndex",
     "RankIndex",
     "construct_index",
-    "draw_slice",
     "slice_size",
     "PowerResult",
     "RuntimeResult",

@@ -1,16 +1,16 @@
 """Hot numeric kernels, vectorized with numpy.
 
-The three inner loops that dominate runtime: one pass per column that
-averages the ranks of tied values and records the column's tie runs,
-masking rows outside a sorted-order window, and the window statistics of
-the Mann-Whitney test.  The window statistics gather slice membership over
-the window once and sum it against the global tie-averaged ranks; those are
-already the window-local ranks, shifted by the window start, everywhere
-except in the at most two tie runs the window boundary cuts, which get an
-O(1) fix each.  The tie correction comes from the stored runs that overlap
-the window, clipped to it.  Rank sums are multiples of 0.5 far below 2**52
-and tie corrections are exact integers, so the results do not depend on
-summation order.
+The two inner loops that dominate runtime: one pass per column that
+averages the ranks of tied values and records the column's tie runs, and
+the window statistics of the Mann-Whitney test over a batch of iterations.
+The window statistics take each iteration's slice membership over its
+window, one row per iteration, and sum it against the global tie-averaged
+ranks in one 2-D pass; those are already the window-local ranks, shifted by
+the window start, everywhere except in the at most two tie runs the window
+boundary cuts, which get an O(1) fix per iteration.  The tie correction
+comes from the stored runs that overlap the window, clipped to it.  Rank
+sums are multiples of 0.5 far below 2**52 and tie corrections are exact
+integers, so the results do not depend on summation order.
 """
 
 from __future__ import annotations
@@ -57,30 +57,34 @@ def rank_scan(values: np.ndarray, order: np.ndarray):
     return adjusted, starts[tied], counts[tied]
 
 
-def mask_outside(member: np.ndarray, order: np.ndarray, start: int, end: int) -> None:
-    """Clear ``member`` for rows whose sorted position falls outside [start, end)."""
-    member[order[:start]] = False
-    member[order[end:]] = False
+def window_rows(member, ranks, starts, ends, *, run_starts, run_lengths):
+    """Rank each restriction window locally and sum its member ranks.
 
-
-def window_stats(member, order, adjusted_ranks, start, end, *, run_starts, run_lengths):
-    """Rank the window [start, end) locally and sum member ranks.
-
-    ``adjusted_ranks`` and the tie runs ``run_starts``/``run_lengths`` are a
-    column's :func:`rank_scan` output.  Each tie group contributes its
+    Row i of ``member`` is the slice membership at the sorted positions
+    ``starts[i]`` onwards and row i of ``ranks`` the column's
+    :func:`rank_scan` ranks there; positions from ``ends[i]`` on lie past
+    the column and hold no members.  Each tie group contributes its
     window-local 0-based average rank to the members inside it; the at most
-    two runs cut by the window boundary are ranked among window rows only.
-    Returns ``(rank_sum, member_count, tie_correction)`` with the correction
-    as an exact integer sum of ``g**3 - g`` over window-local group sizes,
-    at any window width.
+    two runs cut by a window boundary are ranked among window rows only.
+    Returns ``(rank_sums, member_counts, tie_corrections)``: two arrays and
+    a list of exact integer sums of ``g**3 - g`` over window-local group
+    sizes, at any window width.
     """
-    w_member = member[order[start:end]]
-    n1 = int(np.count_nonzero(w_member))
-    # global ranks shifted by start are the local ranks of every position
-    # outside a cut run; einsum keeps the sum off BLAS
-    r1 = float(np.einsum("i,i->", w_member, adjusted_ranks[start:end])) - n1 * start
-    if not run_starts.size:  # tie-free column
-        return r1, n1, 0
+    n1 = np.count_nonzero(member, axis=1)
+    # global ranks shifted by the start are the local ranks of every
+    # position outside a cut run; einsum keeps the sums off BLAS
+    r1 = np.einsum("ij,ij->i", member, ranks) - n1 * starts
+    corr = [0] * len(starts)
+    if run_starts.size:  # per window, only for a column with tie runs
+        for i, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
+            r1[i], corr[i] = _clip_runs(member[i], r1[i], start, end,
+                                        run_starts, run_lengths)
+    return r1, n1, corr
+
+
+def _clip_runs(w_member, r1, start, end, run_starts, run_lengths):
+    """Rank sum ``r1`` with the cut runs of the window [start, end) re-ranked,
+    and the window's tie correction."""
     # runs [first, last) overlap the window: the last run starting at or
     # before start, if it reaches into the window, through the last one
     # starting before end
@@ -89,7 +93,7 @@ def window_stats(member, order, adjusted_ranks, start, end, *, run_starts, run_l
         first -= 1
     last = int(np.searchsorted(run_starts, end, "left"))
     if first == last:
-        return r1, n1, 0
+        return r1, 0
     counts = run_lengths[first:last].copy()
     for i in {first, last - 1}:
         s = int(run_starts[i])
@@ -101,7 +105,21 @@ def window_stats(member, order, adjusted_ranks, start, end, *, run_starts, run_l
             counts[i - first] = b - a
             cut_members = int(np.count_nonzero(w_member[a - start:b - start]))
             r1 += cut_members * ((a + b) - (s + e)) / 2.0
-    return r1, n1, _tie_correction(counts, end - start)
+    return r1, _tie_correction(counts, end - start)
+
+
+def window_stats(member, order, adjusted_ranks, start, end, *, run_starts, run_lengths):
+    """:func:`window_rows` of the one window [start, end) of a column sorted
+    by ``order``, where ``member`` is indexed by row.
+
+    Returns ``(rank_sum, member_count, tie_correction)``.
+    """
+    r1, n1, corr = window_rows(
+        member[order[start:end]][None], adjusted_ranks[None, start:end],
+        np.array([start]), np.array([end]),
+        run_starts=run_starts, run_lengths=run_lengths,
+    )
+    return float(r1[0]), int(n1[0]), corr[0]
 
 
 def backend_name() -> str:

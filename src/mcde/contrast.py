@@ -3,8 +3,18 @@
 Each iteration draws a reference dimension, a random slice over the other
 dimensions, and a restricted two-sample test; the score is the mean of the
 M test values.  Iteration m consumes randomness only from a Philox stream
-keyed by ``(seed, m)``, so the estimate is bit-identical whether iterations
-run serially or on any number of threads.
+keyed by ``(seed, m)``: the reference dimension, then the slice start of
+every other dimension in ascending order, then the restriction start.
+
+An estimate draws these integers for all M iterations first, then scores
+the iterations in batches that share a reference dimension: slice
+membership over the restriction windows, the window statistics and the
+test values are each a few 2-D numpy passes over a batch
+(:func:`mcde.slicing.slice_windows`, :func:`mcde._kernels.window_rows`,
+:func:`mcde.mwp.confidences`).  A batch holds about ``_CHUNK_CELLS`` window
+positions, so the same path serves n=1e3 and n=1e6.  With ``threads > 1``
+the batches run on a thread pool; every batch writes only its own
+iterations, so the estimate is bit-identical for any thread count.
 
 The number of iterations needed for a target accuracy follows from the
 Hoeffding concentration bound ``P(|estimate - truth| >= eps) <= 2*exp(-2*M*eps**2)``.
@@ -14,33 +24,57 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ._rng import check_seed, iteration_rng
+from . import _kernels
+from ._rng import check_seed, iteration_streams
 from .dataset import Dataset
-from .mwp import mwp_test
+from .mwp import confidences, restriction_bounds
 from .ranking import RankIndex, construct_index
-from .slicing import check_alpha, draw_slice
+from .slicing import check_alpha, slice_size, slice_windows
+
+# window positions (iterations x restriction width) scored per batch
+_CHUNK_CELLS = 2**16
 
 
 @dataclass(frozen=True)
 class ContrastEstimate:
-    """A dependency score in [0, 1] with the configuration that produced it."""
+    """A dependency score in [0, 1] with the configuration that produced it.
+
+    ``degenerate_tied`` counts the iterations whose restriction window was
+    all tied (value 0), ``degenerate_empty_full`` those whose slice held no
+    row or every row of the window (value 1).
+    """
 
     score: float
     m_iterations: int
     alpha: float
     seed: int
     per_iteration: np.ndarray | None = None
+    degenerate_tied: int = 0
+    degenerate_empty_full: int = 0
 
 
-def _one_iteration(index: RankIndex, m: int, alpha: float, seed: int) -> float:
-    rng = iteration_rng(seed, m)
-    ref_dim = int(rng.integers(0, index.d))
-    member = draw_slice(index, ref_dim, alpha, rng)
-    return mwp_test(index, member, ref_dim, alpha, rng).p_c
+def _draw(n: int, d: int, size: int, window_starts: int, m: int, seed: int):
+    """Reference dimensions, slice starts (column ``ref`` unused) and
+    restriction starts of iterations ``0..m-1``."""
+    stream = iteration_streams(seed)
+    refs, starts, restrictions = [], [0] * (m * d), []
+    for i in range(m):
+        rng = stream(i)
+        ref = int(rng.integers(0, d))
+        refs.append(ref)
+        if size < n:
+            for j in range(d):
+                if j != ref:
+                    starts[i * d + j] = int(rng.integers(0, n - size))
+        restrictions.append(int(rng.integers(0, window_starts)))
+    return (np.array(refs), np.array(starts, dtype=np.int64).reshape(m, d),
+            np.array(restrictions, dtype=np.int64))
 
 
 def contrast(
@@ -68,24 +102,67 @@ def contrast(
     if index.n < 2:
         raise ValueError(f"contrast needs at least 2 rows, got n={index.n}")
 
-    values = np.empty(m, dtype=np.float64)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_one_iteration, index, i, alpha, seed) for i in range(m)
-            ]
-            for i, fut in enumerate(futures):
-                values[i] = fut.result()
-    else:
-        for i in range(m):
-            values[i] = _one_iteration(index, i, alpha, seed)
+    n, d = index.n, index.d
+    size = slice_size(n, d, alpha)
+    window_starts, width = restriction_bounds(n, alpha)
+    refs, starts, restrictions = _draw(n, d, size, window_starts, m, seed)
+    ends = np.minimum(restrictions + width, n)
+    # the float guards of the restriction bounds can allow a start past
+    # n - width; such a window reads padding: no member, rank 0
+    pad = max(0, window_starts - 1 + width - n)
 
+    # pos[j, row]: the row's position in dimension j's sorted order
+    dtype = np.int32 if n < 2**31 else np.int64
+    pos = np.empty((d, n), dtype=dtype)
+    for j, dim in enumerate(index.dims):
+        pos[j][dim.row_ids] = np.arange(n, dtype=dtype)
+
+    r1 = np.empty(m)
+    n1 = np.empty(m, dtype=np.int64)
+    corr = [0] * m
+    chunk = max(1, _CHUNK_CELLS // width)
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        for ref, dim in enumerate(index.dims):
+            batch = np.flatnonzero(refs == ref)
+            if not batch.size:
+                continue
+            others = [j for j in range(d) if j != ref]
+            # positions[c, p]: the position, in the sorted order of
+            # dimension others[c], of the row at position p of this one
+            positions = np.empty((d - 1, n + pad), dtype=dtype)
+            positions[:, n:] = -1
+            for c, j in enumerate(others):
+                positions[c, :n] = pos[j][dim.row_ids]
+            windows = sliding_window_view(positions, width, axis=1)
+            ranks = dim.adjusted_ranks
+            if pad:
+                ranks = np.concatenate([ranks, np.zeros(pad)])
+            ranks = sliding_window_view(ranks, width)
+
+            def score(its):
+                lo = restrictions[its]
+                member = slice_windows(windows, starts[its][:, others], size, lo)
+                r1[its], n1[its], batch_corr = _kernels.window_rows(
+                    member, ranks[lo], lo, ends[its],
+                    run_starts=dim.run_starts, run_lengths=dim.run_lengths)
+                for i, c in zip(its.tolist(), batch_corr):
+                    corr[i] = c
+
+            # scores every batch of this reference before the loop moves on
+            list(run(score, [batch[k:k + chunk] for k in range(0, batch.size, chunk)]))
+            # free them before the next reference allocates its own
+            del positions, windows, score
+
+    values, tied, empty_full = confidences(r1, n1, corr, ends - restrictions)
     return ContrastEstimate(
         score=float(values.mean()),
         m_iterations=m,
         alpha=alpha,
         seed=seed,
         per_iteration=values if record_iterations else None,
+        degenerate_tied=int(np.count_nonzero(tied)),
+        degenerate_empty_full=int(np.count_nonzero(empty_full)),
     )
 
 

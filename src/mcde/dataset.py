@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from array import array
 from typing import Iterable, Sequence
 
@@ -130,6 +131,18 @@ def _looks_numeric(row: Sequence[str]) -> bool:
     return True
 
 
+def _decode_error_line(exc: UnicodeDecodeError, lines_read: int) -> int:
+    """1-based line of the byte a text stream failed to decode.
+
+    A text stream decodes its input in chunks, ``exc.object`` being the one
+    that failed, and decodes the next chunk only once no line ending is left
+    in the text decoded so far: the failing chunk starts inside the line
+    after the ``lines_read`` the reader has taken.
+    """
+    before = exc.object[:exc.start]
+    return lines_read + 1 + len(re.findall(rb"\r\n|\r|\n", before))
+
+
 def read_csv(
     source: Iterable[str],
     has_header: bool | None = None,
@@ -139,32 +152,41 @@ def read_csv(
 
     ``has_header=None`` auto-detects: the first row is treated as a header
     when any of its cells is non-numeric.  Errors carry 1-based file line
-    numbers and column numbers.
+    numbers and column numbers; input the csv module or the text decoder
+    rejects raises :class:`ParseError` too.
     """
     reader = csv.reader(source, delimiter=delimiter)
     names: list[str] | None = None
     width = 0
     cells = array("d")
     last_line = 0
-    for row in reader:
-        # a row starts on the line after the previous one ended, which
-        # counts blank lines and quoted multi-line cells
-        line_no, last_line = last_line + 1, reader.line_num
-        if not row:
-            continue
-        if not width:
-            if names is None and (
-                not _looks_numeric(row) if has_header is None else has_header
-            ):
-                names = [cell.strip() for cell in row]
+    try:
+        for row in reader:
+            # a row starts on the line after the previous one ended, which
+            # counts blank lines and quoted multi-line cells
+            line_no, last_line = last_line + 1, reader.line_num
+            if not row:
                 continue
-            width = len(row)
-        elif len(row) != width:
-            raise StructureError(
-                f"ragged row at line {line_no}: expected {width} cells, got {len(row)}"
-            )
-        for j, cell in enumerate(row, 1):
-            cells.append(_parse_cell(cell.strip(), line_no, j))
+            if not width:
+                if names is None and (
+                    not _looks_numeric(row) if has_header is None else has_header
+                ):
+                    names = [cell.strip() for cell in row]
+                    continue
+                width = len(row)
+            elif len(row) != width:
+                raise StructureError(
+                    f"ragged row at line {line_no}: expected {width} cells, got {len(row)}"
+                )
+            for j, cell in enumerate(row, 1):
+                cells.append(_parse_cell(cell.strip(), line_no, j))
+    except csv.Error as exc:
+        raise ParseError(f"{exc} at line {last_line + 1}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"cannot decode byte {exc.object[exc.start:exc.start + 1]!r} as "
+            f"{exc.encoding} at line {_decode_error_line(exc, reader.line_num)}"
+        ) from None
     if not width:
         if names is None:
             raise StructureError("empty input: no rows found")

@@ -11,10 +11,15 @@ independence, and its standard deviation carries the usual ``t**3 - t``
 tie correction over window-local tie groups, read from the index's tie
 runs clipped to the window.
 
-Two degenerate regimes are reported with ``degenerate=True``: a window
-whose values are all tied carries no rank evidence and yields 0 (this is
-what drives scores of fully discretised data to zero), and an empty or
-full slice inside the window yields 1.
+Two degenerate regimes are reported apart: a window whose values are all
+tied carries no rank evidence and yields 0 (this is what drives scores of
+fully discretised data to zero), and an empty or full slice inside the
+window yields 1.
+
+The test values of a whole batch of windows come from one vectorised pass
+over their statistics (:func:`confidences`).  Every float operation is
+elementwise and ``math.erf`` runs per value, so a value does not depend on
+the batch it is computed in; :func:`mwp_test` is the batch of one.
 """
 
 from __future__ import annotations
@@ -48,15 +53,59 @@ def half_normal_cdf(z: float) -> float:
     return math.erf(z / _SQRT2)
 
 
+def restriction_bounds(n: int, alpha: float) -> tuple[int, int]:
+    """The number of restriction starts, ``floor(n*(1-alpha)) + 1``, and the
+    restriction width ``ceil(n*alpha)``."""
+    return _ifloor(n * (1.0 - alpha)) + 1, _iceil(n * alpha)
+
+
 def restriction_window(n: int, alpha: float, rng: np.random.Generator) -> tuple[int, int]:
     """Draw the restriction ``[start, end)`` on the reference dimension.
 
     ``start`` is uniform on {0, ..., floor(n*(1-alpha))} and the width is
     ``ceil(n*alpha)``, clamped so the window stays inside [0, n).
     """
-    width = _iceil(n * alpha)
-    start = int(rng.integers(0, _ifloor(n * (1.0 - alpha)) + 1))
+    starts, width = restriction_bounds(n, alpha)
+    start = int(rng.integers(0, starts))
     return start, min(n, start + width)
+
+
+def confidences(r1, n1, corr, n_prime):
+    """Test values of a batch of windows from their :func:`~mcde._kernels.window_rows`
+    statistics and sizes ``n_prime``.
+
+    Returns ``(p_c, tied, empty_full)``: the values and the masks of the
+    two degenerate regimes, all-tied windows (0) and empty or full slices
+    (1).
+    """
+    # an all-tied window has no rank evidence; checked before the empty/full
+    # case so constant data scores 0 even when identical sort orders make
+    # the slice hit the window exactly.  The sum of g**3 - g reaches
+    # n'**3 - n' only when one tie group spans the window; tested on exact
+    # integers, as the float spread below can round above 0 for an all-tied
+    # window at large n'.  A one-row window, where both sides are 0, is left
+    # to the empty/full case and scores 1.
+    tied = np.array([w >= 2 and c == w**3 - w for c, w in zip(corr, n_prime.tolist())],
+                    dtype=np.bool_)
+    empty_full = ~tied & ((n1 == 0) | (n1 == n_prime))
+    p_c = np.where(tied, 0.0, 1.0)
+    test = np.flatnonzero(~(tied | empty_full))
+    if test.size:
+        # here n1, n2 >= 1 and there are at least two tie groups, so the
+        # spread, and with it sigma, is positive.  Every step is one
+        # elementwise IEEE operation, so each value is what the same
+        # expression gives on Python floats.
+        n1, n_prime, r1 = n1[test], n_prime[test], r1[test]
+        corr = np.array([float(corr[i]) for i in test.tolist()])
+        correction = corr / (n_prime * (n_prime - 1.0))
+        spread = n_prime + 1.0 - correction
+        u1 = r1 - n1 * (n1 - 1) / 2.0
+        n2 = n_prime - n1
+        mu = n1 * n2 / 2.0
+        sigma = np.sqrt((n1 * n2 / 12.0) * spread)
+        z = np.abs(u1 - mu) / sigma
+        p_c[test] = [half_normal_cdf(x) for x in z.tolist()]
+    return p_c, tied, empty_full
 
 
 def mwp_test(
@@ -68,8 +117,8 @@ def mwp_test(
 ) -> TestOutcome:
     """Confidence level that the slice ``member`` breaks independence on ``ref_dim``.
 
-    ``member`` is the boolean row membership drawn by
-    :func:`mcde.slicing.draw_slice`.
+    ``member`` is the boolean row membership of the slice.  A batch of one
+    of the tests :func:`mcde.contrast.contrast` scores.
     """
     if member.shape[0] != index.n:
         raise ValueError("member and index row counts differ")
@@ -77,30 +126,11 @@ def mwp_test(
 
     dim = index.dims[ref_dim]
     start, end = restriction_window(index.n, alpha, rng)
-    n_prime = end - start
-
-    r1, n1, corr_sum = _kernels.window_stats(
+    r1, n1, corr = _kernels.window_stats(
         member, dim.row_ids, dim.adjusted_ranks, start, end,
         run_starts=dim.run_starts, run_lengths=dim.run_lengths,
     )
-    # an all-tied window has no rank evidence; checked before the empty/full
-    # branch so constant data scores 0 even when identical sort orders make
-    # the slice hit the window exactly.  The sum of g**3 - g reaches
-    # n'**3 - n' only when one tie group spans the window; tested on exact
-    # integers, as the float spread below can round above 0 for an all-tied
-    # window at large n'.  A one-row window, where both sides are 0, is left
-    # to the empty/full return and scores 1.
-    if n_prime >= 2 and corr_sum == n_prime**3 - n_prime:
-        return TestOutcome(0.0, n1, n_prime, degenerate=True)
-    if n1 == 0 or n1 == n_prime:
-        return TestOutcome(1.0, n1, n_prime, degenerate=True)
-
-    # past both returns n1, n2 >= 1 and at least two tie groups, so the
-    # spread, and with it sigma, is positive
-    correction = float(corr_sum) / (n_prime * (n_prime - 1.0))
-    spread = n_prime + 1.0 - correction
-    u1 = r1 - n1 * (n1 - 1) / 2.0
-    n2 = n_prime - n1
-    mu = n1 * n2 / 2.0
-    sigma = math.sqrt((n1 * n2 / 12.0) * spread)
-    return TestOutcome(half_normal_cdf(abs(u1 - mu) / sigma), n1, n_prime)
+    n_prime = end - start
+    p_c, tied, empty_full = confidences(
+        np.array([r1]), np.array([n1]), [corr], np.array([n_prime]))
+    return TestOutcome(float(p_c[0]), n1, n_prime, degenerate=bool(tied[0] | empty_full[0]))

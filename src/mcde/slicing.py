@@ -5,6 +5,12 @@ each non-reference dimension.  The window width shrinks with dimensionality
 as ``ceil(n * alpha**(1/(d-1)))`` so that the expected surviving fraction
 stays ``alpha`` no matter how many conditions are applied.  Windows live in
 rank space, which guarantees each condition keeps exactly that many rows.
+
+Slices are only ever read inside the test's restriction window on the
+reference dimension, so membership is computed there directly, for a batch
+of slices at once: each conditioning dimension's sorted positions, listed
+in the reference dimension's order, are read window by window and compared
+against each slice's start.  Every read is sequential.
 """
 
 from __future__ import annotations
@@ -13,10 +19,8 @@ import math
 
 import numpy as np
 
-from . import _kernels
-from .ranking import RankIndex
-
 _EPS = 1e-9
+_UNSIGNED = {4: np.uint32, 8: np.uint64}
 
 
 def _iceil(x: float) -> int:
@@ -45,27 +49,25 @@ def slice_size(n: int, d: int, alpha: float = 0.5) -> int:
     return max(1, min(n, size))
 
 
-def draw_slice(
-    index: RankIndex, ref_dim: int, alpha: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw one random slice, conditioning on all dimensions but ``ref_dim``.
+def slice_windows(windows, starts, size: int, window_starts) -> np.ndarray:
+    """Slice membership over a batch of restriction windows, one row per slice.
 
-    Returns the boolean row membership of the slice.  For every conditioning
-    dimension (ascending order) a window start is drawn uniformly from the
-    0-based starts {0, ..., n - size - 1} and rows outside
-    ``[start, start + size)`` in that dimension's sorted order are masked
-    out.  A full-width window keeps all rows and draws nothing.
+    ``windows[c, s]`` lists, for the sorted positions of the reference
+    dimension from ``s`` on, the positions of their rows in the sorted order
+    of conditioning dimension c (the :func:`sliding_window_view` of those
+    positions; a negative entry is never a member).  A row is in slice i
+    when, for every c, that position lies in ``[starts[i, c], starts[i, c] +
+    size)``.  Row i of the result covers the window that starts at
+    ``window_starts[i]``.
     """
-    if not 0 <= ref_dim < index.d:
-        raise ValueError(f"ref_dim {ref_dim} out of range for d={index.d}")
-    n = index.n
-    size = slice_size(n, index.d, alpha)
-    member = np.ones(n, dtype=np.bool_)
-    if size >= n:
-        return member
-    for j in range(index.d):
-        if j == ref_dim:
-            continue
-        start = int(rng.integers(0, n - size))
-        _kernels.mask_outside(member, index.dims[j].row_ids, start, start + size)
+    member = None
+    for c, dim_windows in enumerate(windows):
+        batch = dim_windows[window_starts]
+        batch -= starts[:, c, None].astype(batch.dtype)
+        # one unsigned compare tests 0 <= position - start < size
+        inside = batch.view(_UNSIGNED[batch.dtype.itemsize]) < size
+        if member is None:
+            member = inside
+        else:
+            member &= inside
     return member

@@ -1,13 +1,18 @@
 """Independent brute-force oracles the fast implementations are checked against.
 
 Everything here is deliberately written from first principles (sorted lists,
-groupby, O(n^2) counting) and shares no code with the package kernels.
+groupby, O(n^2) counting) and shares no code with the package kernels.  The
+per-iteration reference for ``contrast`` builds each slice as a row mask
+from freshly keyed generators and tests it with the batch-of-one
+``mwp_test``, one iteration at a time.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+import mcde
 
 
 def average_ranks_oracle(column):
@@ -97,3 +102,43 @@ def ks_distance_to_uniform(values):
     upper = np.arange(1, k + 1) / k - p
     lower = p - np.arange(0, k) / k
     return float(max(upper.max(), lower.max()))
+
+
+def draw_slice(index, ref_dim, alpha, rng):
+    """Boolean row membership of one random slice conditioning on all
+    dimensions but ``ref_dim``.
+
+    For every conditioning dimension (ascending order) a window start is
+    drawn uniformly from the 0-based starts {0, ..., n - size - 1}, and rows
+    outside ``[start, start + size)`` in that dimension's sorted order are
+    masked out.  A full-width window keeps all rows and draws nothing.
+    """
+    if not 0 <= ref_dim < index.d:
+        raise ValueError(f"ref_dim {ref_dim} out of range for d={index.d}")
+    n = index.n
+    size = mcde.slice_size(n, index.d, alpha)
+    member = np.ones(n, dtype=bool)
+    if size >= n:
+        return member
+    for j in range(index.d):
+        if j == ref_dim:
+            continue
+        start = int(rng.integers(0, n - size))
+        kept = np.zeros(n, dtype=bool)
+        kept[index.dims[j].row_ids[start:start + size]] = True
+        member &= kept
+    return member
+
+
+def contrast_iterations_oracle(index, m, alpha, seed):
+    """The ``mwp_test`` outcome of each of the M iterations of ``contrast``,
+    one iteration at a time, each from a freshly built generator keyed by
+    ``(seed, iteration)``."""
+    outcomes = []
+    for i in range(m):
+        key = np.array([seed % 2**64, i], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        ref_dim = int(rng.integers(0, index.d))
+        member = draw_slice(index, ref_dim, alpha, rng)
+        outcomes.append(mcde.mwp_test(index, member, ref_dim, alpha, rng))
+    return outcomes

@@ -62,6 +62,18 @@ def test_parse_error_reports_location(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("data", [
+    b"a,b\n0.1,0.2\n0.3,\xff\n",
+    b'a,b\n0.1,0.2\n0.3,"' + b"9" * 200_000 + b'"\n',
+])
+def test_undecodable_or_oversized_input_is_data_error(capsys, tmp_path, data):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    code, out, err = _run(capsys, ["estimate", "--input", str(path)])
+    assert code == 2
+    assert "line 3" in err and "Traceback" not in err
+
+
 def test_estimate_constant_columns_prints_zero(capsys, tmp_path):
     path = tmp_path / "const.csv"
     path.write_text("x,y\n" + "1.0,1.0\n" * 100)

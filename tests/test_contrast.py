@@ -1,4 +1,6 @@
+import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import mcde
 from mcde import contrast, hoeffding_bound, iterations_for
+from oracles import contrast_iterations_oracle
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +131,100 @@ def test_estimate_metadata_carried():
     ds = mcde.generate(mcde.DependencySpec("independent", 100, 2, 0.0, seed=2))
     est = contrast(ds, m=13, alpha=0.4, seed=21)
     assert (est.m_iterations, est.alpha, est.seed) == (13, 0.4, 21)
+
+
+# --- the batch against the per-iteration reference -------------------------
+
+
+def _data(rng, n, d, kind):
+    x = rng.random((n, d))
+    if kind == "discretised":
+        x = np.floor(x * rng.integers(1, 8))
+    elif kind == "constant":
+        x[:, rng.integers(0, d)] = 2.5
+        x[:, 0] = np.round(x[:, 0], 1)
+    return mcde.Dataset(x)
+
+
+def _assert_matches_oracle(index, m, alpha, seed, threads=1):
+    est = contrast(index, m=m, alpha=alpha, seed=seed, record_iterations=True,
+                   threads=threads)
+    outcomes = contrast_iterations_oracle(index, m, alpha, seed)
+    expected = np.array([o.p_c for o in outcomes])
+    assert est.per_iteration.tobytes() == expected.tobytes()
+    assert est.degenerate_tied == sum(o.degenerate and o.p_c == 0.0 for o in outcomes)
+    assert est.degenerate_empty_full == sum(o.degenerate and o.p_c == 1.0 for o in outcomes)
+
+
+@pytest.mark.parametrize("case", range(27))
+def test_per_iteration_equals_per_iteration_oracle(case):
+    rng = np.random.default_rng(7000 + case)
+    alpha = (0.1, 0.5, 1.0)[case % 3]
+    kind = ("continuous", "discretised", "constant")[case // 3 % 3]
+    n = int(rng.choice([2, 3, 17, 250, 1000, 3001]))
+    d = int(rng.integers(2, 6))
+    # every other case keys its streams with a seed >= 2**63
+    seed = int(rng.integers(2**63, 2**64, dtype=np.uint64)) if case % 2 else case
+    index = mcde.construct_index(_data(rng, n, d, kind))
+    _assert_matches_oracle(index, int(rng.integers(1, 80)), alpha, seed)
+
+
+@pytest.mark.parametrize("d, alpha, kind", [
+    (2, 0.5, "continuous"),
+    (5, 0.5, "discretised"),
+    (3, 0.1, "constant"),
+    (4, 1.0, "discretised"),
+])
+def test_per_iteration_equals_oracle_across_batches_and_threads(d, alpha, kind):
+    # n=5e4 fits one or two windows of width n*alpha in a batch, so the
+    # iterations of each reference dimension span several batches
+    rng = np.random.default_rng(d)
+    index = mcde.construct_index(_data(rng, 50_000, d, kind))
+    _assert_matches_oracle(index, 24, alpha, 2**64 - 1 - d)
+    # more threads than cores, switching often: batches write disjoint
+    # iterations, so no result may be lost or moved
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _assert_matches_oracle(index, 24, alpha, 2**64 - 1 - d, threads=3)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_windows_past_the_column_read_padding(monkeypatch):
+    # at n=2 and this alpha the float guards of the restriction bounds allow
+    # starts {0, 1, 2} for a width of 1, so a start of 2 draws an empty window
+    mwp = importlib.import_module("mcde.mwp")
+    alpha = 5.000000089452774e-10
+    assert mwp.restriction_bounds(2, alpha) == (3, 1)
+    index = mcde.construct_index(mcde.Dataset([[0.0, 1.0], [1.0, 0.0]]))
+    assert any(o.n_prime == 0 for o in contrast_iterations_oracle(index, 30, alpha, 0))
+    _assert_matches_oracle(index, 30, alpha, 0)
+
+    # wider windows, tie runs among them: one more start than the bounds
+    # allow makes windows at the last start reach one position past the column
+    monkeypatch.setattr(mwp, "_ifloor", lambda x: math.floor(x + 1e-9) + 1)
+    rng = np.random.default_rng(5)
+    for kind in ("continuous", "discretised"):
+        index = mcde.construct_index(_data(rng, 9, 3, kind))
+        outcomes = contrast_iterations_oracle(index, 60, 0.5, 3)
+        assert any(o.n_prime < 5 for o in outcomes)
+        _assert_matches_oracle(index, 60, 0.5, 3)
+
+
+def test_degenerate_counts():
+    # iterations 0 and 3 take the constant column as reference and see an
+    # all-tied window; at alpha=1 every slice is full
+    data = np.column_stack([np.zeros(200), np.random.default_rng(0).random(200)])
+    est = contrast(mcde.Dataset(data), m=4, alpha=1, seed=0, record_iterations=True)
+    assert est.per_iteration.tolist() == [0, 1, 1, 0]
+    assert (est.degenerate_tied, est.degenerate_empty_full) == (2, 2)
+
+    tie_free = mcde.generate(mcde.DependencySpec("linear", 1000, 3, 0.5, seed=3))
+    assert contrast(tie_free, m=50, seed=1).degenerate_tied == 0
+    assert contrast(tie_free, m=50, seed=1).degenerate_empty_full == 0
+    full = contrast(tie_free, m=50, alpha=1.0, seed=1)
+    assert (full.degenerate_tied, full.degenerate_empty_full, full.score) == (0, 50, 1.0)
 
 
 # --- Hoeffding utilities ----------------------------------------------------

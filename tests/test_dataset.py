@@ -158,3 +158,22 @@ def test_values_column_major_and_readonly():
 def test_csv_string_has_header_and_lf():
     ds = Dataset(np.array([[0.5, 1.5]]), ["u", "v"])
     assert csv_string(ds) == "u,v\n0.5,1.5\n"
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"x,y\n1,2\n3,\xff4\n5,6\n", 3),
+    # past the first chunk a text stream decodes, with CRLF and a BOM
+    (b"\xef\xbb\xbfx,y\r\n" + b"1.5,2.25\r\n" * 3000 + b"3,4\xc3\r\n5,6\r\n", 3002),
+])
+def test_undecodable_byte_is_parse_error_naming_its_line(tmp_path, data, line):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=f"as utf-8 at line {line}$"):
+        load_csv(str(path))
+
+
+def test_field_over_the_csv_limit_is_parse_error_naming_its_line(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text('x,y\n1,2\n3,"' + "9" * 200_000 + '"\n5,6\n')
+    with pytest.raises(ParseError, match=r"field limit \(131072\) at line 3$"):
+        load_csv(str(path))

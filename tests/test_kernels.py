@@ -20,15 +20,6 @@ def _window_stats(member, order, column, start, end):
                                  run_starts=run_starts, run_lengths=run_lengths)
 
 
-def test_mask_outside_clears_exactly_the_rows_outside_the_window():
-    n = 200
-    order = np.random.default_rng(7).permutation(n)
-    member = np.ones(n, dtype=np.bool_)
-    _kernels.mask_outside(member, order, 30, 120)
-    assert member.sum() == 90
-    assert member[order[30:120]].all()
-
-
 def test_backend_name_reports_active():
     assert mcde.backend_name() == "numpy"
 
@@ -104,3 +95,27 @@ def test_window_stats_cut_run_beyond_int64_width():
 def test_tie_correction_exact_beyond_int64(counts):
     expected = sum(g**3 - g for g in counts)
     assert _kernels._tie_correction(np.array(counts, dtype=np.int64), sum(counts)) == expected
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_window_rows_equal_one_window_at_a_time(case):
+    """A batch of windows of one width, the last ones reaching into padding
+    past the column, gives each window's own statistics."""
+    rng = np.random.default_rng(3000 + case)
+    n = int(rng.integers(2, 200))
+    column = random_tied_column(rng, n)
+    order = _sorted_order(rng, column)
+    adj, run_starts, run_lengths = _kernels.rank_scan(column, order)
+    width = int(rng.integers(1, n + 1))
+    pad = int(rng.integers(0, 3))
+    starts = np.sort(rng.integers(0, n - width + pad + 1, size=9))
+    ends = np.minimum(starts + width, n)
+    member = rng.random(n) < 0.5
+    padded_member = np.concatenate([member[order], np.zeros(pad, bool)])
+    padded_ranks = np.concatenate([adj, np.zeros(pad)])
+    rows = np.array([padded_member[s:s + width] for s in starts])
+    ranks = np.array([padded_ranks[s:s + width] for s in starts])
+    r1, n1, corr = _kernels.window_rows(rows, ranks, starts, ends,
+                                        run_starts=run_starts, run_lengths=run_lengths)
+    for i, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
+        assert (r1[i], n1[i], corr[i]) == local_window_stats_oracle(member, order, column, s, e)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from mcde import Dataset, construct_index, draw_slice, slice_size
+from mcde import Dataset, construct_index, slice_size
 from mcde._rng import iteration_rng
+from mcde.slicing import slice_windows
+from numpy.lib.stride_tricks import sliding_window_view
+from oracles import draw_slice
 
 
 def test_slice_size_spec_values():
@@ -85,3 +88,38 @@ def test_invalid_ref_dim():
     index = _index(10, 2)
     with pytest.raises(ValueError):
         draw_slice(index, 2, 0.5, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_slice_windows_keep_exactly_the_rows_inside_every_condition(case):
+    rng = np.random.default_rng(40 + case)
+    n, d = int(rng.integers(2, 300)), int(rng.integers(2, 5))
+    index = _index(n, d, seed=case)
+    ref, size = int(rng.integers(0, d)), int(rng.integers(1, n + 1))
+    width = int(rng.integers(1, n + 1))
+    k = 7
+    window_starts = rng.integers(0, n - width + 1, size=k)
+    others = [j for j in range(d) if j != ref]
+    starts = rng.integers(0, n - size + 1, size=(k, len(others)))
+    pos = np.empty((d, n), dtype=np.int32)
+    for j, dim in enumerate(index.dims):
+        pos[j, dim.row_ids] = np.arange(n)
+    positions = pos[others][:, index.dims[ref].row_ids]
+    windows = sliding_window_view(positions, width, axis=1)
+    got = slice_windows(windows, starts, size, window_starts)
+
+    assert got.shape == (k, width)
+    for i in range(k):
+        member = np.ones(n, dtype=bool)
+        for c, j in enumerate(others):
+            kept = np.zeros(n, dtype=bool)
+            kept[index.dims[j].row_ids[starts[i, c]:starts[i, c] + size]] = True
+            member &= kept
+        rows = index.dims[ref].row_ids[window_starts[i]:window_starts[i] + width]
+        assert np.array_equal(got[i], member[rows])
+
+
+def test_slice_windows_never_keep_padding():
+    windows = sliding_window_view(np.array([[0, 1, 2, -1, -1]], dtype=np.int32), 3, axis=1)
+    got = slice_windows(windows, np.array([[0], [1], [0]]), 3, np.array([0, 2, 2]))
+    assert got.tolist() == [[True, True, True], [True, False, False], [True, False, False]]
