@@ -6,8 +6,11 @@ that the null is always instantiated noise-free.  A dependency's power is
 the fraction of its scores strictly above that threshold.
 
 Every repetition owns a derived seed, so sweeps are reproducible end to end
-and instances may be scored in any order.  Timing results are the only
-non-deterministic output.
+and instances may be scored in any order.  Since a repetition's random
+integers depend only on its seed and the shape of its data, a sample draws
+them ahead, for as many repetitions as one vectorised pass holds (see
+:mod:`mcde._rng`), then scores each instance on its own draws.  Timing
+results are the only non-deterministic output.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._rng import check_seed, derive_seed
-from .contrast import contrast
+from ._rng import LANES, check_seed, derive_seed
+from .contrast import _check_shape, _draw, _estimate, contrast
 from .generators import DependencySpec, discretise, generate
 from .ranking import construct_index
+from .slicing import check_alpha
 
 # sub-stream tags keeping null draws, dependent draws, and timing data apart
 _NULL_STREAM = 0
@@ -97,15 +101,23 @@ def score_sample(
     """Score ``reps`` fresh instances of ``spec``; one derived seed each."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    alpha = check_alpha(alpha)
     seed = check_seed(seed)
+    _check_shape(spec.n, spec.d)
     scores = np.empty(reps, dtype=np.float64)
-    for i in range(reps):
-        data = generate(replace(spec, seed=derive_seed(seed, i, 0)))
-        if omega is not None:
-            data = discretise(data, omega)
-        scores[i] = contrast(
-            data, m=m, alpha=alpha, seed=derive_seed(seed, i, 1), threads=threads
-        ).score
+    # draw for as many reps as one pass holds, so memory does not grow with reps
+    per_pass = max(1, LANES // m)
+    for first in range(0, reps, per_pass):
+        seeds = [derive_seed(seed, i, 1) for i in range(first, min(reps, first + per_pass))]
+        draws = _draw(seeds, spec.n, spec.d, m, alpha)
+        for i, rep_seed, rep_draws in zip(range(first, reps), seeds, draws):
+            data = generate(replace(spec, seed=derive_seed(seed, i, 0)))
+            if omega is not None:
+                data = discretise(data, omega)
+            scores[i] = _estimate(construct_index(data), alpha, rep_seed, rep_draws,
+                                  threads=threads).score
     return scores
 
 

@@ -6,10 +6,13 @@ M test values.  Iteration m consumes randomness only from a Philox stream
 keyed by ``(seed, m)``: the reference dimension, then the slice start of
 every other dimension in ascending order, then the restriction start.
 
-An estimate draws these integers for all M iterations first, then scores
-the iterations in batches that share a reference dimension: slice
-membership over the restriction windows, the window statistics and the
-test values are each a few 2-D numpy passes over a batch
+An estimate draws these integers for all M iterations first, in one
+vectorised pass (:func:`mcde._rng.iteration_integers`); callers that know
+many seeds in advance, the stream monitor and the benchmark sweeps, draw for
+all of their estimates at once and score each from its own rows of the
+block.  The iterations are then scored in batches that share a reference
+dimension: slice membership over the restriction windows, the window
+statistics and the test values are each a few 2-D numpy passes over a batch
 (:func:`mcde.slicing.slice_windows`, :func:`mcde._kernels.window_rows`,
 :func:`mcde.mwp.confidences`).  A batch holds about ``_CHUNK_CELLS`` window
 positions, so the same path serves n=1e3 and n=1e6.  With ``threads > 1``
@@ -31,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
-from ._rng import check_seed, iteration_streams
+from ._rng import check_seed, iteration_integers
 from .dataset import Dataset
 from .mwp import confidences, restriction_bounds
 from .ranking import RankIndex, construct_index
@@ -59,22 +62,22 @@ class ContrastEstimate:
     degenerate_empty_full: int = 0
 
 
-def _draw(n: int, d: int, size: int, window_starts: int, m: int, seed: int):
-    """Reference dimensions, slice starts (column ``ref`` unused) and
-    restriction starts of iterations ``0..m-1``."""
-    stream = iteration_streams(seed)
-    refs, starts, restrictions = [], [0] * (m * d), []
-    for i in range(m):
-        rng = stream(i)
-        ref = int(rng.integers(0, d))
-        refs.append(ref)
-        if size < n:
-            for j in range(d):
-                if j != ref:
-                    starts[i * d + j] = int(rng.integers(0, n - size))
-        restrictions.append(int(rng.integers(0, window_starts)))
-    return (np.array(refs), np.array(starts, dtype=np.int64).reshape(m, d),
-            np.array(restrictions, dtype=np.int64))
+def _check_shape(n: int, d: int) -> None:
+    if d < 2:
+        raise ValueError(f"contrast needs at least 2 dimensions, got d={d}")
+    if n < 2:
+        raise ValueError(f"contrast needs at least 2 rows, got n={n}")
+
+
+def _draw(seeds, n: int, d: int, m: int, alpha: float) -> np.ndarray:
+    """The integers drawn by iterations ``0..m-1`` of an estimate on n rows
+    and d columns, for each seed: ``out[s, i]`` holds iteration i's
+    reference dimension, the slice start of each other dimension (none when
+    a slice keeps every row), then its restriction start."""
+    size = slice_size(n, d, alpha)
+    window_starts, _ = restriction_bounds(n, alpha)
+    return iteration_integers(seeds, m, (d, *[n - size] * (d - 1 if size < n else 0),
+                                         window_starts))
 
 
 def contrast(
@@ -97,19 +100,25 @@ def contrast(
     alpha = check_alpha(alpha)
     seed = check_seed(seed)
     index = data if isinstance(data, RankIndex) else construct_index(data)
-    if index.d < 2:
-        raise ValueError(f"contrast needs at least 2 dimensions, got d={index.d}")
-    if index.n < 2:
-        raise ValueError(f"contrast needs at least 2 rows, got n={index.n}")
+    _check_shape(index.n, index.d)
+    draws = _draw([seed], index.n, index.d, m, alpha)[0]
+    return _estimate(index, alpha, seed, draws, record_iterations, threads)
 
+
+def _estimate(index: RankIndex, alpha: float, seed: int, draws: np.ndarray,
+              record_iterations: bool = False, threads: int = 1) -> ContrastEstimate:
+    """The estimate whose M iterations drew ``draws``, one row of
+    :func:`_draw` per iteration; arguments are taken as validated."""
     n, d = index.n, index.d
+    m = draws.shape[0]
     size = slice_size(n, d, alpha)
-    window_starts, width = restriction_bounds(n, alpha)
-    refs, starts, restrictions = _draw(n, d, size, window_starts, m, seed)
-    ends = np.minimum(restrictions + width, n)
-    # the float guards of the restriction bounds can allow a start past
-    # n - width; such a window reads padding: no member, rank 0
-    pad = max(0, window_starts - 1 + width - n)
+    _, width = restriction_bounds(n, alpha)
+    refs, restrictions = draws[:, 0], draws[:, -1]
+    # starts[i, j]: iteration i's slice start in dimension j (unused at ref)
+    starts = np.zeros((m, d), dtype=np.int64)
+    if draws.shape[1] > 2:
+        starts[np.arange(d) != refs[:, None]] = draws[:, 1:-1].ravel()
+    ends = restrictions + width
 
     # pos[j, row]: the row's position in dimension j's sorted order
     dtype = np.int32 if n < 2**31 else np.int64
@@ -130,15 +139,11 @@ def contrast(
             others = [j for j in range(d) if j != ref]
             # positions[c, p]: the position, in the sorted order of
             # dimension others[c], of the row at position p of this one
-            positions = np.empty((d - 1, n + pad), dtype=dtype)
-            positions[:, n:] = -1
+            positions = np.empty((d - 1, n), dtype=dtype)
             for c, j in enumerate(others):
-                positions[c, :n] = pos[j][dim.row_ids]
+                positions[c] = pos[j][dim.row_ids]
             windows = sliding_window_view(positions, width, axis=1)
-            ranks = dim.adjusted_ranks
-            if pad:
-                ranks = np.concatenate([ranks, np.zeros(pad)])
-            ranks = sliding_window_view(ranks, width)
+            ranks = sliding_window_view(dim.adjusted_ranks, width)
 
             def score(its):
                 lo = restrictions[its]

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _kernels
 from .ranking import RankIndex
-from .slicing import _iceil, _ifloor, check_alpha
+from .slicing import _iceil, check_alpha
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -54,20 +54,22 @@ def half_normal_cdf(z: float) -> float:
 
 
 def restriction_bounds(n: int, alpha: float) -> tuple[int, int]:
-    """The number of restriction starts, ``floor(n*(1-alpha)) + 1``, and the
-    restriction width ``ceil(n*alpha)``."""
-    return _ifloor(n * (1.0 - alpha)) + 1, _iceil(n * alpha)
+    """The number of restriction starts and the restriction width.
+
+    The width is ``ceil(n*alpha)``, at least 1, and the starts are those
+    that keep the window inside the column: ``n - width + 1`` of them, which
+    is ``floor(n*(1-alpha)) + 1`` in exact arithmetic.
+    """
+    width = max(1, _iceil(n * alpha))
+    return n - width + 1, width
 
 
 def restriction_window(n: int, alpha: float, rng: np.random.Generator) -> tuple[int, int]:
-    """Draw the restriction ``[start, end)`` on the reference dimension.
-
-    ``start`` is uniform on {0, ..., floor(n*(1-alpha))} and the width is
-    ``ceil(n*alpha)``, clamped so the window stays inside [0, n).
-    """
+    """Draw the restriction ``[start, end)`` on the reference dimension:
+    ``start`` is uniform over :func:`restriction_bounds`' starts."""
     starts, width = restriction_bounds(n, alpha)
     start = int(rng.integers(0, starts))
-    return start, min(n, start + width)
+    return start, start + width
 
 
 def confidences(r1, n1, corr, n_prime):

@@ -28,10 +28,6 @@ def _iceil(x: float) -> int:
     return math.ceil(x - _EPS)
 
 
-def _ifloor(x: float) -> int:
-    return math.floor(x + _EPS)
-
-
 def check_alpha(alpha: float) -> float:
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")

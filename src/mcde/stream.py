@@ -8,6 +8,13 @@ typical window sizes.  Each window's score is seeded from
 ``(master seed, window end row)`` so the emission for a given window equals
 an offline :func:`~mcde.contrast.contrast` call on the same rows.
 
+A window's random integers depend only on its shape, the estimator settings
+and its seed, never on its rows.  So the monitor draws them ahead, for the
+end rows of the next ``LANES // m`` windows in one vectorised pass (see
+:mod:`mcde._rng`), predicting that no row will be skipped.  A window whose
+end row was not predicted, as after a malformed row in lenient mode, draws a
+new block from its own end row on, so every emission stays exact.
+
 An optional drift layer flags windows whose score stays below a threshold
 for a run of consecutive emissions.  It is a plain heuristic convenience,
 not part of the estimator.
@@ -20,9 +27,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._rng import check_seed, derive_seed
-from .contrast import ContrastEstimate, contrast
+from ._rng import LANES, check_seed, derive_seed
+from .contrast import ContrastEstimate, _draw, _estimate
 from .dataset import Dataset
+from .ranking import construct_index
+from .slicing import check_alpha
 
 
 class StreamFormatError(Exception):
@@ -58,6 +67,9 @@ class WindowConfig:
             raise ValueError(f"need at least 2 monitored columns, got {self.dims}")
         if len(set(self.dims)) != len(self.dims):
             raise ValueError(f"duplicate monitored columns in {self.dims}")
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         if self.drift_patience < 1:
             raise ValueError(f"drift_patience must be >= 1, got {self.drift_patience}")
         check_seed(self.seed)
@@ -113,6 +125,8 @@ def monitor(
     window width produces no scores.
     """
     width, step = cfg.width, cfg.step
+    ahead = max(1, LANES // cfg.m)
+    drawn: dict[int, tuple[int, np.ndarray]] = {}  # end row -> (seed, draws)
     buffer = np.empty((width, len(cfg.dims)), dtype=np.float64)
     accepted = 0
     below_run = 0
@@ -134,12 +148,13 @@ def monitor(
         # unroll the ring buffer into window order (oldest row first)
         pivot = accepted % width
         window = np.concatenate((buffer[pivot:], buffer[:pivot])) if pivot else buffer.copy()
-        estimate = contrast(
-            Dataset(window),
-            m=cfg.m,
-            alpha=cfg.alpha,
-            seed=window_seed(cfg.seed, row_index),
-        )
+        if row_index not in drawn:
+            ends = range(row_index, row_index + ahead * step, step)
+            seeds = [window_seed(cfg.seed, end) for end in ends]
+            block = _draw(seeds, width, len(cfg.dims), cfg.m, cfg.alpha)
+            drawn = dict(zip(ends, zip(seeds, block)))
+        seed, draws = drawn.pop(row_index)
+        estimate = _estimate(construct_index(Dataset(window)), cfg.alpha, seed, draws)
 
         flag: bool | None = None
         if cfg.flag_drift:

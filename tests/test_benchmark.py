@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 import mcde
 from mcde import DependencySpec
+from mcde._rng import derive_seed
 from mcde.benchmark import (
     RESULT_COLUMNS,
     nearest_rank_percentile,
@@ -119,3 +122,18 @@ def test_runtime_csv_schema():
 def test_score_sample_validates_reps():
     with pytest.raises(ValueError):
         mcde.score_sample(DependencySpec("linear", 50, 2, 0.0), reps=0)
+
+
+@pytest.mark.parametrize("omega", [None, 3])
+def test_score_sample_equals_per_rep_contrast(omega):
+    # at M=50 one pass draws for 40 reps, so 45 reps take two
+    spec = DependencySpec("linear", 60, 3, 0.4)
+    scores = mcde.score_sample(spec, reps=45, m=50, alpha=0.3, seed=2**63 + 1, omega=omega)
+    expected = []
+    for i in range(45):
+        data = mcde.generate(replace(spec, seed=derive_seed(2**63 + 1, i, 0)))
+        if omega is not None:
+            data = mcde.discretise(data, omega)
+        expected.append(mcde.contrast(data, m=50, alpha=0.3,
+                                      seed=derive_seed(2**63 + 1, i, 1)).score)
+    assert scores.tolist() == expected

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import mcde
 from mcde import contrast, hoeffding_bound, iterations_for
+from mcde.contrast import _draw
 from oracles import contrast_iterations_oracle
 
 
@@ -191,25 +192,20 @@ def test_per_iteration_equals_oracle_across_batches_and_threads(d, alpha, kind):
         sys.setswitchinterval(interval)
 
 
-def test_windows_past_the_column_read_padding(monkeypatch):
-    # at n=2 and this alpha the float guards of the restriction bounds allow
-    # starts {0, 1, 2} for a width of 1, so a start of 2 draws an empty window
+def test_restriction_windows_stay_inside_the_column():
+    # configurations where rounding n*alpha and n*(1-alpha) apart allowed one
+    # restriction start past n - width, or a width of 0
     mwp = importlib.import_module("mcde.mwp")
-    alpha = 5.000000089452774e-10
-    assert mwp.restriction_bounds(2, alpha) == (3, 1)
+    cases = [(2, 5.000000089452774e-10), (86653538, 0.2453179580503684), (2, 1e-10)]
+    for n, alpha in cases:
+        starts, width = mwp.restriction_bounds(n, alpha)
+        assert width >= 1 and starts - 1 + width == n
+        draws = _draw([0, 2**64 - 1], n, 2, 200, alpha)
+        assert draws[..., -1].max() + width <= n
     index = mcde.construct_index(mcde.Dataset([[0.0, 1.0], [1.0, 0.0]]))
-    assert any(o.n_prime == 0 for o in contrast_iterations_oracle(index, 30, alpha, 0))
-    _assert_matches_oracle(index, 30, alpha, 0)
-
-    # wider windows, tie runs among them: one more start than the bounds
-    # allow makes windows at the last start reach one position past the column
-    monkeypatch.setattr(mwp, "_ifloor", lambda x: math.floor(x + 1e-9) + 1)
-    rng = np.random.default_rng(5)
-    for kind in ("continuous", "discretised"):
-        index = mcde.construct_index(_data(rng, 9, 3, kind))
-        outcomes = contrast_iterations_oracle(index, 60, 0.5, 3)
-        assert any(o.n_prime < 5 for o in outcomes)
-        _assert_matches_oracle(index, 60, 0.5, 3)
+    for _, alpha in cases[::2]:
+        assert all(o.n_prime == 1 for o in contrast_iterations_oracle(index, 30, alpha, 0))
+        _assert_matches_oracle(index, 30, alpha, 0)
 
 
 def test_degenerate_counts():

@@ -124,6 +124,10 @@ def test_config_validation():
         WindowConfig(width=10, dims=(0, 1), drift_patience=0)
     with pytest.raises(ValueError):
         WindowConfig(width=10, dims=(0, 1), seed=-2)
+    with pytest.raises(ValueError):
+        WindowConfig(width=10, dims=(0, 1), m=0)
+    with pytest.raises(ValueError):
+        WindowConfig(width=10, dims=(0, 1), alpha=1.5)
 
 
 def test_memory_stays_bounded_by_width():
@@ -137,3 +141,34 @@ def test_memory_stays_bounded_by_width():
     offline = mcde.contrast(Dataset(window), m=10,
                             seed=window_seed(6, last.row_index))
     assert last.estimate.score == offline.score
+
+
+def test_lenient_emissions_with_skipped_rows_equal_offline_contrast(monkeypatch):
+    # each malformed row moves every later window end off the end rows drawn
+    # ahead, and M=200 draws only ten windows per block, so emissions come
+    # from predicted blocks, blocks redrawn on a miss and refilled ones
+    blocks = []
+    draw = mcde.stream._draw
+
+    def spy(seeds, *args):
+        blocks.append(seeds[0])
+        return draw(seeds, *args)
+
+    monkeypatch.setattr(mcde.stream, "_draw", spy)
+    rows = [list(r) for r in _uniform_rows(140, d=3, seed=9)]
+    for k in (31, 32, 77, 101):
+        rows[k] = ["bad", 0.0, 0.0]
+    cfg = WindowConfig(width=20, dims=(2, 0), step=3, m=200, seed=2**64 - 5)
+    events = list(monitor(iter(rows), cfg, strict=False))
+    assert [e.row_index for e in events if isinstance(e, RowError)] == [31, 32, 77, 101]
+    scores = [e for e in events if isinstance(e, WindowScore)]
+    assert len(scores) == 39
+    # misses after rows 31-32, 77 and 101; refills at 63 and 134
+    assert blocks == [window_seed(cfg.seed, r) for r in (19, 33, 63, 79, 104, 134)]
+    good = [(i, r) for i, r in enumerate(rows) if r[0] != "bad"]
+    for event in scores:
+        end = next(k for k, (i, _) in enumerate(good) if i == event.row_index)
+        window = np.array([r for _, r in good[end - 19:end + 1]])[:, [2, 0]]
+        offline = mcde.contrast(Dataset(window), m=200,
+                                seed=window_seed(cfg.seed, event.row_index))
+        assert event.estimate == offline
