@@ -57,18 +57,17 @@ def rank_scan(values: np.ndarray, order: np.ndarray):
     return adjusted, starts[tied], counts[tied]
 
 
-def window_rows(member, ranks, starts, ends, *, run_starts, run_lengths):
+def window_rows(member, ranks, starts, width, *, run_starts, run_lengths):
     """Rank each restriction window locally and sum its member ranks.
 
-    Row i of ``member`` is the slice membership at the sorted positions
-    ``starts[i]`` onwards and row i of ``ranks`` the column's
-    :func:`rank_scan` ranks there; positions from ``ends[i]`` on lie past
-    the column and hold no members.  Each tie group contributes its
-    window-local 0-based average rank to the members inside it; the at most
-    two runs cut by a window boundary are ranked among window rows only.
-    Returns ``(rank_sums, member_counts, tie_corrections)``: two arrays and
-    a list of exact integer sums of ``g**3 - g`` over window-local group
-    sizes, at any window width.
+    Row i of ``member`` is the slice membership at the ``width`` sorted
+    positions from ``starts[i]`` on, inside the column, and row i of
+    ``ranks`` the column's :func:`rank_scan` ranks there.  Each tie group
+    contributes its window-local 0-based average rank to the members inside
+    it; the at most two runs cut by a window boundary are ranked among
+    window rows only.  Returns ``(rank_sums, member_counts,
+    tie_corrections)``: two arrays and a list of exact integer sums of
+    ``g**3 - g`` over window-local group sizes, at any window width.
     """
     n1 = np.count_nonzero(member, axis=1)
     # global ranks shifted by the start are the local ranks of every
@@ -76,8 +75,8 @@ def window_rows(member, ranks, starts, ends, *, run_starts, run_lengths):
     r1 = np.einsum("ij,ij->i", member, ranks) - n1 * starts
     corr = [0] * len(starts)
     if run_starts.size:  # per window, only for a column with tie runs
-        for i, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
-            r1[i], corr[i] = _clip_runs(member[i], r1[i], start, end,
+        for i, start in enumerate(starts.tolist()):
+            r1[i], corr[i] = _clip_runs(member[i], r1[i], start, start + width,
                                         run_starts, run_lengths)
     return r1, n1, corr
 
@@ -116,7 +115,7 @@ def window_stats(member, order, adjusted_ranks, start, end, *, run_starts, run_l
     """
     r1, n1, corr = window_rows(
         member[order[start:end]][None], adjusted_ranks[None, start:end],
-        np.array([start]), np.array([end]),
+        np.array([start]), end - start,
         run_starts=run_starts, run_lengths=run_lengths,
     )
     return float(r1[0]), int(n1[0]), corr[0]

@@ -118,7 +118,6 @@ def _estimate(index: RankIndex, alpha: float, seed: int, draws: np.ndarray,
     starts = np.zeros((m, d), dtype=np.int64)
     if draws.shape[1] > 2:
         starts[np.arange(d) != refs[:, None]] = draws[:, 1:-1].ravel()
-    ends = restrictions + width
 
     # pos[j, row]: the row's position in dimension j's sorted order
     dtype = np.int32 if n < 2**31 else np.int64
@@ -149,7 +148,7 @@ def _estimate(index: RankIndex, alpha: float, seed: int, draws: np.ndarray,
                 lo = restrictions[its]
                 member = slice_windows(windows, starts[its][:, others], size, lo)
                 r1[its], n1[its], batch_corr = _kernels.window_rows(
-                    member, ranks[lo], lo, ends[its],
+                    member, ranks[lo], lo, width,
                     run_starts=dim.run_starts, run_lengths=dim.run_lengths)
                 for i, c in zip(its.tolist(), batch_corr):
                     corr[i] = c
@@ -159,7 +158,7 @@ def _estimate(index: RankIndex, alpha: float, seed: int, draws: np.ndarray,
             # free them before the next reference allocates its own
             del positions, windows, score
 
-    values, tied, empty_full = confidences(r1, n1, corr, ends - restrictions)
+    values, tied, empty_full = confidences(r1, n1, corr, np.full(m, width))
     return ContrastEstimate(
         score=float(values.mean()),
         m_iterations=m,

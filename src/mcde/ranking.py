@@ -1,21 +1,25 @@
 """Per-dimension rank index: sorted row ids and tie-averaged ranks.
 
-One sort per column, then a single pass that averages the 0-based ranks of
-tied values and records where each tie group starts and how long it is.
-Tie groups are detected by exact value equality; discretised data is
-expected to produce exact duplicates.  The test reads each window's
-``t**3 - t`` tie correction from these runs, clipped to the window, so a
-column stores one start and one length per tie group of two or more rows
-and nothing for tie-free data.
+One unstable sort per column, then a single pass that averages the 0-based
+ranks of tied values and records where each tie group starts and how long
+it is.  Tie groups are detected by exact value equality (so ``-0.0`` ties
+with ``0.0``); discretised data is expected to produce exact duplicates.
+The test reads each window's ``t**3 - t`` tie correction from these runs,
+clipped to the window, so a column stores one start and one length per tie
+group of two or more rows and nothing for tie-free data.
 
-Within a tie group the row order is pseudorandom, drawn from a fixed salt
-and the column's position.  Tied rows carry identical ranks either way, but
-slicing later keeps contiguous runs of sorted positions, so the order in
-which tied rows appear decides which of them a run catches.  A structured
-order (e.g. by row number) would repeat across columns and make slices of
-heavily tied but independent columns look dependent; a per-column random
-order keeps such slices statistically neutral.  The order is a pure function
-of the data, so index construction stays deterministic.
+Within a tie group the row order is pseudorandom: rows are ordered by a
+tie-break vector drawn from a fixed salt and the column's position, and by
+row id where two draws are equal.  Tied rows carry identical ranks either
+way, but slicing later keeps contiguous runs of sorted positions, so the
+order in which tied rows appear decides which of them a run catches.  A
+structured order (e.g. by row number) would repeat across columns and make
+slices of heavily tied but independent columns look dependent; a per-column
+random order keeps such slices statistically neutral.  The unstable sort
+leaves only the order inside tie groups open, so the tie-break is drawn and
+applied only for a column with tie groups, and only their rows are
+re-sorted.  The order is a pure function of the data, so index
+construction stays deterministic.
 """
 
 from __future__ import annotations
@@ -74,9 +78,23 @@ class RankIndex:
 
 def _build_dimension(column: np.ndarray, position: int) -> DimensionIndex:
     column = np.ascontiguousarray(column, dtype=np.float64)
-    tiebreak = iteration_rng(_TIE_ORDER_SALT, position).random(column.shape[0])
-    order = np.lexsort((tiebreak, column))
+    order = np.argsort(column)
     adjusted, run_starts, run_lengths = _kernels.rank_scan(column, order)
+    if run_starts.size:
+        # the order lexsort((tiebreak, column)) gives: inside each tie run,
+        # rows by tiebreak, then by row id; the runs and ranks do not move
+        n = column.shape[0]
+        tiebreak = iteration_rng(_TIE_ORDER_SALT, position).random(n)
+        tied = int(run_lengths.sum())
+        if tied == n:
+            order = np.lexsort((tiebreak, column))
+        else:
+            # the tied positions; the stable lexsort of their rows, taken in
+            # ascending row id, falls back to row id on equal draws
+            offsets = np.cumsum(run_lengths) - run_lengths
+            at = np.repeat(run_starts - offsets, run_lengths) + np.arange(tied)
+            rows = np.sort(order[at])
+            order[at] = rows[np.lexsort((tiebreak[rows], column[rows]))]
     for arr in (order, adjusted, run_starts, run_lengths):
         arr.setflags(write=False)
     return DimensionIndex(order, adjusted, run_starts, run_lengths)

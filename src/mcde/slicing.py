@@ -51,7 +51,7 @@ def slice_windows(windows, starts, size: int, window_starts) -> np.ndarray:
     ``windows[c, s]`` lists, for the sorted positions of the reference
     dimension from ``s`` on, the positions of their rows in the sorted order
     of conditioning dimension c (the :func:`sliding_window_view` of those
-    positions; a negative entry is never a member).  A row is in slice i
+    positions, so every window lies inside the column).  A row is in slice i
     when, for every c, that position lies in ``[starts[i, c], starts[i, c] +
     size)``.  Row i of the result covers the window that starts at
     ``window_starts[i]``.

@@ -35,6 +35,29 @@ def average_ranks_oracle_fast(column):
     return smaller + (equal - 1) / 2.0
 
 
+def index_order_oracle(column, tiebreak):
+    """Reference sorted order of a column: rows by value, tied rows by
+    ``tiebreak``, rows with equal draws by row id (``lexsort`` is stable)."""
+    return np.lexsort((tiebreak, column))
+
+
+def dimension_index_oracle(column, tiebreak):
+    """The four arrays of a column's ``DimensionIndex``, from the reference
+    order: row ids, 0-based tie-averaged ranks, and the start and length of
+    every tie group of two or more rows, walked group by group."""
+    order = index_order_oracle(column, tiebreak)
+    ranks, starts, lengths = [], [], []
+    position = 0
+    for _, group in itertools.groupby(np.asarray(column, dtype=np.float64)[order].tolist()):
+        t = len(list(group))
+        ranks.extend([position + (t - 1) / 2.0] * t)
+        if t > 1:
+            starts.append(position)
+            lengths.append(t)
+        position += t
+    return order, np.array(ranks), np.array(starts, dtype=np.int64), np.array(lengths, dtype=np.int64)
+
+
 def tie_corrections_oracle(column):
     """Step function of running t**3 - t sums over sorted tie groups.
 

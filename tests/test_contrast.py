@@ -223,6 +223,36 @@ def test_degenerate_counts():
     assert (full.degenerate_tied, full.degenerate_empty_full, full.score) == (0, 50, 1.0)
 
 
+def _near_constant_column(kind, n, rng):
+    if kind == "constant":
+        return np.full(n, 1.5)
+    if kind == "one outlier":
+        column = np.zeros(n)
+        column[rng.integers(n)] = 1.0
+        return column
+    return rng.integers(0, 2, n).astype(float)  # two levels
+
+
+@given(
+    n=st.integers(2, 400),
+    kinds=st.lists(st.sampled_from(["constant", "one outlier", "two levels"]),
+                   min_size=2, max_size=4),
+    alpha=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**64 - 1),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_near_constant_columns_score_in_unit_interval(n, kinds, alpha, seed, data_seed):
+    rng = np.random.default_rng(data_seed)
+    data = np.column_stack([_near_constant_column(k, n, rng) for k in kinds])
+    est = contrast(mcde.Dataset(data), m=20, alpha=alpha, seed=seed, record_iterations=True)
+    values = est.per_iteration
+    assert 0.0 <= est.score <= 1.0
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    assert est.degenerate_tied <= np.count_nonzero(values == 0.0)
+    assert est.degenerate_empty_full <= np.count_nonzero(values == 1.0)
+
+
 # --- Hoeffding utilities ----------------------------------------------------
 
 

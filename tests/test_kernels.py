@@ -6,12 +6,11 @@ import pytest
 import mcde
 from mcde import _kernels
 from conftest import random_tied_column
-from oracles import local_window_stats_oracle
+from oracles import index_order_oracle, local_window_stats_oracle
 
 
 def _sorted_order(rng, column):
-    tiebreak = rng.random(column.shape[0])
-    return np.lexsort((tiebreak, column))
+    return index_order_oracle(column, rng.random(column.shape[0]))
 
 
 def _window_stats(member, order, column, start, end):
@@ -99,23 +98,20 @@ def test_tie_correction_exact_beyond_int64(counts):
 
 @pytest.mark.parametrize("case", range(10))
 def test_window_rows_equal_one_window_at_a_time(case):
-    """A batch of windows of one width, the last ones reaching into padding
-    past the column, gives each window's own statistics."""
+    """A batch of windows of one width inside the column gives each window's
+    own statistics."""
     rng = np.random.default_rng(3000 + case)
     n = int(rng.integers(2, 200))
     column = random_tied_column(rng, n)
     order = _sorted_order(rng, column)
     adj, run_starts, run_lengths = _kernels.rank_scan(column, order)
     width = int(rng.integers(1, n + 1))
-    pad = int(rng.integers(0, 3))
-    starts = np.sort(rng.integers(0, n - width + pad + 1, size=9))
-    ends = np.minimum(starts + width, n)
+    starts = np.sort(rng.integers(0, n - width + 1, size=9))
     member = rng.random(n) < 0.5
-    padded_member = np.concatenate([member[order], np.zeros(pad, bool)])
-    padded_ranks = np.concatenate([adj, np.zeros(pad)])
-    rows = np.array([padded_member[s:s + width] for s in starts])
-    ranks = np.array([padded_ranks[s:s + width] for s in starts])
-    r1, n1, corr = _kernels.window_rows(rows, ranks, starts, ends,
+    rows = np.array([member[order][s:s + width] for s in starts])
+    ranks = np.array([adj[s:s + width] for s in starts])
+    r1, n1, corr = _kernels.window_rows(rows, ranks, starts, width,
                                         run_starts=run_starts, run_lengths=run_lengths)
-    for i, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
-        assert (r1[i], n1[i], corr[i]) == local_window_stats_oracle(member, order, column, s, e)
+    for i, s in enumerate(starts.tolist()):
+        expected = local_window_stats_oracle(member, order, column, s, s + width)
+        assert (r1[i], n1[i], corr[i]) == expected

@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mcde import Dataset, construct_index
+from mcde import Dataset, construct_index, ranking
 from mcde._kernels import window_stats
+from mcde._rng import iteration_rng
 from conftest import random_tied_column
-from oracles import average_ranks_oracle, tie_corrections_oracle
+from oracles import average_ranks_oracle, dimension_index_oracle, tie_corrections_oracle
 
 
 def _index_of(column):
@@ -145,3 +146,47 @@ def test_projection_reuses_structures():
         index.project([0, 0])
     with pytest.raises(ValueError):
         index.project([4])
+
+
+# one column of each kind; signed zeros tie with each other
+_COLUMN_KINDS = (
+    lambda rng, n: rng.random(n),                                         # continuous
+    lambda rng, n: np.floor(rng.random(n) * 10) / 10,                     # 10 levels
+    lambda rng, n: np.where(rng.random(n) < 0.3, 0.0, rng.random(n)),    # 30% zeros
+    lambda rng, n: np.full(n, 2.5),                                       # constant
+    lambda rng, n: rng.choice([-0.0, 0.0, 1.0, 2.0], n) * (rng.random(n) < 0.8),  # +-0.0
+)
+
+
+class _CoarseDraws:
+    """Tie-break draws on four levels, so most tied rows draw equal values."""
+
+    def __init__(self, salt, position):
+        self._rng = iteration_rng(salt, position)
+
+    def random(self, n):
+        return np.floor(self._rng.random(n) * 4) / 4
+
+
+def _check_against_oracle(n, draws):
+    rng = np.random.default_rng(n)
+    data = np.column_stack([kind(rng, n) for kind in _COLUMN_KINDS])
+    index = construct_index(Dataset(data))
+    for j, dim in enumerate(index.dims):
+        tiebreak = draws(ranking._TIE_ORDER_SALT, j).random(n)
+        expected = dimension_index_oracle(data[:, j], tiebreak)
+        got = (dim.row_ids, dim.adjusted_ranks, dim.run_starts, dim.run_lengths)
+        for g, e in zip(got, expected):
+            assert np.array_equal(g, e), j
+
+
+# below 16 rows numpy sorts by insertion; larger sizes take its SIMD paths
+@pytest.mark.parametrize("n", [2, 11, 900, 100_000])
+def test_index_equals_lexsort_oracle(n):
+    _check_against_oracle(n, iteration_rng)
+
+
+@pytest.mark.parametrize("n", [11, 900, 100_000])
+def test_equal_tiebreak_draws_fall_back_to_row_id(n, monkeypatch):
+    monkeypatch.setattr(ranking, "iteration_rng", _CoarseDraws)
+    _check_against_oracle(n, _CoarseDraws)

@@ -119,7 +119,11 @@ def test_slice_windows_keep_exactly_the_rows_inside_every_condition(case):
         assert np.array_equal(got[i], member[rows])
 
 
-def test_slice_windows_never_keep_padding():
-    windows = sliding_window_view(np.array([[0, 1, 2, -1, -1]], dtype=np.int32), 3, axis=1)
-    got = slice_windows(windows, np.array([[0], [1], [0]]), 3, np.array([0, 2, 2]))
-    assert got.tolist() == [[True, True, True], [True, False, False], [True, False, False]]
+def test_slice_windows_keep_the_positions_inside_each_slice():
+    # positions in the conditioning dimension of the reference's sorted rows
+    windows = sliding_window_view(np.array([[3, 0, 4, 1, 2]], dtype=np.int32), 3, axis=1)
+    got = slice_windows(windows, np.array([[0], [1], [2], [3]]), 2, np.array([0, 1, 2, 0]))
+    assert got.tolist() == [[False, True, False],   # [3, 0, 4] in [0, 2)
+                            [False, False, True],   # [0, 4, 1] in [1, 3)
+                            [False, False, True],   # [4, 1, 2] in [2, 4)
+                            [True, False, True]]    # [3, 0, 4] in [3, 5)
