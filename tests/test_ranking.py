@@ -180,7 +180,7 @@ def _check_against_oracle(n, draws):
             assert np.array_equal(g, e), j
 
 
-# below 16 rows numpy sorts by insertion; larger sizes take its SIMD paths
+# small and large arrays take different paths through numpy's sorts
 @pytest.mark.parametrize("n", [2, 11, 900, 100_000])
 def test_index_equals_lexsort_oracle(n):
     _check_against_oracle(n, iteration_rng)
