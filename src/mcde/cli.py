@@ -8,7 +8,6 @@ the effective value to stderr so published numbers stay reproducible.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -23,7 +22,7 @@ from .benchmark import (
     score_distribution,
 )
 from .contrast import contrast
-from .dataset import DataError, load_csv, read_csv, select_subspace, write_csv
+from .dataset import DataError, csv_rows, load_csv, read_csv, select_subspace, write_csv
 from .generators import DEPENDENCY_KINDS, DependencySpec, generate
 from .stream import RowError, StreamFormatError, WindowConfig, monitor
 
@@ -234,7 +233,7 @@ def _cmd_monitor(args) -> int:
 
     fh = sys.stdin if args.input == "-" else open(args.input, "r", encoding="utf-8-sig", newline="")
     try:
-        rows = csv.reader(fh, delimiter=args.delimiter)
+        rows = csv_rows(fh, delimiter=args.delimiter)
         first = next(rows, None)
         if first is None:
             raise DataError("empty stream")

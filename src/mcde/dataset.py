@@ -1,10 +1,17 @@
 """Numerical datasets: validation, CSV input/output, column projection.
 
-CSV rows are parsed as the reader yields them, into one flat buffer of
-floats, so no per-row object outlives its row.  Values are held
-column-major (Fortran order) because every downstream pass walks single
-columns.  Datasets are immutable after construction; the backing array is
-marked read-only so they can be shared across threads.
+CSV text is parsed into one flat buffer of floats, so no per-row object
+outlives its row.  Once the first data row has fixed the width, the lines
+are read in blocks of ``_BLOCK_LINES``.  A plain block (digits, ``eE+-.``,
+the delimiter and one line break at the end of each line) is parsed by
+numpy in one call.  Every other block, and all input after it, goes through
+the strict loop, which parses a row as the csv module yields it and is the
+only path that raises: numpy and ``float`` read plain cells alike, so a
+block numpy rejects is replayed through the strict loop, which reports the
+error at its line.  Values are held column-major (Fortran order) because
+every downstream pass walks single columns.  Datasets are immutable after
+construction; the backing array is marked read-only so they can be shared
+across threads.
 """
 
 from __future__ import annotations
@@ -14,7 +21,8 @@ import io
 import math
 import re
 from array import array
-from typing import Iterable, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -143,6 +151,106 @@ def _decode_error_line(exc: UnicodeDecodeError, lines_read: int) -> int:
     return lines_read + 1 + len(re.findall(rb"\r\n|\r|\n", before))
 
 
+def _input_error(
+    exc: csv.Error | UnicodeDecodeError, row_line: int, lines_read: int
+) -> ParseError:
+    """The error for input the csv module or the text decoder rejects.
+
+    ``row_line`` is the line the failing row starts on, ``lines_read`` the
+    number of lines taken from the source before the failure.
+    """
+    if isinstance(exc, UnicodeDecodeError):
+        return ParseError(
+            f"cannot decode byte {exc.object[exc.start:exc.start + 1]!r} as "
+            f"{exc.encoding} at line {_decode_error_line(exc, lines_read)}"
+        )
+    return ParseError(f"{exc} at line {row_line}")
+
+
+def csv_rows(source: Iterable[str], delimiter: str = ",") -> Iterator[list[str]]:
+    """The rows of CSV text lines, as the csv module splits them.
+
+    Input the csv module or the text decoder rejects raises
+    :class:`ParseError` naming its line, as in :func:`read_csv`.
+    """
+    reader = csv.reader(source, delimiter=delimiter)
+    last_line = 0
+    try:
+        for row in reader:
+            last_line = reader.line_num
+            yield row
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise _input_error(exc, last_line + 1, reader.line_num) from None
+
+
+# Lines per block, in the fast path of read_csv and in write_csv.
+_BLOCK_LINES = 1 << 10
+
+# The characters of a plain cell.  ``float`` and numpy's text reader both
+# convert with ``PyOS_string_to_double``, so they accept and read such a
+# cell alike; ``_`` stays out, because only ``float`` reads ``1_0``.
+_PLAIN = "0123456789eE+-."
+
+
+def _plain_values(block: list[str], width: int, delimiter: str):
+    """The values of a plain block of lines, as an array of ``width`` columns.
+
+    None when the block is not plain, when numpy rejects it, or when it
+    holds a row of another width or a non-finite value: the strict loop
+    then parses the block.
+    """
+    try:
+        text = "".join(block)
+    except TypeError:  # an element that is no string, which the csv module names
+        return None
+    plain = (_PLAIN + "\n" + delimiter).encode()
+    if not text.isascii() or text.encode("ascii").translate(None, plain):
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, block)) > limit:
+        return None  # a cell may pass the csv module's field size limit
+    if not text.lstrip("\n"):
+        return np.empty((0, width))  # blank lines only, which hold no row
+    try:
+        # numpy rejects a list element with a line break before its end
+        values = np.loadtxt(block, delimiter=delimiter, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[1] != width or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _then_raise(lines: list[str], exc: Exception) -> Iterator[str]:
+    yield from lines
+    raise exc
+
+
+def _read_plain_blocks(
+    lines: Iterator[str], width: int, delimiter: str, cells: array
+) -> tuple[int, Iterable[str]]:
+    """Append the values of the plain blocks at the head of ``lines`` to ``cells``.
+
+    Returns the number of lines those blocks hold, and the lines the strict
+    loop parses before the rest of ``lines``: the first block that is not
+    plain or, if the source raised, the lines read before that, followed by
+    the exception.
+    """
+    taken = 0
+    while True:
+        block: list[str] = []
+        try:
+            # extend keeps the lines it took before the source raised
+            block.extend(islice(lines, _BLOCK_LINES))
+        except Exception as exc:  # raised again after the lines read before it
+            return taken, _then_raise(block, exc)
+        values = _plain_values(block, width, delimiter) if block else None
+        if values is None:
+            return taken, block
+        cells.frombytes(values.tobytes())
+        taken += len(block)
+
+
 def read_csv(
     source: Iterable[str],
     has_header: bool | None = None,
@@ -151,42 +259,55 @@ def read_csv(
     """Parse CSV text lines into a Dataset.
 
     ``has_header=None`` auto-detects: the first row is treated as a header
-    when any of its cells is non-numeric.  Errors carry 1-based file line
-    numbers and column numbers; input the csv module or the text decoder
-    rejects raises :class:`ParseError` too.
+    when any of its cells is non-numeric.  After the first data row, numpy
+    parses blocks of plain lines: numbers in ``[0-9eE+-.]`` and the
+    delimiter, each line a source element that ends in its only line break.
+    Everything else, from the first other block to the end, goes through
+    the strict loop over the csv module's rows, and so does every error.
+    Errors carry 1-based file line numbers and column numbers; input the csv
+    module or the text decoder rejects raises :class:`ParseError` too.
     """
-    reader = csv.reader(source, delimiter=delimiter)
+    lines = iter(source)
+    reader = csv.reader(lines, delimiter=delimiter)
+    # a delimiter that can occur inside a plain cell, or a line break, takes no fast path
+    fast = delimiter not in _PLAIN + "\r\n"
     names: list[str] | None = None
     width = 0
     cells = array("d")
+    base = 0  # lines read before the reader's first
     last_line = 0
     try:
-        for row in reader:
-            # a row starts on the line after the previous one ended, which
-            # counts blank lines and quoted multi-line cells
-            line_no, last_line = last_line + 1, reader.line_num
-            if not row:
-                continue
-            if not width:
-                if names is None and (
-                    not _looks_numeric(row) if has_header is None else has_header
-                ):
-                    names = [cell.strip() for cell in row]
+        while True:
+            for row in reader:
+                # a row starts on the line after the previous one ended, which
+                # counts blank lines and quoted multi-line cells
+                line_no, last_line = last_line + 1, base + reader.line_num
+                if not row:
                     continue
-                width = len(row)
-            elif len(row) != width:
-                raise StructureError(
-                    f"ragged row at line {line_no}: expected {width} cells, got {len(row)}"
-                )
-            for j, cell in enumerate(row, 1):
-                cells.append(_parse_cell(cell.strip(), line_no, j))
-    except csv.Error as exc:
-        raise ParseError(f"{exc} at line {last_line + 1}") from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"cannot decode byte {exc.object[exc.start:exc.start + 1]!r} as "
-            f"{exc.encoding} at line {_decode_error_line(exc, reader.line_num)}"
-        ) from None
+                if not width:
+                    if names is None and (
+                        not _looks_numeric(row) if has_header is None else has_header
+                    ):
+                        names = [cell.strip() for cell in row]
+                        continue
+                    width = len(row)
+                elif len(row) != width:
+                    raise StructureError(
+                        f"ragged row at line {line_no}: expected {width} cells, got {len(row)}"
+                    )
+                for j, cell in enumerate(row, 1):
+                    cells.append(_parse_cell(cell.strip(), line_no, j))
+                if fast:
+                    break
+            else:
+                break
+            # the first data row fixed the width
+            fast = False
+            taken, replay = _read_plain_blocks(lines, width, delimiter, cells)
+            base = last_line = last_line + taken
+            reader = csv.reader(chain(replay, lines), delimiter=delimiter)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise _input_error(exc, last_line + 1, base + reader.line_num) from None
     if not width:
         if names is None:
             raise StructureError("empty input: no rows found")
@@ -213,8 +334,9 @@ def write_csv(ds: Dataset, fh, delimiter: str = ",", header: bool = True) -> Non
     writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
     if header:
         writer.writerow(ds.column_names)
-    for i in range(ds.n):
-        writer.writerow([repr(float(v)) for v in ds.values[i, :]])
+    # the csv module writes a float as its repr
+    for lo in range(0, ds.n, _BLOCK_LINES):
+        writer.writerows(ds.values[lo:lo + _BLOCK_LINES].tolist())
 
 
 def save_csv(ds: Dataset, path: str, delimiter: str = ",", header: bool = True) -> None:

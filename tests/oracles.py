@@ -4,15 +4,19 @@ Everything here is deliberately written from first principles (sorted lists,
 groupby, O(n^2) counting) and shares no code with the package kernels.  The
 per-iteration reference for ``contrast`` builds each slice as a row mask
 from freshly keyed generators and tests it with the batch-of-one
-``mwp_test``, one iteration at a time.
+``mwp_test``, one iteration at a time.  The reference for ``read_csv`` is
+its strict loop alone, which parses every row through ``_parse_cell``.
 """
 
+import csv
 import itertools
 import math
+from array import array
 
 import numpy as np
 
 import mcde
+from mcde.dataset import _decode_error_line, _looks_numeric, _parse_cell
 
 
 def average_ranks_oracle(column):
@@ -165,3 +169,48 @@ def contrast_iterations_oracle(index, m, alpha, seed):
         member = draw_slice(index, ref_dim, alpha, rng)
         outcomes.append(mcde.mwp_test(index, member, ref_dim, alpha, rng))
     return outcomes
+
+
+def read_csv_oracle(source, has_header=None, delimiter=","):
+    """``read_csv`` with the strict loop alone: every row as the csv module
+    yields it, every cell through ``_parse_cell``; the fast path of plain
+    blocks must return the same dataset and raise the same errors."""
+    reader = csv.reader(source, delimiter=delimiter)
+    names = None
+    width = 0
+    cells = array("d")
+    last_line = 0
+    try:
+        for row in reader:
+            line_no, last_line = last_line + 1, reader.line_num
+            if not row:
+                continue
+            if not width:
+                if names is None and (
+                    not _looks_numeric(row) if has_header is None else has_header
+                ):
+                    names = [cell.strip() for cell in row]
+                    continue
+                width = len(row)
+            elif len(row) != width:
+                raise mcde.StructureError(
+                    f"ragged row at line {line_no}: expected {width} cells, got {len(row)}"
+                )
+            for j, cell in enumerate(row, 1):
+                cells.append(_parse_cell(cell.strip(), line_no, j))
+    except csv.Error as exc:
+        raise mcde.ParseError(f"{exc} at line {last_line + 1}") from None
+    except UnicodeDecodeError as exc:
+        raise mcde.ParseError(
+            f"cannot decode byte {exc.object[exc.start:exc.start + 1]!r} as "
+            f"{exc.encoding} at line {_decode_error_line(exc, reader.line_num)}"
+        ) from None
+    if not width:
+        if names is None:
+            raise mcde.StructureError("empty input: no rows found")
+        raise mcde.StructureError("no data rows after the header")
+    if names is not None and len(names) != width:
+        raise mcde.StructureError(
+            f"header has {len(names)} names but rows have {width} cells"
+        )
+    return mcde.Dataset(np.frombuffer(cells).reshape(-1, width), names)

@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 
@@ -72,6 +73,21 @@ def test_undecodable_or_oversized_input_is_data_error(capsys, tmp_path, data):
     code, out, err = _run(capsys, ["estimate", "--input", str(path)])
     assert code == 2
     assert "line 3" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"a,b\n0.1,0.2\n0.3,\xff\n", r"cannot decode byte b'\\xff' as utf-8 at line 3"),
+    (b'a,b\n0.1,0.2\n0.3,"' + b"9" * 200_000 + b'"\n',
+     r"field larger than field limit \(131072\) at line 3"),
+], ids=["undecodable", "oversized"])
+def test_monitor_undecodable_or_oversized_input_is_data_error(capsys, tmp_path, data, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    code, out, err = _run(capsys, ["monitor", "--width", "2", "--dims", "0,1",
+                                   "--input", str(path)])
+    assert code == 2
+    assert re.fullmatch(f"mcde: error: {message}", err.splitlines()[-1])
+    assert "Traceback" not in err
 
 
 def test_estimate_constant_columns_prints_zero(capsys, tmp_path):

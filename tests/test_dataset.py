@@ -1,4 +1,6 @@
+import csv
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,7 +16,9 @@ from mcde import (
     save_csv,
     select_subspace,
 )
-from mcde.dataset import csv_string
+from mcde.dataset import _BLOCK_LINES as _B
+from mcde.dataset import csv_string, write_csv
+from oracles import read_csv_oracle
 
 
 def test_parse_with_header():
@@ -41,7 +45,7 @@ def test_non_numeric_cell_names_location():
         read_csv(io.StringIO("a,b\nabc,0.2\n"))
 
 
-@pytest.mark.parametrize("text, error, where", [
+_ROW_ERRORS = [
     ("a,b\n1,2\n\n3,x\n", ParseError, "line 4, column 2"),
     ("a,b\n1,2\n\n3,4,5\n", StructureError, "ragged row at line 4:"),
     ("\n\na,b\n1,2\nx,3\n", ParseError, "line 5, column 1"),
@@ -53,10 +57,167 @@ def test_non_numeric_cell_names_location():
     ("1,2\n3, \tx  \n", ParseError, "cannot parse 'x' as a number at line 2, column 2"),
     ("a,b,c\n1,2\n3,x\n", ParseError, "line 3, column 2"),
     ("a,b\n\n\n", StructureError, "no data rows after the header"),
-])
+]
+
+
+@pytest.mark.parametrize("text, error, where", _ROW_ERRORS)
 def test_errors_name_file_lines_past_blank_and_multiline_rows(text, error, where):
     with pytest.raises(error, match=where):
         read_csv(io.StringIO(text))
+
+
+def _after_first_data_row(text, added):
+    """``text`` with the ``added`` lines after its first numeric row, or
+    after its first line if it has none."""
+    reader = csv.reader(io.StringIO(text))
+    end = 1
+    for row in reader:
+        if row and all(re.fullmatch(r"[-+.\de]+", cell.strip()) for cell in row):
+            end = reader.line_num
+            break
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:end] + added + lines[end:])
+
+
+@pytest.mark.parametrize("text, error, where", _ROW_ERRORS)
+def test_errors_name_file_lines_past_a_plain_block(text, error, where):
+    # one and a half blocks of plain rows (blank lines where the case has no
+    # data row), so the fault sits in the second block, which is otherwise plain
+    shift = _B + _B // 2
+    filler = ["0.5,-2.5e-3\n"] if "no data rows" not in where else ["\n"]
+    shifted = _after_first_data_row(text, filler * shift)
+    where = re.sub(r"line (\d+)", lambda m: f"line {int(m.group(1)) + shift}", where)
+    with pytest.raises(error, match=where):
+        read_csv(io.StringIO(shifted))
+    with pytest.raises(error, match=where):
+        read_csv_oracle(io.StringIO(shifted))
+
+
+def _plain_rows(count):
+    return [f"{i}.25,-{i}e-3\n" for i in range(count)]
+
+
+# with line 1 the first data row, block k holds lines 2 + k*_B to 1 + (k+1)*_B
+@pytest.mark.parametrize("line, handoff", [
+    (2, None), (1 + _B, None), (2 + _B, None), (1 + 2 * _B, None), (3 * _B, None),
+    # a line before the fault's is not plain: the strict loop reads on from there
+    (_B // 2 + 2, "crlf"), (2 + 2 * _B, "crlf"), (3 * _B, "quoted"),
+])
+@pytest.mark.parametrize("fault, error, message", [
+    ("7,1e400", ValidationError, "non-finite value '1e400' at line {}, column 2"),
+    ("7, 1e400 ", ValidationError, "non-finite value '1e400' at line {}, column 2"),
+    ("7,x", ParseError, "cannot parse 'x' as a number at line {}, column 2"),
+    ("7,1e", ParseError, "cannot parse '1e' as a number at line {}, column 2"),
+    ("7,", ParseError, "cannot parse '' as a number at line {}, column 2"),
+    ("7,2,3", StructureError, "ragged row at line {}: expected 2 cells, got 3"),
+    ("7,2,", StructureError, "ragged row at line {}: expected 2 cells, got 3"),
+    ("7", StructureError, "ragged row at line {}: expected 2 cells, got 1"),
+])
+def test_faults_in_plain_blocks_raise_from_the_strict_loop(line, handoff, fault, error, message):
+    lines = ["1,2\n"] + _plain_rows(3 * _B + 5)
+    lines[line - 1] = fault + "\n"
+    if handoff is not None:
+        lines[_B // 2] = "3,4\r\n" if handoff == "crlf" else '"3",4\n'
+    expected = f"^{re.escape(message.format(line))}$"
+    for source in (io.StringIO("".join(lines)), lines):
+        with pytest.raises(error, match=expected):
+            read_csv(source)
+
+
+@pytest.mark.parametrize("cell, value", [("1_0", 10.0), (" 2.5 ", 2.5), ("\t-0", -0.0)])
+@pytest.mark.parametrize("line", [2, 1 + _B, 2 + _B])
+def test_cells_only_float_reads_leave_the_fast_path_with_the_same_value(cell, value, line):
+    lines = ["1,2\n"] + _plain_rows(2 * _B + 3)
+    lines[line - 1] = f"7,{cell}\n"
+    ds = read_csv(io.StringIO("".join(lines)))
+    assert ds.values[line - 1, 1] == value
+    assert np.signbit(ds.values[line - 1, 1]) == np.signbit(value)
+    assert ds == read_csv_oracle(io.StringIO("".join(lines)))
+
+
+def _same_dataset(make_source, **kwargs):
+    got = read_csv(make_source(), **kwargs)
+    want = read_csv_oracle(make_source(), **kwargs)
+    assert got.column_names == want.column_names
+    assert got.values.shape == want.values.shape
+    assert got.values.dtype == want.values.dtype
+    assert got.values.flags.f_contiguous and not got.values.flags.writeable
+    assert got.values.tobytes() == want.values.tobytes()
+    return got
+
+
+def _mixed_lines(kind, delimiter=","):
+    """Three blocks and more of plain rows with ``kind`` mixed in."""
+    rows = [line.replace(",", delimiter) for line in _plain_rows(4 * _B)]
+    if kind == "blank":
+        for at in (5, _B + 1, 2 * _B - 3):
+            rows.insert(at, "\n")
+    elif kind == "blank block":
+        rows[_B:_B] = ["\n"] * (2 * _B)
+    elif kind == "crlf":
+        rows = [row[:-1] + "\r\n" if i % 3 == 0 or i > 2 * _B else row
+                for i, row in enumerate(rows)]
+    elif kind == "cr":
+        rows[_B + 7] = rows[_B + 7][:-1] + "\r"
+        rows[3 * _B:] = [row[:-1] + "\r" for row in rows[3 * _B:]]
+    elif kind == "quoted":
+        rows[_B + 9] = f'"0.125"{delimiter}-7\n'
+        rows[2 * _B + 4] = f'"1.5\n"{delimiter}"\n2"\n'
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["plain", "blank", "blank block", "crlf", "cr", "quoted"])
+@pytest.mark.parametrize("delimiter", [",", ";", "\t"])
+@pytest.mark.parametrize("header, has_header", [
+    ("x,y\n", None), ("x,y\n", True), ("", None), ("", False), ("3,4\n", True),
+])
+def test_plain_blocks_give_the_strict_loops_dataset(kind, delimiter, header, has_header):
+    text = header.replace(",", delimiter) + "".join(_mixed_lines(kind, delimiter))
+    ds = _same_dataset(lambda: io.StringIO(text, newline=""),
+                       has_header=has_header, delimiter=delimiter)
+    assert ds.n >= 4 * _B - 1
+
+
+def test_a_block_of_another_width_is_ragged_at_its_first_line():
+    lines = ["1,2\n"] + ["3,4,5\n"] * (2 * _B)
+    with pytest.raises(StructureError, match="^ragged row at line 2: expected 2 cells, got 3$"):
+        read_csv(lines)
+
+
+def test_a_plain_cell_over_the_csv_field_limit_is_parse_error():
+    lines = ["1,2\n"] + _plain_rows(2 * _B)
+    lines[_B + 20] = "3," + "0" * 200_000 + "1\n"  # finite, so numpy reads it
+    with pytest.raises(ParseError, match=rf"field limit \(131072\) at line {_B + 21}$"):
+        read_csv(lines)
+
+
+def test_an_element_that_is_no_string_raises_the_csv_error():
+    lines = ["1,2\n"] + _plain_rows(2 * _B)
+    lines[_B + 20] = b"3,4\n"
+    with pytest.raises(ParseError, match=rf"^iterator should return strings, not bytes .* at line {_B + 21}$"):
+        read_csv(lines)
+
+
+@pytest.mark.parametrize("terminated", [True, False])
+def test_list_sources_give_the_strict_loops_dataset(terminated):
+    lines = ["a,b\n"] + _plain_rows(3 * _B) + ["\n"]
+    if not terminated:
+        lines = [line.rstrip("\n") for line in lines]
+    ds = _same_dataset(lambda: list(lines))
+    assert ds.n == 3 * _B
+
+
+@pytest.mark.parametrize("at", [3, _B + 1, 2 * _B + 2])
+def test_list_element_with_an_inner_line_break_raises_the_csv_error(at):
+    lines = ["a,b\n"] + _plain_rows(3 * _B)
+    lines[at] = "5,6\n" + lines[at]
+    with pytest.raises(ParseError) as got:
+        read_csv(lines)
+    with pytest.raises(ParseError) as want:
+        read_csv_oracle(lines)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("new-line character seen in unquoted field")
+    assert str(got.value).endswith(f" at line {at + 1}")
 
 
 def test_read_csv_peak_memory_is_a_small_multiple_of_the_values():
@@ -155,6 +316,19 @@ def test_values_column_major_and_readonly():
         ds.values[0, 0] = 2.0
 
 
+@pytest.mark.parametrize("delimiter", [",", ";"])
+def test_write_csv_writes_each_value_as_its_repr(delimiter):
+    special = [-0.0, 5e-324, 1.7976931348623157e308, 3.0, -42.0, 0.1 + 0.2, 1e22, 1e16]
+    values = np.random.default_rng(2).normal(size=(2 * _B + 5, 2))
+    values[:len(special), 0] = special
+    values[-len(special):, 1] = special
+    ds = Dataset(values, ["u", "v"])
+    buf = io.StringIO()
+    write_csv(ds, buf, delimiter=delimiter)
+    rows = [delimiter.join(repr(float(v)) for v in row) + "\n" for row in values]
+    assert buf.getvalue() == f"u{delimiter}v\n" + "".join(rows)
+
+
 def test_csv_string_has_header_and_lf():
     ds = Dataset(np.array([[0.5, 1.5]]), ["u", "v"])
     assert csv_string(ds) == "u,v\n0.5,1.5\n"
@@ -164,11 +338,22 @@ def test_csv_string_has_header_and_lf():
     (b"x,y\n1,2\n3,\xff4\n5,6\n", 3),
     # past the first chunk a text stream decodes, with CRLF and a BOM
     (b"\xef\xbb\xbfx,y\r\n" + b"1.5,2.25\r\n" * 3000 + b"3,4\xc3\r\n5,6\r\n", 3002),
+    # inside a plain block
+    (b"x,y\n" + b"1.5,2.25\n" * 3000 + b"3,4\xc3\n5,6\n", 3002),
 ])
 def test_undecodable_byte_is_parse_error_naming_its_line(tmp_path, data, line):
     path = tmp_path / "bad.csv"
     path.write_bytes(data)
     with pytest.raises(ParseError, match=f"as utf-8 at line {line}$"):
+        load_csv(str(path))
+
+
+def test_row_fault_before_an_undecodable_byte_in_its_block_is_reported_first(tmp_path):
+    path = tmp_path / "bad.csv"
+    # the block of lines 1027-2050 holds both, in text chunks decoded apart
+    row = b"1.5000000000,2.2500000000\n"
+    path.write_bytes(b"x,y\n" + row * 1028 + b"3,q\n" + row * 1000 + b"\xff\n")
+    with pytest.raises(ParseError, match="^cannot parse 'q' as a number at line 1030, column 2$"):
         load_csv(str(path))
 
 
