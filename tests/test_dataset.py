@@ -350,10 +350,12 @@ def test_undecodable_byte_is_parse_error_naming_its_line(tmp_path, data, line):
 
 def test_row_fault_before_an_undecodable_byte_in_its_block_is_reported_first(tmp_path):
     path = tmp_path / "bad.csv"
-    # the block of lines 1027-2050 holds both, in text chunks decoded apart
-    row = b"1.5000000000,2.2500000000\n"
-    path.write_bytes(b"x,y\n" + row * 1028 + b"3,q\n" + row * 1000 + b"\xff\n")
-    with pytest.raises(ParseError, match="^cannot parse 'q' as a number at line 1030, column 2$"):
+    # the block of lines 3 + _B to 2 + 2 * _B holds both, in text chunks
+    # of 8 KiB decoded apart
+    row = b"0.5" + b"0" * 28 + b",2.25" + b"0" * 27 + b"\n"
+    assert (_B - 4) * len(row) > 12 * 1024
+    path.write_bytes(b"x,y\n" + row * (_B + 3) + b"3,q\n" + row * (_B - 4) + b"\xff\n")
+    with pytest.raises(ParseError, match=f"^cannot parse 'q' as a number at line {_B + 5}, column 2$"):
         load_csv(str(path))
 
 
