@@ -194,7 +194,7 @@ _BLOCK_LINES = 1 << 8
 _PLAIN = "0123456789eE+-."
 
 
-def _plain_values(block: list[str], width: int, delimiter: str):
+def _plain_values(block: list[str], width: int, delimiter: str) -> np.ndarray | None:
     """The values of a plain block of lines, as an array of ``width`` columns.
 
     None when the block is not plain, when numpy rejects it, or when it
@@ -303,7 +303,8 @@ def read_csv(
                     break
             else:
                 break
-            # the first data row fixed the width
+            # the first data row fixed the width: numpy parses the plain
+            # blocks after it, the strict loop all input from the first other one
             fast = False
             taken, replay = _read_plain_blocks(lines, width, delimiter, cells)
             base = last_line = last_line + taken
