@@ -96,7 +96,6 @@ def score_sample(
     alpha: float = 0.5,
     seed: int = 0,
     omega: int | None = None,
-    threads: int = 1,
 ) -> np.ndarray:
     """Score ``reps`` fresh instances of ``spec``; one derived seed each."""
     if reps < 1:
@@ -116,8 +115,7 @@ def score_sample(
             data = generate(replace(spec, seed=derive_seed(seed, i, 0)))
             if omega is not None:
                 data = discretise(data, omega)
-            scores[i] = _estimate(construct_index(data), alpha, rep_seed, rep_draws,
-                                  threads=threads).score
+            scores[i] = _estimate(construct_index(data), alpha, rep_seed, rep_draws).score
     return scores
 
 
@@ -138,13 +136,10 @@ def independence_threshold(
     reps: int = 500,
     alpha: float = 0.5,
     seed: int = 0,
-    threads: int = 1,
 ) -> float:
     """Null threshold: percentile of scores on fresh noise-free independent data."""
     spec = DependencySpec("independent", n, d, 0.0, seed=0)
-    scores = score_sample(
-        spec, reps, m=m, alpha=alpha, seed=derive_seed(seed, _NULL_STREAM), threads=threads
-    )
+    scores = score_sample(spec, reps, m=m, alpha=alpha, seed=derive_seed(seed, _NULL_STREAM))
     return nearest_rank_percentile(scores, gamma)
 
 
@@ -154,12 +149,9 @@ def score_distribution(
     m: int = 50,
     alpha: float = 0.5,
     seed: int = 0,
-    threads: int = 1,
 ) -> ScoreStats:
     """Sample mean and standard deviation of the score for ``spec``."""
-    scores = score_sample(
-        spec, reps, m=m, alpha=alpha, seed=derive_seed(seed, _DEP_STREAM), threads=threads
-    )
+    scores = score_sample(spec, reps, m=m, alpha=alpha, seed=derive_seed(seed, _DEP_STREAM))
     if reps == 1:
         return ScoreStats(float(scores[0]), 0.0, 1, degenerate=True)
     return ScoreStats(float(scores.mean()), float(scores.std(ddof=1)), reps, False)
@@ -174,7 +166,6 @@ def power(
     seed: int = 0,
     threshold: float | None = None,
     omega: int | None = None,
-    threads: int = 1,
 ) -> PowerResult:
     """Fraction of ``spec`` scores strictly above the null threshold.
 
@@ -185,12 +176,10 @@ def power(
     seed = check_seed(seed)
     if threshold is None:
         threshold = independence_threshold(
-            spec.n, spec.d, m=m, gamma=gamma, reps=reps, alpha=alpha, seed=seed,
-            threads=threads,
+            spec.n, spec.d, m=m, gamma=gamma, reps=reps, alpha=alpha, seed=seed
         )
     scores = score_sample(
-        spec, reps, m=m, alpha=alpha, seed=derive_seed(seed, _DEP_STREAM),
-        omega=omega, threads=threads,
+        spec, reps, m=m, alpha=alpha, seed=derive_seed(seed, _DEP_STREAM), omega=omega
     )
     return PowerResult(
         kind=spec.kind,
@@ -220,7 +209,6 @@ def robustness_sweep(
     reps: int = 500,
     alpha: float = 0.5,
     seed: int = 0,
-    threads: int = 1,
 ) -> list[PowerResult]:
     """Power and mean score after discretising each (kind, omega, noise) cell.
 
@@ -229,9 +217,7 @@ def robustness_sweep(
     usual null bar.
     """
     seed = check_seed(seed)
-    threshold = independence_threshold(
-        n, d, m=m, gamma=gamma, reps=reps, alpha=alpha, seed=seed, threads=threads
-    )
+    threshold = independence_threshold(n, d, m=m, gamma=gamma, reps=reps, alpha=alpha, seed=seed)
     rows = []
     for kind_pos, kind in enumerate(kinds):
         for omega in omega_levels:
@@ -248,7 +234,6 @@ def robustness_sweep(
                         seed=cell_seed,
                         threshold=threshold,
                         omega=int(omega),
-                        threads=threads,
                     )
                 )
     return rows

@@ -8,7 +8,6 @@ the effective value to stderr so published numbers stay reproducible.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import __version__
@@ -22,7 +21,15 @@ from .benchmark import (
     score_distribution,
 )
 from .contrast import contrast
-from .dataset import DataError, csv_rows, load_csv, read_csv, select_subspace, write_csv
+from .dataset import (
+    DataError,
+    _looks_numeric,
+    csv_rows,
+    load_csv,
+    read_csv,
+    select_subspace,
+    write_csv,
+)
 from .generators import DEPENDENCY_KINDS, DependencySpec, generate
 from .stream import RowError, StreamFormatError, WindowConfig, monitor
 
@@ -47,13 +54,6 @@ def _fmt(value: float, full_precision: bool) -> str:
     if not any(c in text for c in ".eE"):
         text += ".0"
     return text
-
-
-def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
-    env = os.environ.get("MCDE_THREADS", "").strip()
-    return max(1, int(env)) if env else 1
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -89,9 +89,8 @@ def _cmd_estimate(args) -> int:
         ds = load_csv(args.input, has_header=args.header, delimiter=args.delimiter)
     if args.dims is not None:
         ds = select_subspace(ds, args.dims)
-    threads = _threads(args)
-    _diag(f"seed={args.seed} m={args.m} alpha={args.alpha} threads={threads}")
-    estimate = contrast(ds, m=args.m, alpha=args.alpha, seed=args.seed, threads=threads)
+    _diag(f"seed={args.seed} m={args.m} alpha={args.alpha}")
+    estimate = contrast(ds, m=args.m, alpha=args.alpha, seed=args.seed)
     print(_fmt(estimate.score, args.full_precision))
     return 0
 
@@ -178,21 +177,19 @@ def _merge_bench(args) -> dict:
 
 def _cmd_benchmark(args) -> int:
     cfg = _merge_bench(args)
-    threads = _threads(args)
     _diag(f"benchmark {args.bench_command} " +
-          " ".join(f"{k}={v}" for k, v in sorted(cfg.items())) +
-          f" threads={threads}")
+          " ".join(f"{k}={v}" for k, v in sorted(cfg.items())))
 
     if args.bench_command == "power":
         spec = DependencySpec(cfg["kind"], cfg["n"], cfg["d"], cfg["noise"], seed=0)
         row = power(spec, gamma=cfg["gamma"], reps=cfg["reps"], m=cfg["m"],
                     alpha=cfg["alpha"], seed=cfg["seed"], threshold=cfg["threshold"],
-                    omega=cfg["omega"], threads=threads)
+                    omega=cfg["omega"])
         sys.stdout.write(results_csv([row]))
     elif args.bench_command == "distribution":
         spec = DependencySpec(cfg["kind"], cfg["n"], cfg["d"], cfg["noise"], seed=0)
         stats = score_distribution(spec, reps=cfg["reps"], m=cfg["m"],
-                                   alpha=cfg["alpha"], seed=cfg["seed"], threads=threads)
+                                   alpha=cfg["alpha"], seed=cfg["seed"])
         row = PowerResult(kind=cfg["kind"], noise=cfg["noise"], omega=None,
                           n=cfg["n"], d=cfg["d"], m=cfg["m"], gamma=0.0,
                           reps=cfg["reps"], mean=stats.mean, std=stats.std,
@@ -201,8 +198,7 @@ def _cmd_benchmark(args) -> int:
     elif args.bench_command == "robustness":
         rows = robustness_sweep(cfg["omegas"], cfg["noises"], kinds=cfg["kinds"],
                                 n=cfg["n"], d=cfg["d"], m=cfg["m"], gamma=cfg["gamma"],
-                                reps=cfg["reps"], alpha=cfg["alpha"], seed=cfg["seed"],
-                                threads=threads)
+                                reps=cfg["reps"], alpha=cfg["alpha"], seed=cfg["seed"])
         sys.stdout.write(results_csv(rows))
     else:
         rows = runtime_profile(cfg["n_values"], cfg["d_values"], m=cfg["m"],
@@ -239,12 +235,12 @@ def _cmd_monitor(args) -> int:
             raise DataError("empty stream")
 
         def replay():
-            try:
-                float(first[max(cfg.dims)])
-            except (ValueError, IndexError):
-                _diag("skipping header row")
-            else:
+            # a header names the monitored columns; a row too short for
+            # them is a malformed row, which monitor reports at row 0
+            if _looks_numeric([first[j] for j in cfg.dims if j in range(len(first))]):
                 yield first
+            else:
+                _diag("skipping header row")
             yield from rows
 
         print("row_index,score,flag" if cfg.flag_drift else "row_index,score")
@@ -292,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--m", type=int, default=50, help="Monte Carlo iterations")
     est.add_argument("--alpha", type=float, default=0.5, help="expected slice fraction")
     est.add_argument("--seed", type=int, default=0)
-    est.add_argument("--threads", type=int, default=None,
-                     help="iteration thread cap (default: MCDE_THREADS or 1)")
     est.add_argument("--header", type=_header_mode, default=None,
                      metavar="{auto,yes,no}",
                      help="whether the first row is a header (default: auto)")
@@ -316,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("power", "distribution", "robustness", "runtime"):
         bp = bsub.add_parser(name)
         bp.add_argument("--config", default=None, help="flat key=value config file")
-        bp.add_argument("--threads", type=int, default=None)
         defaults = _BENCH_DEFAULTS[name]
         for key, template in defaults.items():
             bp.add_argument("--" + key.replace("_", "-"), type=_flag_type(key, template),

@@ -15,9 +15,8 @@ dimension: slice membership over the restriction windows, the window
 statistics and the test values are each a few 2-D numpy passes over a batch
 (:func:`mcde.slicing.slice_windows`, :func:`mcde._kernels.window_rows`,
 :func:`mcde.mwp.confidences`).  A batch holds about ``_CHUNK_CELLS`` window
-positions, so the same path serves n=1e3 and n=1e6.  With ``threads > 1``
-the batches run on a thread pool; every batch writes only its own
-iterations, so the estimate is bit-identical for any thread count.
+positions, so the same path serves n=1e3 and n=1e6.  An estimate runs on
+the calling thread.
 
 The number of iterations needed for a target accuracy follows from the
 Hoeffding concentration bound ``P(|estimate - truth| >= eps) <= 2*exp(-2*M*eps**2)``.
@@ -26,8 +25,6 @@ Hoeffding concentration bound ``P(|estimate - truth| >= eps) <= 2*exp(-2*M*eps**
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +83,6 @@ def contrast(
     alpha: float = 0.5,
     seed: int = 0,
     record_iterations: bool = False,
-    threads: int = 1,
 ) -> ContrastEstimate:
     """Estimate the dependency of all columns of ``data`` jointly.
 
@@ -102,11 +98,11 @@ def contrast(
     index = data if isinstance(data, RankIndex) else construct_index(data)
     _check_shape(index.n, index.d)
     draws = _draw([seed], index.n, index.d, m, alpha)[0]
-    return _estimate(index, alpha, seed, draws, record_iterations, threads)
+    return _estimate(index, alpha, seed, draws, record_iterations)
 
 
 def _estimate(index: RankIndex, alpha: float, seed: int, draws: np.ndarray,
-              record_iterations: bool = False, threads: int = 1) -> ContrastEstimate:
+              record_iterations: bool = False) -> ContrastEstimate:
     """The estimate whose M iterations drew ``draws``, one row of
     :func:`_draw` per iteration; arguments are taken as validated."""
     n, d = index.n, index.d
@@ -129,34 +125,29 @@ def _estimate(index: RankIndex, alpha: float, seed: int, draws: np.ndarray,
     n1 = np.empty(m, dtype=np.int64)
     corr = [0] * m
     chunk = max(1, _CHUNK_CELLS // width)
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        run = map if pool is None else pool.map
-        for ref, dim in enumerate(index.dims):
-            batch = np.flatnonzero(refs == ref)
-            if not batch.size:
-                continue
-            others = [j for j in range(d) if j != ref]
-            # positions[c, p]: the position, in the sorted order of
-            # dimension others[c], of the row at position p of this one
-            positions = np.empty((d - 1, n), dtype=dtype)
-            for c, j in enumerate(others):
-                positions[c] = pos[j][dim.row_ids]
-            windows = sliding_window_view(positions, width, axis=1)
-            ranks = sliding_window_view(dim.adjusted_ranks, width)
-
-            def score(its):
-                lo = restrictions[its]
-                member = slice_windows(windows, starts[its][:, others], size, lo)
-                r1[its], n1[its], batch_corr = _kernels.window_rows(
-                    member, ranks[lo], lo, width,
-                    run_starts=dim.run_starts, run_lengths=dim.run_lengths)
-                for i, c in zip(its.tolist(), batch_corr):
-                    corr[i] = c
-
-            # scores every batch of this reference before the loop moves on
-            list(run(score, [batch[k:k + chunk] for k in range(0, batch.size, chunk)]))
-            # free them before the next reference allocates its own
-            del positions, windows, score
+    for ref, dim in enumerate(index.dims):
+        batch = np.flatnonzero(refs == ref)
+        if not batch.size:
+            continue
+        others = [j for j in range(d) if j != ref]
+        # positions[c, p]: the position, in the sorted order of
+        # dimension others[c], of the row at position p of this one
+        positions = np.empty((d - 1, n), dtype=dtype)
+        for c, j in enumerate(others):
+            positions[c] = pos[j][dim.row_ids]
+        windows = sliding_window_view(positions, width, axis=1)
+        ranks = sliding_window_view(dim.adjusted_ranks, width)
+        for k in range(0, batch.size, chunk):
+            its = batch[k:k + chunk]
+            lo = restrictions[its]
+            member = slice_windows(windows, starts[its][:, others], size, lo)
+            r1[its], n1[its], batch_corr = _kernels.window_rows(
+                member, ranks[lo], lo, width,
+                run_starts=dim.run_starts, run_lengths=dim.run_lengths)
+            for i, c in zip(its.tolist(), batch_corr):
+                corr[i] = c
+        # free them before the next reference allocates its own
+        del positions, windows
 
     values, tied, empty_full = confidences(r1, n1, corr, np.full(m, width))
     return ContrastEstimate(

@@ -205,16 +205,17 @@ def _plain_values(block: list[str], width: int, delimiter: str) -> np.ndarray | 
         text = "".join(block)
     except TypeError:  # an element that is no string, which the csv module names
         return None
-    plain = (_PLAIN + "\n" + delimiter).encode()
+    plain = (_PLAIN + "\r\n" + delimiter).encode()
     if not text.isascii() or text.encode("ascii").translate(None, plain):
         return None
     limit = csv.field_size_limit()
     if len(text) > limit and max(map(len, block)) > limit:
         return None  # a cell may pass the csv module's field size limit
-    if not text.lstrip("\n"):
+    if not text.lstrip("\r\n"):
         return np.empty((0, width))  # blank lines only, which hold no row
     try:
-        # numpy rejects a list element with a line break before its end
+        # numpy rejects a list element with a line break before its end,
+        # a ``\r`` included, unless it begins a final ``\r\n``
         values = np.loadtxt(block, delimiter=delimiter, comments=None, ndmin=2)
     except ValueError:
         return None

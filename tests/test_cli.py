@@ -133,14 +133,27 @@ def test_estimate_identical_argv_identical_stdout(capsys, tmp_path):
     assert out1 == out2
 
 
-def test_estimate_threads_same_output(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--input", "data.csv"],
+    ["benchmark", "power"],
+    ["benchmark", "distribution"],
+    ["benchmark", "robustness"],
+    ["benchmark", "runtime"],
+])
+def test_threads_flag_is_usage_error(capsys, argv):
+    code, out, err = _run(capsys, argv + ["--threads", "2"])
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --threads 2" in err
+
+
+def test_estimate_ignores_mcde_threads(capsys, tmp_path, monkeypatch):
     path = _write_csv(tmp_path, "lin.csv", kind="hourglass", noise=0.3)
-    base = ["estimate", "--input", str(path), "--seed", "5", "--full-precision"]
-    _, out1, _ = _run(capsys, base + ["--threads", "1"])
-    _, out4, _ = _run(capsys, base + ["--threads", "4"])
-    monkeypatch.setenv("MCDE_THREADS", "3")
-    _, out_env, _ = _run(capsys, base)
-    assert out1 == out4 == out_env
+    argv = ["estimate", "--input", str(path), "--seed", "5", "--full-precision"]
+    code, out, err = _run(capsys, argv)
+    assert code == 0
+    monkeypatch.setenv("MCDE_THREADS", "abc")
+    assert _run(capsys, argv) == (0, out, err)
 
 
 def test_estimate_stdin(capsys, monkeypatch, tmp_path):
@@ -292,6 +305,40 @@ def test_monitor_strict_malformed_row(capsys, monkeypatch):
     code, out, err = _run(capsys, ["monitor", "--width", "2", "--dims", "0,1"],
                           stdin_text="0.1,0.2\nbad,0.4\n", monkeypatch=monkeypatch)
     assert code == 2
+
+
+def test_monitor_skips_a_header_with_a_numeric_name(capsys, monkeypatch):
+    text = "name,2019\n0.1,0.2\n0.3,0.1\n0.6,0.9\n"
+    code, out, err = _run(capsys, ["monitor", "--width", "3", "--dims", "0,1", "--m", "5"],
+                          stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 0
+    assert "skipping header row" in err
+    lines = out.strip().split("\n")
+    assert [line.split(",")[0] for line in lines[1:]] == ["2"]  # the header is no row
+
+
+@pytest.mark.parametrize("first", ["1", "0.5,0.7"])
+def test_monitor_short_first_row_is_malformed(capsys, monkeypatch, first):
+    # too short for --dims 0,2: the same error as anywhere else in the stream
+    text = first + "\n0.1,0.2,0.3\n0.3,0.1,0.5\n0.6,0.9,0.2\n"
+    code, out, err = _run(capsys, ["monitor", "--width", "2", "--dims", "0,2", "--m", "5"],
+                          stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 2
+    assert "skipping header row" not in err
+    cells = first.count(",") + 1
+    assert f"mcde: error: row 0: row has {cells} cells, need columns [0, 2]" in err
+
+
+def test_monitor_lenient_reports_a_short_first_row(capsys, monkeypatch):
+    text = "1\n0.1,0.2\n0.3,0.1\n0.6,0.9\n"
+    code, out, err = _run(capsys, ["monitor", "--width", "3", "--dims", "0,1",
+                                   "--m", "5", "--lenient"],
+                          stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 0
+    assert "skipped row 0: row has 1 cells, need columns [0, 1]" in err
+    assert "skipping header row" not in err
+    lines = out.strip().split("\n")
+    assert len(lines) == 2 and lines[1].startswith("3,")  # one emission
 
 
 def test_monitor_lenient_skips(capsys, monkeypatch):

@@ -1,6 +1,5 @@
 import importlib
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 import mcde
 from mcde import contrast, hoeffding_bound, iterations_for
 from mcde.contrast import _draw
+from mcde.mwp import restriction_bounds
 from oracles import contrast_iterations_oracle
 
 
@@ -61,10 +61,9 @@ def test_iterations_not_recorded_by_default(uniform_ds):
     assert contrast(uniform_ds, m=5, seed=3).per_iteration is None
 
 
-def test_threads_do_not_change_result(uniform_ds):
-    serial = contrast(uniform_ds, m=64, seed=5, threads=1)
-    threaded = contrast(uniform_ds, m=64, seed=5, threads=8)
-    assert serial.score == threaded.score
+def test_there_is_no_thread_option(uniform_ds):
+    with pytest.raises(TypeError):
+        contrast(uniform_ds, threads=2)
 
 
 def test_prebuilt_index_equals_dataset_path(uniform_ds):
@@ -147,9 +146,8 @@ def _data(rng, n, d, kind):
     return mcde.Dataset(x)
 
 
-def _assert_matches_oracle(index, m, alpha, seed, threads=1):
-    est = contrast(index, m=m, alpha=alpha, seed=seed, record_iterations=True,
-                   threads=threads)
+def _assert_matches_oracle(index, m, alpha, seed):
+    est = contrast(index, m=m, alpha=alpha, seed=seed, record_iterations=True)
     outcomes = contrast_iterations_oracle(index, m, alpha, seed)
     expected = np.array([o.p_c for o in outcomes])
     assert est.per_iteration.tobytes() == expected.tobytes()
@@ -176,20 +174,12 @@ def test_per_iteration_equals_per_iteration_oracle(case):
     (3, 0.1, "constant"),
     (4, 1.0, "discretised"),
 ])
-def test_per_iteration_equals_oracle_across_batches_and_threads(d, alpha, kind):
+def test_per_iteration_equals_oracle_across_batches(d, alpha, kind):
     # n=5e4 fits one or two windows of width n*alpha in a batch, so the
     # iterations of each reference dimension span several batches
     rng = np.random.default_rng(d)
     index = mcde.construct_index(_data(rng, 50_000, d, kind))
     _assert_matches_oracle(index, 24, alpha, 2**64 - 1 - d)
-    # more threads than cores, switching often: batches write disjoint
-    # iterations, so no result may be lost or moved
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        _assert_matches_oracle(index, 24, alpha, 2**64 - 1 - d, threads=3)
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_restriction_windows_stay_inside_the_column():
@@ -251,6 +241,46 @@ def test_near_constant_columns_score_in_unit_interval(n, kinds, alpha, seed, dat
     assert np.all((values >= 0.0) & (values <= 1.0))
     assert est.degenerate_tied <= np.count_nonzero(values == 0.0)
     assert est.degenerate_empty_full <= np.count_nonzero(values == 1.0)
+
+
+@st.composite
+def _few_level_data(draw):
+    """n x d data whose columns hold 1-3 distinct values, then 0-3
+    outliers each."""
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(d):
+        levels = rng.random(draw(st.integers(1, 3)))
+        column = levels[rng.integers(0, levels.size, n)]
+        outliers = rng.choice(n, size=min(n, draw(st.integers(0, 3))), replace=False)
+        column[outliers] = 10.0 + rng.random(outliers.size)
+        columns.append(column)
+    return np.column_stack(columns)
+
+
+@given(
+    data=_few_level_data(),
+    m=st.integers(1, 60),
+    alpha=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_few_level_columns_with_outliers_count_their_degenerate_iterations(
+        data, m, alpha, seed):
+    est = contrast(mcde.Dataset(data), m=m, alpha=alpha, seed=seed, record_iterations=True)
+    values = est.per_iteration
+    assert 0.0 <= est.score <= 1.0
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    assert est.degenerate_tied <= np.count_nonzero(values == 0.0)
+    assert est.degenerate_empty_full <= np.count_nonzero(values == 1.0)
+
+    constant = contrast(mcde.Dataset(np.full_like(data, 0.25)), m=m, alpha=alpha, seed=seed)
+    if restriction_bounds(data.shape[0], alpha)[1] >= 2:
+        assert (constant.degenerate_tied, constant.score) == (m, 0.0)
+    else:  # a one-row window holds no tie group; its slice is empty or full
+        assert (constant.degenerate_empty_full, constant.score) == (m, 1.0)
 
 
 # --- Hoeffding utilities ----------------------------------------------------

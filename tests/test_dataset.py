@@ -17,7 +17,7 @@ from mcde import (
     select_subspace,
 )
 from mcde.dataset import _BLOCK_LINES as _B
-from mcde.dataset import csv_string, write_csv
+from mcde.dataset import _plain_values, csv_string, write_csv
 from oracles import read_csv_oracle
 
 
@@ -100,8 +100,10 @@ def _plain_rows(count):
 # with line 1 the first data row, block k holds lines 2 + k*_B to 1 + (k+1)*_B
 @pytest.mark.parametrize("line, handoff", [
     (2, None), (1 + _B, None), (2 + _B, None), (1 + 2 * _B, None), (3 * _B, None),
+    # a CRLF line before the fault's is plain too
+    (_B // 2 + 2, "crlf"), (2 + 2 * _B, "crlf"),
     # a line before the fault's is not plain: the strict loop reads on from there
-    (_B // 2 + 2, "crlf"), (2 + 2 * _B, "crlf"), (3 * _B, "quoted"),
+    (_B // 2 + 2, "padded"), (2 + 2 * _B, "padded"), (3 * _B, "quoted"),
 ])
 @pytest.mark.parametrize("fault, error, message", [
     ("7,1e400", ValidationError, "non-finite value '1e400' at line {}, column 2"),
@@ -117,7 +119,7 @@ def test_faults_in_plain_blocks_raise_from_the_strict_loop(line, handoff, fault,
     lines = ["1,2\n"] + _plain_rows(3 * _B + 5)
     lines[line - 1] = fault + "\n"
     if handoff is not None:
-        lines[_B // 2] = "3,4\r\n" if handoff == "crlf" else '"3",4\n'
+        lines[_B // 2] = {"crlf": "3,4\r\n", "padded": "3, 4\n", "quoted": '"3",4\n'}[handoff]
     expected = f"^{re.escape(message.format(line))}$"
     for source in (io.StringIO("".join(lines)), lines):
         with pytest.raises(error, match=expected):
@@ -176,6 +178,88 @@ def test_plain_blocks_give_the_strict_loops_dataset(kind, delimiter, header, has
     ds = _same_dataset(lambda: io.StringIO(text, newline=""),
                        has_header=has_header, delimiter=delimiter)
     assert ds.n >= 4 * _B - 1
+
+
+def _outcome(read, make_source, **kwargs):
+    """What ``read`` makes of the source: the dataset's names, shape and
+    value bytes, or the error's type and message."""
+    source = make_source()
+    try:
+        ds = read(source, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    finally:
+        if hasattr(source, "close"):
+            source.close()
+    assert ds.values.flags.f_contiguous and not ds.values.flags.writeable
+    return ds.column_names, ds.values.shape, ds.values.dtype, ds.values.tobytes()
+
+
+_ENDINGS = {"crlf": ("\r\n",), "cr": ("\r",), "mixed": ("\n", "\r\n", "\r")}
+
+
+@pytest.mark.parametrize("ending", sorted(_ENDINGS))
+@pytest.mark.parametrize("delimiter", [",", ";", "\t"])
+@pytest.mark.parametrize("header, has_header", [
+    ("x,y", None), ("x,y", True), ("", None), ("3,4", True),
+])
+@pytest.mark.parametrize("fault, message", [
+    (None, None),
+    ("7,x", "cannot parse 'x' as a number at line {}, column 2"),
+    ("7,1e400", "non-finite value '1e400' at line {}, column 2"),
+    ("7,2,3", "ragged row at line {}: expected 2 cells, got 3"),
+])
+def test_crlf_and_cr_input_gives_the_strict_loops_result(
+        tmp_path, ending, delimiter, header, has_header, fault, message):
+    # four blocks of rows and blank lines, the fault in the second block
+    body = [row[:-1] for row in _plain_rows(4 * _B)]
+    for at in (3, _B + 1, 2 * _B - 3, 3 * _B):
+        body.insert(at, "")
+    if fault is not None:
+        body[_B + 40] = fault
+    rows = ([header] if header else []) + body
+    ends = _ENDINGS[ending]
+    lines = [row.replace(",", delimiter) + ends[i % len(ends)] for i, row in enumerate(rows)]
+    path = tmp_path / "data.csv"
+    path.write_bytes("".join(lines).encode())
+    # a list element is one line; in text, a "\r" line and a blank "\n" one
+    # after it are one "\r\n" line break
+    before = lines[:rows.index(fault)] if fault is not None else []
+    text_line = len(re.findall(r"\r\n|\r|\n", "".join(before))) + 1
+    sources = [
+        (lambda: list(lines), len(before) + 1),
+        (lambda: io.StringIO("".join(lines), newline=""), text_line),
+        (lambda: open(path, encoding="utf-8-sig", newline=""), text_line),
+    ]
+    for make_source, line in sources:
+        got = _outcome(read_csv, make_source, has_header=has_header, delimiter=delimiter)
+        assert got == _outcome(read_csv_oracle, make_source,
+                               has_header=has_header, delimiter=delimiter)
+        if fault is None:
+            assert got[:2] == (tuple(header.split(",")) if header else ("col0", "col1"),
+                               (4 * _B, 2))
+        else:
+            assert got[1] == message.format(line)
+
+
+@pytest.mark.parametrize("block, values", [
+    (["1,2\r\n", "3,4\r\n"], [[1, 2], [3, 4]]),
+    (["1,2\r", "3,4\r"], [[1, 2], [3, 4]]),
+    (["1,2\n", "\r\n", "3,4\r", "\r", "5,6"], [[1, 2], [3, 4], [5, 6]]),
+    (["\r\n", "\r", "\n"], []),
+    # the csv module reads these alike, numpy rejects them: the strict loop parses
+    (["1,2\r\r\n"], None),
+    (["1,2\r\n\r\n"], None),
+    # the csv module rejects these too
+    (["1\r,2\n"], None),
+    (["1,2\r3,4\n"], None),
+])
+def test_crlf_and_cr_blocks_take_the_fast_path(block, values):
+    got = _plain_values(block, 2, ",")
+    if values is None:
+        assert got is None
+    else:
+        assert got.reshape(-1, 2).tolist() == values
 
 
 def test_a_block_of_another_width_is_ragged_at_its_first_line():
