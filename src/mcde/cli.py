@@ -21,15 +21,8 @@ from .benchmark import (
     score_distribution,
 )
 from .contrast import contrast
-from .dataset import (
-    DataError,
-    _looks_numeric,
-    csv_rows,
-    load_csv,
-    read_csv,
-    select_subspace,
-    write_csv,
-)
+from .dataset import (DataError, _looks_numeric, csv_rows, load_csv, read_csv,
+                      select_subspace, write_csv)
 from .generators import DEPENDENCY_KINDS, DependencySpec, generate
 from .stream import RowError, StreamFormatError, WindowConfig, monitor
 
