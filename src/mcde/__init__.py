@@ -52,7 +52,6 @@ from .generators import (
     generate,
     noise_grid,
 )
-from .mwp import TestOutcome, half_normal_cdf, mwp_test
 from .ranking import DimensionIndex, RankIndex, construct_index
 from .slicing import slice_size
 from .stream import (
@@ -89,9 +88,6 @@ __all__ = [
     "discretise",
     "generate",
     "noise_grid",
-    "TestOutcome",
-    "half_normal_cdf",
-    "mwp_test",
     "DimensionIndex",
     "RankIndex",
     "construct_index",

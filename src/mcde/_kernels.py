@@ -9,8 +9,9 @@ ranks in one 2-D pass; those are already the window-local ranks, shifted by
 the window start, everywhere except in the at most two tie runs the window
 boundary cuts, which get an O(1) fix per iteration.  The tie correction
 comes from the stored runs that overlap the window, clipped to it.  Rank
-sums are multiples of 0.5 far below 2**52 and tie corrections are exact
-integers, so the results do not depend on summation order.
+sums are multiples of 0.5 far below 2**52, and each tie correction is summed
+as an exact integer and rounded once to float64, so the results do not
+depend on summation order.
 """
 
 from __future__ import annotations
@@ -66,14 +67,14 @@ def window_rows(member, ranks, starts, width, *, run_starts, run_lengths):
     contributes its window-local 0-based average rank to the members inside
     it; the at most two runs cut by a window boundary are ranked among
     window rows only.  Returns ``(rank_sums, member_counts,
-    tie_corrections)``: two arrays and a list of exact integer sums of
-    ``g**3 - g`` over window-local group sizes, at any window width.
+    tie_corrections)``, the last the sums of ``g**3 - g`` over window-local
+    group sizes, each exact at any window width and then rounded to float64.
     """
     n1 = np.count_nonzero(member, axis=1)
     # global ranks shifted by the start are the local ranks of every
     # position outside a cut run; einsum keeps the sums off BLAS
     r1 = np.einsum("ij,ij->i", member, ranks) - n1 * starts
-    corr = [0] * len(starts)
+    corr = np.zeros(len(starts))
     if run_starts.size:  # per window, only for a column with tie runs
         for i, start in enumerate(starts.tolist()):
             r1[i], corr[i] = _clip_runs(member[i], r1[i], start, start + width,
@@ -83,7 +84,7 @@ def window_rows(member, ranks, starts, width, *, run_starts, run_lengths):
 
 def _clip_runs(w_member, r1, start, end, run_starts, run_lengths):
     """Rank sum ``r1`` with the cut runs of the window [start, end) re-ranked,
-    and the window's tie correction."""
+    and the window's exact tie correction rounded once to float."""
     # runs [first, last) overlap the window: the last run starting at or
     # before start, if it reaches into the window, through the last one
     # starting before end
@@ -92,7 +93,7 @@ def _clip_runs(w_member, r1, start, end, run_starts, run_lengths):
         first -= 1
     last = int(np.searchsorted(run_starts, end, "left"))
     if first == last:
-        return r1, 0
+        return r1, 0.0
     counts = run_lengths[first:last].copy()
     for i in {first, last - 1}:
         s = int(run_starts[i])
@@ -104,21 +105,7 @@ def _clip_runs(w_member, r1, start, end, run_starts, run_lengths):
             counts[i - first] = b - a
             cut_members = int(np.count_nonzero(w_member[a - start:b - start]))
             r1 += cut_members * ((a + b) - (s + e)) / 2.0
-    return r1, _tie_correction(counts, end - start)
-
-
-def window_stats(member, order, adjusted_ranks, start, end, *, run_starts, run_lengths):
-    """:func:`window_rows` of the one window [start, end) of a column sorted
-    by ``order``, where ``member`` is indexed by row.
-
-    Returns ``(rank_sum, member_count, tie_correction)``.
-    """
-    r1, n1, corr = window_rows(
-        member[order[start:end]][None], adjusted_ranks[None, start:end],
-        np.array([start]), end - start,
-        run_starts=run_starts, run_lengths=run_lengths,
-    )
-    return float(r1[0]), int(n1[0]), corr[0]
+    return r1, float(_tie_correction(counts, end - start))
 
 
 def backend_name() -> str:

@@ -123,7 +123,7 @@ def _estimate(index: RankIndex, alpha: float, seed: int, draws: np.ndarray,
 
     r1 = np.empty(m)
     n1 = np.empty(m, dtype=np.int64)
-    corr = [0] * m
+    corr = np.empty(m)
     chunk = max(1, _CHUNK_CELLS // width)
     for ref, dim in enumerate(index.dims):
         batch = np.flatnonzero(refs == ref)
@@ -141,15 +141,13 @@ def _estimate(index: RankIndex, alpha: float, seed: int, draws: np.ndarray,
             its = batch[k:k + chunk]
             lo = restrictions[its]
             member = slice_windows(windows, starts[its][:, others], size, lo)
-            r1[its], n1[its], batch_corr = _kernels.window_rows(
+            r1[its], n1[its], corr[its] = _kernels.window_rows(
                 member, ranks[lo], lo, width,
                 run_starts=dim.run_starts, run_lengths=dim.run_lengths)
-            for i, c in zip(its.tolist(), batch_corr):
-                corr[i] = c
         # free them before the next reference allocates its own
         del positions, windows
 
-    values, tied, empty_full = confidences(r1, n1, corr, np.full(m, width))
+    values, tied, empty_full = confidences(r1, n1, corr, width)
     return ContrastEstimate(
         score=float(values.mean()),
         m_iterations=m,

@@ -17,7 +17,6 @@ across threads.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 from array import array
@@ -346,9 +345,3 @@ def write_csv(ds: Dataset, fh, delimiter: str = ",", header: bool = True) -> Non
 def save_csv(ds: Dataset, path: str, delimiter: str = ",", header: bool = True) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         write_csv(ds, fh, delimiter=delimiter, header=header)
-
-
-def csv_string(ds: Dataset, delimiter: str = ",", header: bool = True) -> str:
-    buf = io.StringIO()
-    write_csv(ds, buf, delimiter=delimiter, header=header)
-    return buf.getvalue()

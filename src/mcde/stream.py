@@ -67,6 +67,9 @@ class WindowConfig:
             raise ValueError(f"need at least 2 monitored columns, got {self.dims}")
         if len(set(self.dims)) != len(self.dims):
             raise ValueError(f"duplicate monitored columns in {self.dims}")
+        for j in self.dims:
+            if j < 0:
+                raise ValueError(f"column index {j} out of range")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         object.__setattr__(self, "alpha", check_alpha(self.alpha))

