@@ -9,6 +9,46 @@ from conftest import random_tied_column
 from oracles import mann_whitney_pc_oracle, mwp_test
 
 
+def _half_normal(z):
+    """``confidences`` of one window of 8 rows, 2 of them in the slice and
+    none tied, whose rank sum puts U1 ``z`` sigmas from its mean: mu = 6 and
+    sigma = sqrt(2 * 6 / 12 * 9) = 3, so each test value is the half-normal
+    CDF at |z|."""
+    r1 = np.array([1.0 + 6.0 + 3.0 * z])
+    p_c, tied, empty_full = confidences(r1, np.array([2]), np.zeros(1), 8)
+    assert not (tied[0] or empty_full[0])
+    return float(p_c[0])
+
+
+def test_half_normal_cdf_at_zero():
+    assert _half_normal(0.0) == 0.0
+
+
+def test_half_normal_cdf_one_sigma():
+    assert _half_normal(1.0) == pytest.approx(0.6826894921370859, abs=1e-12)
+
+
+def test_half_normal_cdf_95th():
+    assert _half_normal(1.959964) == pytest.approx(0.95, abs=1e-5)
+
+
+def test_half_normal_cdf_monotone_to_one():
+    # 200 of 400 rows in the slice, U1 from its mean up to n1 * n2, which
+    # lies sqrt(3 * n1 * n2 / (n' + 1)) > 17 sigmas out
+    n1, w = 200, 400
+    u1 = np.linspace(n1 * (w - n1) / 2.0, n1 * (w - n1), 101)
+    p_c, _, _ = confidences(u1 + n1 * (n1 - 1) / 2.0, np.full(101, n1), np.zeros(101), w)
+    assert p_c[0] == 0.0
+    assert all(b >= a for a, b in zip(p_c, p_c[1:]))
+    assert p_c[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_half_normal_cdf_folds_negative_deviation():
+    # the test is two-sided: U1 below its mean scores as far above it
+    for z in (0.5, 1.0, 1.959964, 2.5):
+        assert _half_normal(-z) == _half_normal(z)
+
+
 class _FixedStart:
     """rng stub that pins the restriction start."""
 
