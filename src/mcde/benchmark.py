@@ -124,6 +124,8 @@ def nearest_rank_percentile(scores: Sequence[float], gamma: float) -> float:
     if not 0.0 < gamma < 100.0:
         raise ValueError(f"gamma must be in (0, 100), got {gamma}")
     ordered = np.sort(np.asarray(scores, dtype=np.float64))
+    if not ordered.size:
+        raise ValueError("no scores to take a percentile of")
     rank = int(np.ceil(gamma / 100.0 * ordered.size))
     return float(ordered[min(max(rank, 1), ordered.size) - 1])
 

@@ -61,6 +61,12 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
+def _one_char(text: str) -> str:
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"expected one character, got {text!r}")
+    return text
+
+
 def _header_mode(text: str) -> bool | None:
     try:
         return {"auto": None, "yes": True, "no": False}[text]
@@ -284,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--header", type=_header_mode, default=None,
                      metavar="{auto,yes,no}",
                      help="whether the first row is a header (default: auto)")
-    est.add_argument("--delimiter", default=",")
+    est.add_argument("--delimiter", type=_one_char, default=",")
     est.add_argument("--full-precision", action="store_true",
                      help="print the exact score instead of 6 significant digits")
     est.set_defaults(func=_cmd_estimate)
@@ -295,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--d", type=int, default=3)
     gen.add_argument("--noise", type=float, default=0.0)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--delimiter", default=",")
+    gen.add_argument("--delimiter", type=_one_char, default=",")
     gen.set_defaults(func=_cmd_generate)
 
     bench = sub.add_parser("benchmark", help="emit benchmark tables as CSV")
@@ -319,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     mon.add_argument("--alpha", type=float, default=0.5)
     mon.add_argument("--seed", type=int, default=0)
     mon.add_argument("--input", default="-", help="CSV path, or '-' for stdin (default)")
-    mon.add_argument("--delimiter", default=",")
+    mon.add_argument("--delimiter", type=_one_char, default=",")
     mon.add_argument("--lenient", action="store_true",
                      help="skip malformed rows instead of aborting")
     mon.add_argument("--flag-drift", action="store_true",
@@ -349,14 +355,14 @@ def run(argv: list[str] | None = None) -> int:
     except (DataError, StreamFormatError) as exc:
         print(f"mcde: error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"mcde: error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"mcde: error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         return 0
+    except OSError as exc:  # a path that cannot be read, such as a directory
+        print(f"mcde: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

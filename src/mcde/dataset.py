@@ -4,12 +4,13 @@ CSV text is parsed into one flat buffer of floats, so no per-row object
 outlives its row.  Once the first data row has fixed the width, the lines
 are read in blocks of ``_BLOCK_LINES``.  A plain block (digits, ``eE+-.``,
 the delimiter and one line break at the end of each line) is parsed by
-numpy in one call.  Every other block, and all input after it, goes through
-the strict loop, which parses a row as the csv module yields it and is the
-only path that raises: numpy and ``float`` read plain cells alike, so a
-block numpy rejects is replayed through the strict loop, which reports the
-error at its line.  Values are held column-major (Fortran order) because
-every downstream pass walks single columns.  Datasets are immutable after
+numpy in one call.  Only the blocks numpy rejects go through the strict
+loop, which parses a row as the csv module yields it and hands the lines
+after the block's last row back to numpy.  The strict loop is the only path
+that raises: numpy and ``float`` read plain cells alike, so a block numpy
+rejects is replayed through the strict loop, which reports the error at its
+line.  Values are held column-major (Fortran order) because every
+downstream pass walks single columns.  Datasets are immutable after
 construction; the backing array is marked read-only so they can be shared
 across threads.
 """
@@ -223,34 +224,10 @@ def _plain_values(block: list[str], width: int, delimiter: str) -> np.ndarray | 
     return values
 
 
-def _then_raise(lines: list[str], exc: Exception) -> Iterator[str]:
-    yield from lines
+def _raising(exc: Exception) -> Iterator[str]:
+    """No lines: the first ``next`` raises ``exc``, as the source did."""
     raise exc
-
-
-def _read_plain_blocks(
-    lines: Iterator[str], width: int, delimiter: str, cells: array
-) -> tuple[int, Iterable[str]]:
-    """Append the values of the plain blocks at the head of ``lines`` to ``cells``.
-
-    Returns the number of lines those blocks hold, and the lines the strict
-    loop parses before the rest of ``lines``: the first block that is not
-    plain or, if the source raised, the lines read before that, followed by
-    the exception.
-    """
-    taken = 0
-    while True:
-        block: list[str] = []
-        try:
-            # extend keeps the lines it took before the source raised
-            block.extend(islice(lines, _BLOCK_LINES))
-        except Exception as exc:  # raised again after the lines read before it
-            return taken, _then_raise(block, exc)
-        values = _plain_values(block, width, delimiter) if block else None
-        if values is None:
-            return taken, block
-        cells.frombytes(values.tobytes())
-        taken += len(block)
+    yield
 
 
 def read_csv(
@@ -264,22 +241,23 @@ def read_csv(
     when any of its cells is non-numeric.  After the first data row, numpy
     parses blocks of plain lines: numbers in ``[0-9eE+-.]`` and the
     delimiter, each line a source element that ends in its only line break.
-    Everything else, from the first other block to the end, goes through
-    the strict loop over the csv module's rows, and so does every error.
+    Only the other blocks go through the strict loop over the csv module's
+    rows, up to the end of the row that ends each, and so does every error.
     Errors carry 1-based file line numbers and column numbers; input the csv
     module or the text decoder rejects raises :class:`ParseError` too.
     """
     lines = iter(source)
-    reader = csv.reader(lines, delimiter=delimiter)
     # a delimiter that can occur inside a plain cell, or a line break, takes no fast path
     fast = delimiter not in _PLAIN + "\r\n"
     names: list[str] | None = None
     width = 0
     cells = array("d")
+    block: list[str] = []  # lines numpy rejected, which the strict loop parses first
     base = 0  # lines read before the reader's first
     last_line = 0
     try:
         while True:
+            reader = csv.reader(chain(block, lines), delimiter=delimiter)
             for row in reader:
                 # a row starts on the line after the previous one ended, which
                 # counts blank lines and quoted multi-line cells
@@ -299,16 +277,27 @@ def read_csv(
                     )
                 for j, cell in enumerate(row, 1):
                     cells.append(_parse_cell(cell.strip(), line_no, j))
-                if fast:
+                # back to numpy at the first row end past the rejected block,
+                # which a quoted cell may cross
+                if fast and reader.line_num >= len(block):
                     break
             else:
                 break
-            # the first data row fixed the width: numpy parses the plain
-            # blocks after it, the strict loop all input from the first other one
-            fast = False
-            taken, replay = _read_plain_blocks(lines, width, delimiter, cells)
-            base = last_line = last_line + taken
-            reader = csv.reader(chain(replay, lines), delimiter=delimiter)
+            # numpy parses the plain blocks that follow, up to the next other one
+            base = last_line
+            while True:
+                block = []
+                try:
+                    # extend keeps the lines it took before the source raised
+                    block.extend(islice(lines, _BLOCK_LINES))
+                except Exception as exc:  # raised again after the lines read before it
+                    lines = _raising(exc)
+                    break
+                values = _plain_values(block, width, delimiter) if block else None
+                if values is None:
+                    break
+                cells.frombytes(values.tobytes())
+                base = last_line = base + len(block)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise _input_error(exc, last_line + 1, base + reader.line_num) from None
     if not width:

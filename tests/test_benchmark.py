@@ -30,6 +30,11 @@ def test_percentile_validates_gamma():
             nearest_rank_percentile([0.1], gamma)
 
 
+def test_percentile_rejects_an_empty_sample():
+    with pytest.raises(ValueError, match="^no scores to take a percentile of$"):
+        nearest_rank_percentile([], 95)
+
+
 def test_power_counts_strict_exceedances():
     spec = DependencySpec("independent", 120, 2, 0.0)
     below = mcde.power(spec, reps=10, m=8, seed=3, threshold=-1.0)

@@ -56,6 +56,29 @@ def test_missing_file_is_data_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--m", "5", "--input"],
+    ["monitor", "--width", "10", "--dims", "0,1", "--input"],
+    ["benchmark", "power", "--reps", "2", "--config"],
+])
+def test_unreadable_path_is_data_error(capsys, tmp_path, argv):
+    code, out, err = _run(capsys, argv + [str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert f"mcde: error: [Errno 21] Is a directory: {str(tmp_path)!r}\n" in err
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_zero(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    assert run(["generate", "--kind", "linear", "--n", "10"]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
 def test_parse_error_reports_location(capsys, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n0.1,oops\n")
@@ -146,6 +169,19 @@ def test_threads_flag_is_usage_error(capsys, argv):
     assert code == 1
     assert out == ""
     assert "unrecognized arguments: --threads 2" in err
+
+
+@pytest.mark.parametrize("delimiter", [";;", ""])
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--input", "data.csv"],
+    ["generate", "--kind", "linear"],
+    ["monitor", "--width", "10", "--dims", "0,1"],
+])
+def test_delimiter_of_other_than_one_character_is_usage_error(capsys, argv, delimiter):
+    code, out, err = _run(capsys, argv + [f"--delimiter={delimiter}"])
+    assert code == 1
+    assert out == ""
+    assert f"error: argument --delimiter: expected one character, got {delimiter!r}" in err
 
 
 def test_estimate_ignores_mcde_threads(capsys, tmp_path, monkeypatch):

@@ -16,6 +16,7 @@ from mcde import (
     save_csv,
     select_subspace,
 )
+from mcde import dataset as dataset_module
 from mcde.dataset import _BLOCK_LINES as _B
 from mcde.dataset import _plain_values, write_csv
 from oracles import csv_string, read_csv_oracle
@@ -79,18 +80,32 @@ def _after_first_data_row(text, added):
     return "".join(lines[:end] + added + lines[end:])
 
 
+def _raising_after(lines):
+    yield from lines
+    raise RuntimeError("the source failed")
+
+
+@pytest.mark.parametrize("odd", [False, True])
 @pytest.mark.parametrize("text, error, where", _ROW_ERRORS)
-def test_errors_name_file_lines_past_a_plain_block(text, error, where):
+def test_errors_name_file_lines_past_a_plain_block(text, error, where, odd):
     # one and a half blocks of plain rows (blank lines where the case has no
-    # data row), so the fault sits in the second block, which is otherwise plain
+    # data row), so the fault sits in the second block, which is otherwise
+    # plain; a quoted first row makes numpy reject the first block and
+    # resume at the second
     shift = _B + _B // 2
     filler = ["0.5,-2.5e-3\n"] if "no data rows" not in where else ["\n"]
-    shifted = _after_first_data_row(text, filler * shift)
+    added = filler * shift
+    if odd:
+        added[0] = added[0].replace("0.5", '"0.5"')
+    shifted = _after_first_data_row(text, added)
     where = re.sub(r"line (\d+)", lambda m: f"line {int(m.group(1)) + shift}", where)
-    with pytest.raises(error, match=where):
-        read_csv(io.StringIO(shifted))
-    with pytest.raises(error, match=where):
-        read_csv_oracle(io.StringIO(shifted))
+    for read in (read_csv, read_csv_oracle):
+        with pytest.raises(error, match=where):
+            read(io.StringIO(shifted))
+        if "no data rows" not in where:
+            # a source that fails after the fault's block: the fault comes first
+            with pytest.raises(error, match=where):
+                read(_raising_after(shifted.splitlines(keepends=True)))
 
 
 def _plain_rows(count):
@@ -102,8 +117,10 @@ def _plain_rows(count):
     (2, None), (1 + _B, None), (2 + _B, None), (1 + 2 * _B, None), (3 * _B, None),
     # a CRLF line before the fault's is plain too
     (_B // 2 + 2, "crlf"), (2 + 2 * _B, "crlf"),
-    # a line before the fault's is not plain: the strict loop reads on from there
-    (_B // 2 + 2, "padded"), (2 + 2 * _B, "padded"), (3 * _B, "quoted"),
+    # a line before the fault's is not plain: numpy resumes at the next block,
+    # which may be the fault's
+    (_B // 2 + 2, "padded"), (2 + _B, "quoted"), (1 + 2 * _B, "padded"),
+    (2 + 2 * _B, "padded"), (3 * _B, "quoted"),
 ])
 @pytest.mark.parametrize("fault, error, message", [
     ("7,1e400", ValidationError, "non-finite value '1e400' at line {}, column 2"),
@@ -193,6 +210,37 @@ def _outcome(read, make_source, **kwargs):
             source.close()
     assert ds.values.flags.f_contiguous and not ds.values.flags.writeable
     return ds.column_names, ds.values.shape, ds.values.dtype, ds.values.tobytes()
+
+
+# blocks 0 and 2 of five hold lines numpy rejects: at the end of block 0,
+# inside block 2
+@pytest.mark.parametrize("odd, calls", [
+    (['"3",4\n'], [_B, _B, _B, _B, _B]),
+    (['"3",4\r\n'], [_B, _B, _B, _B, _B]),
+    (["7, 2.5 \n"], [_B, _B, _B, _B, _B]),
+    # a quoted cell from the last line of block 0 into block 1: numpy
+    # resumes on the line after it
+    (['"1.5\n', '",2\n'], [_B, _B, _B, _B, _B - 1]),
+])
+def test_numpy_resumes_after_a_block_it_rejects(monkeypatch, odd, calls):
+    lines = ["1,2\n"] + _plain_rows(5 * _B)
+    for at in (_B, 1 + 2 * _B + _B // 2):
+        lines[at:at + len(odd)] = odd
+    seen = []
+
+    def spy(block, width, delimiter):
+        values = _plain_values(block, width, delimiter)
+        seen.append((len(block), values is not None))
+        return values
+
+    monkeypatch.setattr(dataset_module, "_plain_values", spy)
+    for make_source in (lambda: list(lines), lambda: io.StringIO("".join(lines), newline="")):
+        seen.clear()
+        assert _outcome(read_csv, make_source) == _outcome(read_csv_oracle, make_source)
+        assert seen == list(zip(calls, [False, True, False, True, True]))
+    # a source that fails inside the last block, after a data row
+    assert _outcome(read_csv, lambda: _raising_after(lines[:-7])) == (
+        RuntimeError, "the source failed")
 
 
 _ENDINGS = {"crlf": ("\r\n",), "cr": ("\r",), "mixed": ("\n", "\r\n", "\r")}
