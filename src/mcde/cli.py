@@ -352,17 +352,15 @@ def run(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (DataError, StreamFormatError) as exc:
+    except BrokenPipeError:
+        return 0
+    # an OSError is a path that cannot be read, such as a directory
+    except (DataError, StreamFormatError, OSError) as exc:
         print(f"mcde: error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"mcde: error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        return 0
-    except OSError as exc:  # a path that cannot be read, such as a directory
-        print(f"mcde: error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

@@ -4,15 +4,14 @@ CSV text is parsed into one flat buffer of floats, so no per-row object
 outlives its row.  Once the first data row has fixed the width, the lines
 are read in blocks of ``_BLOCK_LINES``.  A plain block (digits, ``eE+-.``,
 the delimiter and one line break at the end of each line) is parsed by
-numpy in one call.  Only the blocks numpy rejects go through the strict
-loop, which parses a row as the csv module yields it and hands the lines
-after the block's last row back to numpy.  The strict loop is the only path
-that raises: numpy and ``float`` read plain cells alike, so a block numpy
-rejects is replayed through the strict loop, which reports the error at its
-line.  Values are held column-major (Fortran order) because every
-downstream pass walks single columns.  Datasets are immutable after
-construction; the backing array is marked read-only so they can be shared
-across threads.
+numpy in one call.  Only the other blocks go through the strict loop, which
+parses a row as the csv module yields it and is the only path that raises:
+numpy and ``float`` read plain cells alike, so a block numpy rejects is
+replayed through the strict loop, which reports the error at its line, and
+numpy resumes at the first row end past that block.  Values are held
+column-major (Fortran order) because every downstream pass walks single
+columns.  Datasets are immutable after construction; the backing array is
+marked read-only so they can be shared across threads.
 """
 
 from __future__ import annotations
@@ -225,7 +224,7 @@ def _plain_values(block: list[str], width: int, delimiter: str) -> np.ndarray | 
 
 
 def _raising(exc: Exception) -> Iterator[str]:
-    """No lines: the first ``next`` raises ``exc``, as the source did."""
+    """A generator whose first ``next`` raises ``exc``, as the source did."""
     raise exc
     yield
 
@@ -242,7 +241,7 @@ def read_csv(
     parses blocks of plain lines: numbers in ``[0-9eE+-.]`` and the
     delimiter, each line a source element that ends in its only line break.
     Only the other blocks go through the strict loop over the csv module's
-    rows, up to the end of the row that ends each, and so does every error.
+    rows, each up to the first row end past it, and so does every error.
     Errors carry 1-based file line numbers and column numbers; input the csv
     module or the text decoder rejects raises :class:`ParseError` too.
     """
@@ -277,8 +276,8 @@ def read_csv(
                     )
                 for j, cell in enumerate(row, 1):
                     cells.append(_parse_cell(cell.strip(), line_no, j))
-                # back to numpy at the first row end past the rejected block,
-                # which a quoted cell may cross
+                # numpy takes over at the first row end past ``block``, which a
+                # quoted cell may cross; ``block`` is empty at the first data row
                 if fast and reader.line_num >= len(block):
                     break
             else:
