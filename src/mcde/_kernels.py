@@ -3,9 +3,12 @@
 The two inner loops that dominate runtime: one pass per column that
 averages the ranks of tied values and records the column's tie runs, and
 the window statistics of the Mann-Whitney test over a batch of iterations.
+The rank pass returns as soon as it finds no two equal neighbours: a
+tie-free column's rank is its sorted position, so it stores no ranks.
 The window statistics take each iteration's slice membership over its
-window, one row per iteration, and sum it against the global tie-averaged
-ranks in one 2-D pass; those are already the window-local ranks, shifted by
+window, one row per iteration, and sum it in one 2-D pass, against the
+window-local positions for a tie-free column, else against the global
+tie-averaged ranks.  Those are already the window-local ranks, shifted by
 the window start, everywhere except in the at most two tie runs the window
 boundary cuts, which get an O(1) fix per iteration.  The tie correction
 comes from the stored runs that overlap the window, clipped to it.  Rank
@@ -43,13 +46,16 @@ def rank_scan(values: np.ndarray, order: np.ndarray):
     ``order`` must sort ``values`` ascending.  Returns ``(adjusted_ranks,
     run_starts, run_lengths)``: the 0-based average rank at each sorted
     position, and the first position and length of every tie run of two or
-    more positions, ascending (both empty for a tie-free column).
+    more positions, ascending.  A tie-free column returns ``None`` for its
+    ranks, which equal its positions, and two empty run arrays.
     """
     keys = values[order]
     n = keys.shape[0]
     first = np.empty(n, dtype=np.bool_)
     first[0] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    if first.all():
+        return None, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     starts = np.flatnonzero(first)
     counts = np.diff(starts, append=n)
     extra = counts - 1
@@ -62,18 +68,24 @@ def window_rows(member, ranks, starts, width, *, run_starts, run_lengths):
     """Rank each restriction window locally and sum its member ranks.
 
     Row i of ``member`` is the slice membership at the ``width`` sorted
-    positions from ``starts[i]`` on, inside the column, and row i of
-    ``ranks`` the column's :func:`rank_scan` ranks there.  Each tie group
-    contributes its window-local 0-based average rank to the members inside
-    it; the at most two runs cut by a window boundary are ranked among
-    window rows only.  Returns ``(rank_sums, member_counts,
+    positions from ``starts[i]`` on, inside the column.  For a column with
+    ties, row i of the 2-D ``ranks`` holds its :func:`rank_scan` ranks
+    there.  A tie-free column passes the 1-D float64 ``arange(width)`` of
+    window-local positions, which are the local ranks of every window.  Each
+    tie group contributes its window-local 0-based average rank to the
+    members inside it; the at most two runs cut by a window boundary are
+    ranked among window rows only.  Returns ``(rank_sums, member_counts,
     tie_corrections)``, the last the sums of ``g**3 - g`` over window-local
     group sizes, each exact at any window width and then rounded to float64.
     """
     n1 = np.count_nonzero(member, axis=1)
-    # global ranks shifted by the start are the local ranks of every
-    # position outside a cut run; einsum keeps the sums off BLAS
-    r1 = np.einsum("ij,ij->i", member, ranks) - n1 * starts
+    # einsum keeps the sums off BLAS
+    if ranks.ndim == 1:
+        r1 = np.einsum("ij,j->i", member, ranks)
+    else:
+        # global ranks shifted by the start are the local ranks of every
+        # position outside a cut run
+        r1 = np.einsum("ij,ij->i", member, ranks) - n1 * starts
     corr = np.zeros(len(starts))
     if run_starts.size:  # per window, only for a column with tie runs
         for i, start in enumerate(starts.tolist()):

@@ -21,8 +21,8 @@ from .benchmark import (
     score_distribution,
 )
 from .contrast import contrast
-from .dataset import (DataError, _looks_numeric, csv_rows, load_csv, read_csv,
-                      select_subspace, write_csv)
+from .dataset import (DataError, _decode_error_line, _looks_numeric, csv_rows, load_csv,
+                      read_csv, select_subspace, write_csv)
 from .generators import DEPENDENCY_KINDS, DependencySpec, generate
 from .stream import RowError, StreamFormatError, WindowConfig, monitor
 
@@ -134,21 +134,29 @@ _LIST_PARSERS = {
 def _read_config(path: str, defaults: dict) -> dict:
     """Flat key=value file; '#' starts a comment, keys match the flag names."""
     out: dict = {}
+    line_no = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{line_no}: expected key=value, got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in defaults:
-                raise DataError(f"{path}:{line_no}: unknown key {key!r}")
-            try:
-                out[key] = _flag_type(key, defaults[key])(value)
-            except ValueError as exc:
-                raise DataError(f"{path}:{line_no}: invalid value for {key}: {exc}") from None
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise DataError(
+                        f"{path}:{line_no}: expected key=value, got {raw.strip()!r}")
+                key, value = (part.strip() for part in line.split("=", 1))
+                key = key.replace("-", "_")
+                if key not in defaults:
+                    raise DataError(f"{path}:{line_no}: unknown key {key!r}")
+                try:
+                    out[key] = _flag_type(key, defaults[key])(value)
+                except ValueError as exc:
+                    raise DataError(
+                        f"{path}:{line_no}: invalid value for {key}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start:exc.start + 1]
+            raise DataError(f"{path}:{_decode_error_line(exc, line_no)}: cannot decode "
+                            f"byte {bad!r} as {exc.encoding}") from None
     return out
 
 

@@ -28,14 +28,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from ._rng import check_seed, iteration_integers
 from .dataset import Dataset
 from .mwp import confidences, restriction_bounds
 from .ranking import RankIndex, construct_index
-from .slicing import check_alpha, slice_size, slice_windows
+from .slicing import check_alpha, slice_size, slice_windows, window_view
 
 # window positions (iterations x restriction width) scored per batch
 _CHUNK_CELLS = 2**16
@@ -124,6 +123,8 @@ def _estimate(index: RankIndex, alpha: float, seed: int, draws: np.ndarray,
     r1 = np.empty(m)
     n1 = np.empty(m, dtype=np.int64)
     corr = np.empty(m)
+    # the window-local ranks of a tie-free column, shared by its windows
+    local = np.arange(width, dtype=np.float64)
     chunk = max(1, _CHUNK_CELLS // width)
     for ref, dim in enumerate(index.dims):
         batch = np.flatnonzero(refs == ref)
@@ -135,14 +136,16 @@ def _estimate(index: RankIndex, alpha: float, seed: int, draws: np.ndarray,
         positions = np.empty((d - 1, n), dtype=dtype)
         for c, j in enumerate(others):
             positions[c] = pos[j][dim.row_ids]
-        windows = sliding_window_view(positions, width, axis=1)
-        ranks = sliding_window_view(dim.adjusted_ranks, width)
+        windows = window_view(positions, width)
+        tied = dim.adjusted_ranks is not None
+        if tied:
+            ranks = window_view(dim.adjusted_ranks, width)
         for k in range(0, batch.size, chunk):
             its = batch[k:k + chunk]
             lo = restrictions[its]
             member = slice_windows(windows, starts[its][:, others], size, lo)
             r1[its], n1[its], corr[its] = _kernels.window_rows(
-                member, ranks[lo], lo, width,
+                member, ranks[lo] if tied else local, lo, width,
                 run_starts=dim.run_starts, run_lengths=dim.run_lengths)
         # free them before the next reference allocates its own
         del positions, windows

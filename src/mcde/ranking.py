@@ -6,7 +6,8 @@ it is.  Tie groups are detected by exact value equality (so ``-0.0`` ties
 with ``0.0``); discretised data is expected to produce exact duplicates.
 The test reads each window's ``t**3 - t`` tie correction from these runs,
 clipped to the window, so a column stores one start and one length per tie
-group of two or more rows and nothing for tie-free data.
+group of two or more rows.  A tie-free column's rank is its sorted
+position, so it stores its row ids and nothing else: 8 bytes per row.
 
 Within a tie group the row order is pseudorandom: rows are ordered by a
 tie-break vector drawn from a fixed salt and the column's position, and by
@@ -45,12 +46,13 @@ class DimensionIndex:
     ``row_ids[j]`` is the row holding the j-th smallest value and
     ``adjusted_ranks[j]`` its 0-based rank with ties averaged.  Every tie
     group of two or more rows occupies the sorted positions
-    ``[run_starts[k], run_starts[k] + run_lengths[k])``; a tie-free column
-    stores two empty arrays.
+    ``[run_starts[k], run_starts[k] + run_lengths[k])``.  A tie-free column,
+    whose rank at position j is j, stores ``None`` for its ranks and two
+    empty run arrays.
     """
 
     row_ids: np.ndarray
-    adjusted_ranks: np.ndarray
+    adjusted_ranks: np.ndarray | None
     run_starts: np.ndarray
     run_lengths: np.ndarray
 
@@ -96,7 +98,8 @@ def _build_dimension(column: np.ndarray, position: int) -> DimensionIndex:
             rows = np.sort(order[at])
             order[at] = rows[np.lexsort((tiebreak[rows], column[rows]))]
     for arr in (order, adjusted, run_starts, run_lengths):
-        arr.setflags(write=False)
+        if arr is not None:
+            arr.setflags(write=False)
     return DimensionIndex(order, adjusted, run_starts, run_lengths)
 
 

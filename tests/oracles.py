@@ -71,6 +71,15 @@ def dimension_index_oracle(column, tiebreak):
     return order, np.array(ranks), np.array(starts, dtype=np.int64), np.array(lengths, dtype=np.int64)
 
 
+def ranks_of(dim):
+    """A ``DimensionIndex``'s 0-based tie-averaged ranks by sorted position:
+    the stored ``adjusted_ranks``, or the positions for a tie-free column,
+    which stores none."""
+    if dim.adjusted_ranks is None:
+        return np.arange(dim.n, dtype=np.float64)
+    return dim.adjusted_ranks
+
+
 def tie_corrections_oracle(column):
     """Step function of running t**3 - t sums over sorted tie groups.
 
@@ -168,12 +177,15 @@ def draw_slice(index, ref_dim, alpha, rng):
 
 def window_stats(member, order, adjusted_ranks, start, end, *, run_starts, run_lengths):
     """``window_rows`` of the one window [start, end) of a column sorted by
-    ``order``, where ``member`` is indexed by row.
+    ``order``, where ``member`` is indexed by row; ``adjusted_ranks`` is
+    ``None`` for a tie-free column, as the index stores it.
 
     Returns ``(rank_sum, member_count, tie_correction)``.
     """
+    ranks = (np.arange(end - start, dtype=np.float64) if adjusted_ranks is None
+             else adjusted_ranks[None, start:end])
     r1, n1, corr = window_rows(
-        member[order[start:end]][None], adjusted_ranks[None, start:end],
+        member[order[start:end]][None], ranks,
         np.array([start]), end - start,
         run_starts=run_starts, run_lengths=run_lengths,
     )

@@ -19,6 +19,7 @@ from oracles import (
     ks_distance_to_uniform,
     mann_whitney_pc_oracle,
     mwp_test,
+    ranks_of,
     tie_corrections_oracle,
     window_stats,
 )
@@ -67,7 +68,7 @@ def test_criterion_2_index_matches_quadratic_rank_oracle():
     for column in columns:
         dim = construct_index(Dataset(column.reshape(-1, 1))).dims[0]
         by_row = np.empty(column.size)
-        by_row[dim.row_ids] = dim.adjusted_ranks
+        by_row[dim.row_ids] = ranks_of(dim)
         assert np.array_equal(by_row, average_ranks_oracle_fast(column))
         corr = window_stats(np.ones(column.size, dtype=bool), dim.row_ids,
                             dim.adjusted_ranks, 0, column.size,

@@ -307,6 +307,20 @@ def test_benchmark_config_bad_value_names_file_and_line(capsys, tmp_path, entry)
     assert err.startswith(f"mcde: error: {cfg}:3: invalid value for {key}: ")
 
 
+@pytest.mark.parametrize("content, line", [
+    (b"reps=2\n\xff=1\n", 2),
+    (b"\xff", 1),
+    (b"# padding past the decoder's first chunk\n" * 300 + b"n=120\r\nreps=\xff\n", 302),
+])
+def test_benchmark_config_undecodable_byte_names_file_and_line(capsys, tmp_path, content, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(content)
+    code, out, err = _run(capsys, ["benchmark", "power", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert err == f"mcde: error: {cfg}:{line}: cannot decode byte b'\\xff' as utf-8\n"
+
+
 def test_monitor_stdin_to_stdout(capsys, monkeypatch):
     text = csv_string(
         mcde.generate(mcde.DependencySpec("independent", 30, 2, 0.0, seed=2))

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -112,6 +113,23 @@ def test_row_permutation_invariance_on_tie_free_data(case):
     kwargs = dict(m=30, alpha=alpha, seed=case, record_iterations=True)
     a = contrast(mcde.Dataset(x), **kwargs)
     b = contrast(mcde.Dataset(x[perm]), **kwargs)
+    assert a.per_iteration.tobytes() == b.per_iteration.tobytes()
+
+
+@pytest.mark.parametrize("n, d, alpha", [(40, 2, 0.5), (1000, 3, 0.5), (5000, 4, 0.2)])
+def test_tie_free_columns_score_as_if_they_stored_their_ranks(n, d, alpha):
+    """A tie-free column stores no ranks; giving it the explicit ranks
+    ``arange(n)`` changes no iteration's value."""
+    x = np.random.default_rng(n).random((n, d))
+    x[:, 1] += x[:, 0]
+    index = mcde.construct_index(mcde.Dataset(x))
+    assert all(dim.adjusted_ranks is None for dim in index.dims)
+    ranks = np.arange(n, dtype=np.float64)
+    explicit = mcde.RankIndex(tuple(dataclasses.replace(dim, adjusted_ranks=ranks)
+                                    for dim in index.dims), n)
+    kwargs = dict(m=60, alpha=alpha, seed=n, record_iterations=True)
+    a = contrast(index, **kwargs)
+    b = contrast(explicit, **kwargs)
     assert a.per_iteration.tobytes() == b.per_iteration.tobytes()
 
 

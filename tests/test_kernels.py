@@ -5,8 +5,15 @@ import pytest
 
 import mcde
 from mcde import _kernels
+from mcde.slicing import window_view
 from conftest import random_tied_column
-from oracles import index_order_oracle, local_window_stats_oracle, window_stats
+from oracles import (
+    average_ranks_oracle,
+    dimension_index_oracle,
+    index_order_oracle,
+    local_window_stats_oracle,
+    window_stats,
+)
 
 
 def _sorted_order(rng, column):
@@ -17,6 +24,31 @@ def _window_stats(member, order, column, start, end):
     adj, run_starts, run_lengths = _kernels.rank_scan(column, order)
     return window_stats(member, order, adj, start, end,
                         run_starts=run_starts, run_lengths=run_lengths)
+
+
+def test_rank_scan_of_tie_free_column_returns_no_ranks():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 1000):
+        column = rng.random(n)
+        ranks, run_starts, run_lengths = _kernels.rank_scan(column, np.argsort(column))
+        assert ranks is None
+        for runs in (run_starts, run_lengths):
+            assert runs.shape == (0,) and runs.dtype == np.intp
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_rank_scan_of_tied_column_keeps_ranks_and_runs(case):
+    rng = np.random.default_rng(4000 + case)
+    n = int(rng.integers(2, 300))
+    column = np.floor(rng.random(n) * rng.integers(1, n)) if case else np.zeros(n)
+    tiebreak = rng.random(n)
+    order, ranks, starts, lengths = dimension_index_oracle(column, tiebreak)
+    got = _kernels.rank_scan(column, order)
+    for g, e in zip(got, (ranks, starts, lengths)):
+        assert np.array_equal(g, e)
+    by_row = np.empty(n)
+    by_row[order] = got[0]
+    assert np.array_equal(by_row, average_ranks_oracle(column))
 
 
 def test_backend_name_reports_active():
@@ -109,9 +141,33 @@ def test_window_rows_equal_one_window_at_a_time(case):
     starts = np.sort(rng.integers(0, n - width + 1, size=9))
     member = rng.random(n) < 0.5
     rows = np.array([member[order][s:s + width] for s in starts])
-    ranks = np.array([adj[s:s + width] for s in starts])
+    if adj is None:
+        ranks = np.arange(width, dtype=np.float64)
+    else:
+        ranks = np.array([adj[s:s + width] for s in starts])
     r1, n1, corr = _kernels.window_rows(rows, ranks, starts, width,
                                         run_starts=run_starts, run_lengths=run_lengths)
     for i, s in enumerate(starts.tolist()):
         expected = local_window_stats_oracle(member, order, column, s, s + width)
         assert (r1[i], n1[i], corr[i]) == expected
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 300, 2**21 + 5])
+def test_tie_free_window_rows_equal_explicit_ranks(width):
+    """Window-local positions give the rank sums of the explicit rank windows
+    ``arange(start, start + width)``, bit for bit, also past 2**21 rows."""
+    rng = np.random.default_rng(width)
+    n = width + 40
+    starts = np.array([0, 40]) if width > 2**20 else rng.integers(0, n - width + 1, 9)
+    member = rng.random((starts.size, width)) < 0.5
+    empty = np.empty(0, dtype=np.intp)
+    local = np.arange(width, dtype=np.float64)
+    got = _kernels.window_rows(member, local, starts, width,
+                               run_starts=empty, run_lengths=empty)
+    explicit = window_view(np.arange(n, dtype=np.float64), width)[starts]
+    expected = _kernels.window_rows(member, explicit, starts, width,
+                                    run_starts=empty, run_lengths=empty)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+    exact = [int(np.flatnonzero(row).sum()) for row in member]
+    assert got[0].tolist() == exact

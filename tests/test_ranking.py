@@ -9,6 +9,7 @@ from conftest import random_tied_column
 from oracles import (
     average_ranks_oracle,
     dimension_index_oracle,
+    ranks_of,
     tie_corrections_oracle,
     window_stats,
 )
@@ -32,7 +33,8 @@ def _runs(dim):
 def test_distinct_values_sorted():
     dim = _index_of([0.3, 0.1, 0.2])
     assert list(dim.row_ids) == [1, 2, 0]
-    assert list(dim.adjusted_ranks) == [0.0, 1.0, 2.0]
+    assert dim.adjusted_ranks is None
+    assert list(ranks_of(dim)) == [0.0, 1.0, 2.0]
     assert _runs(dim) == []
     assert _column_correction(dim) == 0
 
@@ -64,7 +66,18 @@ def test_tie_free_column_stores_no_runs():
     dim = _index_of(np.random.default_rng(11).random(1000))
     assert [f.name for f in dataclasses.fields(dim)] == [
         "row_ids", "adjusted_ranks", "run_starts", "run_lengths"]
+    assert dim.adjusted_ranks is None
     assert dim.run_starts.size == 0 and dim.run_lengths.size == 0
+
+
+def test_tie_free_index_holds_8_bytes_per_row():
+    # int64 row ids and nothing else; keeps the index from growing back
+    n = 100_000
+    index = construct_index(Dataset(np.random.default_rng(12).random((n, 2))))
+    for dim in index.dims:
+        arrays = [getattr(dim, f.name) for f in dataclasses.fields(dim)]
+        assert sum(a.nbytes for a in arrays if a is not None) <= 8 * n
+        assert dim.row_ids.dtype == np.int64
 
 
 @pytest.mark.parametrize("omega", [1, 2, 10, 100])
@@ -88,7 +101,7 @@ def test_matches_quadratic_oracle(case):
     column = random_tied_column(rng, n)
     dim = _index_of(column)
     by_row = np.empty(n)
-    by_row[dim.row_ids] = dim.adjusted_ranks
+    by_row[dim.row_ids] = ranks_of(dim)
     assert np.array_equal(by_row, average_ranks_oracle(column))
     assert _column_correction(dim) == tie_corrections_oracle(column)[-1]
 
@@ -100,7 +113,7 @@ def test_index_invariants():
     n = 500
     assert sorted(dim.row_ids) == list(range(n))
     assert np.all(np.diff(column[dim.row_ids]) >= 0)
-    assert dim.adjusted_ranks.sum() == n * (n - 1) / 2
+    assert ranks_of(dim).sum() == n * (n - 1) / 2
 
 
 def test_row_order_does_not_matter():
@@ -110,13 +123,13 @@ def test_row_order_does_not_matter():
     a = _index_of(column)
     b = _index_of(column[perm])
     # position arrays depend only on the sorted multiset
-    assert np.array_equal(a.adjusted_ranks, b.adjusted_ranks)
+    assert np.array_equal(ranks_of(a), ranks_of(b))
     assert _column_correction(a) == _column_correction(b)
     # per-row ranks map through the permutation
     ranks_a = np.empty(300)
-    ranks_a[a.row_ids] = a.adjusted_ranks
+    ranks_a[a.row_ids] = ranks_of(a)
     ranks_b = np.empty(300)
-    ranks_b[b.row_ids] = b.adjusted_ranks
+    ranks_b[b.row_ids] = ranks_of(b)
     assert np.array_equal(ranks_a[perm], ranks_b)
 
 
@@ -179,9 +192,11 @@ def _check_against_oracle(n, draws):
     for j, dim in enumerate(index.dims):
         tiebreak = draws(ranking._TIE_ORDER_SALT, j).random(n)
         expected = dimension_index_oracle(data[:, j], tiebreak)
-        got = (dim.row_ids, dim.adjusted_ranks, dim.run_starts, dim.run_lengths)
+        got = (dim.row_ids, ranks_of(dim), dim.run_starts, dim.run_lengths)
         for g, e in zip(got, expected):
             assert np.array_equal(g, e), j
+        # only a column with tie runs stores its ranks
+        assert (dim.adjusted_ranks is None) == (dim.run_starts.size == 0), j
 
 
 # small and large arrays take different paths through numpy's sorts

@@ -3,7 +3,7 @@ import pytest
 
 from mcde import Dataset, construct_index, slice_size
 from mcde._rng import iteration_rng
-from mcde.slicing import slice_windows
+from mcde.slicing import slice_windows, window_view
 from numpy.lib.stride_tricks import sliding_window_view
 from oracles import draw_slice
 
@@ -127,3 +127,15 @@ def test_slice_windows_keep_the_positions_inside_each_slice():
                             [False, False, True],   # [0, 4, 1] in [1, 3)
                             [False, False, True],   # [4, 1, 2] in [2, 4)
                             [True, False, True]]    # [3, 0, 4] in [3, 5)
+
+
+@pytest.mark.parametrize("shape, width", [((1,), 1), ((9,), 4), ((3, 9), 1), ((3, 9), 9),
+                                          ((2, 100), 37)])
+def test_window_view_equals_sliding_window_view(shape, width):
+    for dtype in (np.int32, np.int64, np.float64):
+        a = np.arange(np.prod(shape), dtype=dtype).reshape(shape)
+        got = window_view(a, width)
+        expected = sliding_window_view(a, width, axis=-1)
+        assert got.shape == expected.shape and got.dtype == a.dtype
+        assert np.array_equal(got, expected)
+        assert not got.flags.writeable
