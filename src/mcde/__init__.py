@@ -20,7 +20,6 @@ from ._kernels import backend_name
 from .benchmark import (
     PowerResult,
     RuntimeResult,
-    ScoreStats,
     independence_threshold,
     nearest_rank_percentile,
     power,
@@ -47,10 +46,8 @@ from .dataset import (
 from .generators import (
     DEPENDENCY_KINDS,
     DependencySpec,
-    DiscretisationLevel,
     discretise,
     generate,
-    noise_grid,
 )
 from .ranking import DimensionIndex, RankIndex, construct_index
 from .slicing import slice_size
@@ -84,17 +81,14 @@ __all__ = [
     "write_csv",
     "DEPENDENCY_KINDS",
     "DependencySpec",
-    "DiscretisationLevel",
     "discretise",
     "generate",
-    "noise_grid",
     "DimensionIndex",
     "RankIndex",
     "construct_index",
     "slice_size",
     "PowerResult",
     "RuntimeResult",
-    "ScoreStats",
     "independence_threshold",
     "nearest_rank_percentile",
     "power",

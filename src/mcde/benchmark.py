@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,28 +32,13 @@ from .slicing import check_alpha
 _NULL_STREAM = 0
 _DEP_STREAM = 1
 
-RESULT_COLUMNS = (
-    "kind",
-    "noise",
-    "omega",
-    "n",
-    "d",
-    "m",
-    "gamma",
-    "reps",
-    "mean",
-    "std",
-    "threshold",
-    "power",
-    "seed",
-)
-
-RUNTIME_COLUMNS = ("n", "d", "m", "reps", "index_s", "contrast_s", "total_s")
-
-
 @dataclass(frozen=True)
 class PowerResult:
-    """One row of the benchmark table: a scored configuration."""
+    """One row of the benchmark table: a scored configuration.
+
+    A score distribution has no null threshold: its ``gamma`` is 0.0 and its
+    ``omega``, ``threshold`` and ``power`` are None.
+    """
 
     kind: str
     noise: float
@@ -68,14 +53,6 @@ class PowerResult:
     threshold: float | None
     power: float | None
     seed: int
-
-
-@dataclass(frozen=True)
-class ScoreStats:
-    mean: float
-    std: float
-    reps: int
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -145,18 +122,39 @@ def independence_threshold(
     return nearest_rank_percentile(scores, gamma)
 
 
+def _row(spec: DependencySpec, scores: np.ndarray, m: int, seed: int, gamma: float = 0.0,
+         threshold: float | None = None, omega: int | None = None) -> PowerResult:
+    """The table row of ``scores``: their mean, their sample standard
+    deviation (0.0 for a single score) and, given a threshold, the power."""
+    reps = scores.size
+    return PowerResult(
+        kind=spec.kind,
+        noise=spec.noise,
+        omega=omega,
+        n=spec.n,
+        d=spec.d,
+        m=m,
+        gamma=gamma,
+        reps=reps,
+        mean=float(scores.mean()),
+        std=float(scores.std(ddof=1)) if reps > 1 else 0.0,
+        threshold=threshold,
+        power=None if threshold is None else float(np.count_nonzero(scores > threshold)) / reps,
+        seed=seed,
+    )
+
+
 def score_distribution(
     spec: DependencySpec,
     reps: int = 500,
     m: int = 50,
     alpha: float = 0.5,
     seed: int = 0,
-) -> ScoreStats:
+) -> PowerResult:
     """Sample mean and standard deviation of the score for ``spec``."""
+    seed = check_seed(seed)
     scores = score_sample(spec, reps, m=m, alpha=alpha, seed=derive_seed(seed, _DEP_STREAM))
-    if reps == 1:
-        return ScoreStats(float(scores[0]), 0.0, 1, degenerate=True)
-    return ScoreStats(float(scores.mean()), float(scores.std(ddof=1)), reps, False)
+    return _row(spec, scores, m, seed)
 
 
 def power(
@@ -183,21 +181,7 @@ def power(
     scores = score_sample(
         spec, reps, m=m, alpha=alpha, seed=derive_seed(seed, _DEP_STREAM), omega=omega
     )
-    return PowerResult(
-        kind=spec.kind,
-        noise=spec.noise,
-        omega=omega,
-        n=spec.n,
-        d=spec.d,
-        m=m,
-        gamma=gamma,
-        reps=reps,
-        mean=float(scores.mean()),
-        std=float(scores.std(ddof=1)) if reps > 1 else 0.0,
-        threshold=threshold,
-        power=float(np.count_nonzero(scores > threshold)) / reps,
-        seed=seed,
-    )
+    return _row(spec, scores, m, seed, gamma=gamma, threshold=threshold, omega=omega)
 
 
 def robustness_sweep(
@@ -248,7 +232,6 @@ def runtime_profile(
     reps: int = 10,
     alpha: float = 0.5,
     seed: int = 0,
-    warmup: int = 2,
 ) -> list[RuntimeResult]:
     """Median wall-clock times per (n, d): index build, contrast with a
     prebuilt index, and contrast including the build."""
@@ -261,7 +244,8 @@ def runtime_profile(
             spec = DependencySpec("independent", int(n), int(d), 0.0,
                                   seed=derive_seed(seed, int(n), int(d)))
             data = generate(spec)
-            for _ in range(warmup):
+            # two untimed estimates first, so that first-call costs stay out
+            for _ in range(2):
                 contrast(construct_index(data), m=m, alpha=alpha, seed=0)
             t_index, t_contrast, t_total = [], [], []
             for r in range(reps):
@@ -297,16 +281,19 @@ def _cell(value) -> str:
     return str(value)
 
 
-def results_csv(rows: Iterable[PowerResult]) -> str:
-    """Long-form CSV in the pinned result schema."""
-    lines = [",".join(RESULT_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_cell(getattr(row, col)) for col in RESULT_COLUMNS))
+def _table(row_type, rows) -> str:
+    """Long-form CSV: a header of ``row_type``'s fields, then one line per row."""
+    columns = [field.name for field in fields(row_type)]
+    lines = [",".join(columns)]
+    lines += (",".join(_cell(getattr(row, col)) for col in columns) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def results_csv(rows: Iterable[PowerResult]) -> str:
+    """The power, distribution and robustness table."""
+    return _table(PowerResult, rows)
 
 
 def runtime_csv(rows: Iterable[RuntimeResult]) -> str:
-    lines = [",".join(RUNTIME_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_cell(getattr(row, col)) for col in RUNTIME_COLUMNS))
-    return "\n".join(lines) + "\n"
+    """The runtime table."""
+    return _table(RuntimeResult, rows)

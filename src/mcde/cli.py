@@ -12,7 +12,6 @@ import sys
 
 from . import __version__
 from .benchmark import (
-    PowerResult,
     power,
     results_csv,
     robustness_sweep,
@@ -195,12 +194,8 @@ def _cmd_benchmark(args) -> int:
         sys.stdout.write(results_csv([row]))
     elif args.bench_command == "distribution":
         spec = DependencySpec(cfg["kind"], cfg["n"], cfg["d"], cfg["noise"], seed=0)
-        stats = score_distribution(spec, reps=cfg["reps"], m=cfg["m"],
-                                   alpha=cfg["alpha"], seed=cfg["seed"])
-        row = PowerResult(kind=cfg["kind"], noise=cfg["noise"], omega=None,
-                          n=cfg["n"], d=cfg["d"], m=cfg["m"], gamma=0.0,
-                          reps=cfg["reps"], mean=stats.mean, std=stats.std,
-                          threshold=None, power=None, seed=cfg["seed"])
+        row = score_distribution(spec, reps=cfg["reps"], m=cfg["m"],
+                                 alpha=cfg["alpha"], seed=cfg["seed"])
         sys.stdout.write(results_csv([row]))
     elif args.bench_command == "robustness":
         rows = robustness_sweep(cfg["omegas"], cfg["noises"], kinds=cfg["kinds"],
@@ -227,7 +222,6 @@ def _cmd_monitor(args) -> int:
         m=args.m,
         alpha=args.alpha,
         seed=args.seed,
-        flag_drift=args.flag_drift,
         drift_threshold=args.drift_threshold,
         drift_patience=args.drift_patience,
     )
@@ -250,7 +244,7 @@ def _cmd_monitor(args) -> int:
                 _diag("skipping header row")
             yield from rows
 
-        print("row_index,score,flag" if cfg.flag_drift else "row_index,score")
+        print("row_index,score,flag" if args.flag_drift else "row_index,score")
         emitted = 0
         consumed = 0
 
@@ -265,7 +259,7 @@ def _cmd_monitor(args) -> int:
                 _diag(f"skipped row {event.row_index}: {event.reason}")
                 continue
             score = _fmt(event.estimate.score, args.full_precision)
-            if cfg.flag_drift:
+            if args.flag_drift:
                 print(f"{event.row_index},{score},{int(event.flag)}")
             else:
                 print(f"{event.row_index},{score}")

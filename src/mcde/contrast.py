@@ -68,12 +68,12 @@ def _check_shape(n: int, d: int) -> None:
 def _draw(seeds, n: int, d: int, m: int, alpha: float) -> np.ndarray:
     """The integers drawn by iterations ``0..m-1`` of an estimate on n rows
     and d columns, for each seed: ``out[s, i]`` holds iteration i's
-    reference dimension, the slice start of each other dimension (none when
-    a slice keeps every row), then its restriction start."""
+    reference dimension, the slice start of each other dimension in
+    ascending order, then its restriction start.  A slice that keeps every
+    row starts at 0, from a bound of 1, which consumes no random word."""
     size = slice_size(n, d, alpha)
     window_starts, _ = restriction_bounds(n, alpha)
-    return iteration_integers(seeds, m, (d, *[n - size] * (d - 1 if size < n else 0),
-                                         window_starts))
+    return iteration_integers(seeds, m, (d, *[max(1, n - size)] * (d - 1), window_starts))
 
 
 def contrast(
@@ -109,10 +109,6 @@ def _estimate(index: RankIndex, alpha: float, seed: int, draws: np.ndarray,
     size = slice_size(n, d, alpha)
     _, width = restriction_bounds(n, alpha)
     refs, restrictions = draws[:, 0], draws[:, -1]
-    # starts[i, j]: iteration i's slice start in dimension j (unused at ref)
-    starts = np.zeros((m, d), dtype=np.int64)
-    if draws.shape[1] > 2:
-        starts[np.arange(d) != refs[:, None]] = draws[:, 1:-1].ravel()
 
     # pos[j, row]: the row's position in dimension j's sorted order
     dtype = np.int32 if n < 2**31 else np.int64
@@ -143,7 +139,7 @@ def _estimate(index: RankIndex, alpha: float, seed: int, draws: np.ndarray,
         for k in range(0, batch.size, chunk):
             its = batch[k:k + chunk]
             lo = restrictions[its]
-            member = slice_windows(windows, starts[its][:, others], size, lo)
+            member = slice_windows(windows, draws[its, 1:-1], size, lo)
             r1[its], n1[its], corr[its] = _kernels.window_rows(
                 member, ranks[lo] if tied else local, lo, width,
                 run_starts=dim.run_starts, run_lengths=dim.run_lengths)

@@ -320,16 +320,16 @@ def load_csv(
         return read_csv(fh, has_header=has_header, delimiter=delimiter)
 
 
-def write_csv(ds: Dataset, fh, delimiter: str = ",", header: bool = True) -> None:
-    """Write a dataset as CSV with shortest round-trip decimal values."""
+def write_csv(ds: Dataset, fh, delimiter: str = ",") -> None:
+    """Write a dataset as CSV, a header of its column names first, with
+    shortest round-trip decimal values."""
     writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-    if header:
-        writer.writerow(ds.column_names)
+    writer.writerow(ds.column_names)
     # the csv module writes a float as its repr
     for lo in range(0, ds.n, _BLOCK_LINES):
         writer.writerows(ds.values[lo:lo + _BLOCK_LINES].tolist())
 
 
-def save_csv(ds: Dataset, path: str, delimiter: str = ",", header: bool = True) -> None:
+def save_csv(ds: Dataset, path: str, delimiter: str = ",") -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_csv(ds, fh, delimiter=delimiter, header=header)
+        write_csv(ds, fh, delimiter=delimiter)

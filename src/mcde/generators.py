@@ -75,17 +75,6 @@ class DependencySpec:
         check_seed(self.seed)
 
 
-@dataclass(frozen=True)
-class DiscretisationLevel:
-    """Number of distinct values each column is rounded to."""
-
-    omega: int
-
-    def __post_init__(self):
-        if self.omega < 1:
-            raise ValueError(f"omega must be >= 1, got {self.omega}")
-
-
 def _noiseless(spec: DependencySpec, rng: np.random.Generator) -> np.ndarray:
     n, d = spec.n, spec.d
     kind = spec.kind
@@ -162,25 +151,19 @@ def generate(spec: DependencySpec) -> Dataset:
     return Dataset(x)
 
 
-def discretise(ds: Dataset, omega: DiscretisationLevel | int) -> Dataset:
+def discretise(ds: Dataset, omega: int) -> Dataset:
     """Round every value to one of ``omega`` evenly spaced levels in [0, 1].
 
     Values are clamped into [0, 1] first since noised data may leave the
     unit range.  ``omega=1`` collapses everything to the constant 0.
     """
-    if isinstance(omega, int):
-        omega = DiscretisationLevel(omega)
+    if omega < 1:
+        raise ValueError(f"omega must be >= 1, got {omega}")
     clipped = np.clip(ds.values, 0.0, 1.0)
-    if omega.omega == 1:
+    if omega == 1:
         binned = np.zeros_like(clipped)
     else:
-        steps = omega.omega - 1
+        steps = omega - 1
         binned = np.rint(clipped * steps) / steps
     return Dataset(binned, ds.column_names)
 
-
-def noise_grid(levels: int = 30) -> np.ndarray:
-    """Evenly spaced noise levels from 0 to 1 inclusive."""
-    if levels < 2:
-        raise ValueError(f"need at least 2 levels, got {levels}")
-    return np.linspace(0.0, 1.0, levels)

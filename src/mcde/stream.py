@@ -15,7 +15,7 @@ end rows of the next ``LANES // m`` windows in one vectorised pass (see
 end row was not predicted, as after a malformed row in lenient mode, draws a
 new block from its own end row on, so every emission stays exact.
 
-An optional drift layer flags windows whose score stays below a threshold
+A drift layer flags windows whose score stays below a threshold
 for a run of consecutive emissions.  It is a plain heuristic convenience,
 not part of the estimator.
 """
@@ -53,7 +53,6 @@ class WindowConfig:
     m: int = 50
     alpha: float = 0.5
     seed: int = 0
-    flag_drift: bool = False
     drift_threshold: float = 0.55
     drift_patience: int = 3
 
@@ -80,11 +79,12 @@ class WindowConfig:
 
 @dataclass(frozen=True)
 class WindowScore:
-    """One emission: the stream index of the window's last row and its score."""
+    """One emission: the stream index of the window's last row, its score,
+    and whether the drift layer flags it."""
 
     row_index: int
     estimate: ContrastEstimate
-    flag: bool | None = None
+    flag: bool
 
 
 @dataclass(frozen=True)
@@ -159,8 +159,5 @@ def monitor(
         seed, draws = drawn.pop(row_index)
         estimate = _estimate(construct_index(Dataset(window)), cfg.alpha, seed, draws)
 
-        flag: bool | None = None
-        if cfg.flag_drift:
-            below_run = below_run + 1 if estimate.score < cfg.drift_threshold else 0
-            flag = below_run >= cfg.drift_patience
-        yield WindowScore(row_index, estimate, flag)
+        below_run = below_run + 1 if estimate.score < cfg.drift_threshold else 0
+        yield WindowScore(row_index, estimate, below_run >= cfg.drift_patience)

@@ -5,12 +5,7 @@ import pytest
 import mcde
 from mcde import DependencySpec
 from mcde._rng import derive_seed
-from mcde.benchmark import (
-    RESULT_COLUMNS,
-    nearest_rank_percentile,
-    results_csv,
-    runtime_csv,
-)
+from mcde.benchmark import nearest_rank_percentile, results_csv, runtime_csv
 
 
 def test_percentile_of_constant_sample():
@@ -63,12 +58,21 @@ def test_threshold_value_plausible():
     assert 0.5 < thr < 0.65
 
 
-def test_score_distribution_single_rep_degenerate():
+def test_score_distribution_single_rep_has_zero_std():
     stats = mcde.score_distribution(DependencySpec("linear", 100, 2, 0.0),
                                     reps=1, m=10, seed=1)
     assert stats.std == 0.0
-    assert stats.degenerate
     assert stats.reps == 1
+
+
+def test_score_distribution_is_a_row_without_threshold():
+    spec = DependencySpec("sine_p1", 90, 2, 0.3)
+    row = mcde.score_distribution(spec, reps=4, m=6, seed=2**63)
+    scores = mcde.score_sample(spec, 4, m=6, seed=derive_seed(2**63, 1))
+    assert row == mcde.PowerResult(
+        kind="sine_p1", noise=0.3, omega=None, n=90, d=2, m=6, gamma=0.0, reps=4,
+        mean=float(scores.mean()), std=float(scores.std(ddof=1)),
+        threshold=None, power=None, seed=2**63)
 
 
 def test_score_distribution_mean_matches_sample():
@@ -76,7 +80,6 @@ def test_score_distribution_mean_matches_sample():
     stats = mcde.score_distribution(spec, reps=12, m=10, seed=9)
     assert 0.3 < stats.mean < 0.7
     assert stats.std > 0.0
-    assert not stats.degenerate
 
 
 def test_noise_lowers_the_mean_score():
@@ -97,7 +100,7 @@ def test_robustness_sweep_shares_one_threshold():
 
 
 def test_runtime_profile_reports_positive_medians():
-    rows = mcde.runtime_profile([200], [2, 3], m=5, reps=3, warmup=1)
+    rows = mcde.runtime_profile([200], [2, 3], m=5, reps=3)
     assert len(rows) == 2
     for row in rows:
         assert row.index_s > 0 and row.contrast_s > 0 and row.total_s > 0
@@ -109,16 +112,16 @@ def test_results_csv_schema_and_parse():
                      seed=4, threshold=0.5)
     text = results_csv([row])
     lines = text.strip().split("\n")
-    assert lines[0] == ",".join(RESULT_COLUMNS)
+    assert lines[0] == "kind,noise,omega,n,d,m,gamma,reps,mean,std,threshold,power,seed"
     cells = lines[1].split(",")
-    assert len(cells) == len(RESULT_COLUMNS)
+    assert len(cells) == 13
     assert cells[0] == "linear"
     assert cells[2] == ""  # omega not set
     assert float(cells[11]) == row.power
 
 
 def test_runtime_csv_schema():
-    rows = mcde.runtime_profile([100], [2], m=3, reps=2, warmup=0)
+    rows = mcde.runtime_profile([100], [2], m=3, reps=2)
     lines = runtime_csv(rows).strip().split("\n")
     assert lines[0] == "n,d,m,reps,index_s,contrast_s,total_s"
     assert len(lines) == 2

@@ -260,6 +260,16 @@ def test_benchmark_distribution(capsys):
     assert 0.2 < float(row[8]) < 0.8  # mean column
 
 
+def test_benchmark_distribution_output_is_pinned(capsys):
+    code, out, _ = _run(capsys, ["benchmark", "distribution", "--kind", "independent",
+                                 "--n", "100", "--d", "2", "--m", "5", "--reps", "3",
+                                 "--seed", "4"])
+    assert code == 0
+    assert out == (
+        "kind,noise,omega,n,d,m,gamma,reps,mean,std,threshold,power,seed\n"
+        "independent,0.0,,100,2,5,0.0,3,0.38061151203445265,0.06685684974241103,,,4\n")
+
+
 def test_benchmark_robustness(capsys):
     code, out, _ = _run(capsys, ["benchmark", "robustness", "--omegas", "1,3",
                                  "--noises", "0.0", "--kinds", "linear",

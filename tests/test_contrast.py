@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import mcde
 from mcde import contrast, hoeffding_bound, iterations_for
+from mcde._rng import iteration_integers
 from mcde.contrast import _draw
 from mcde.mwp import restriction_bounds
 from oracles import contrast_iterations_oracle
@@ -214,6 +215,19 @@ def test_restriction_windows_stay_inside_the_column():
     for _, alpha in cases[::2]:
         assert all(o.n_prime == 1 for o in contrast_iterations_oracle(index, 30, alpha, 0))
         _assert_matches_oracle(index, 30, alpha, 0)
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (50, 3), (301, 5)])
+def test_full_slices_start_at_zero_and_consume_no_draw(n, d):
+    # at alpha=1 every slice keeps all rows: its start's bound of 1 gives 0
+    # and leaves the reference and restriction draws where they were
+    seeds = [0, 7, 2**64 - 1]
+    draws = _draw(seeds, n, d, 40, 1.0)
+    window_starts, _ = restriction_bounds(n, 1.0)
+    assert draws.shape == (3, 40, d + 1)
+    assert not draws[..., 1:-1].any()
+    expected = iteration_integers(seeds, 40, (d, window_starts))
+    assert np.array_equal(draws[..., [0, -1]], expected)
 
 
 def test_degenerate_counts():

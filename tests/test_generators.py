@@ -4,11 +4,9 @@ import pytest
 from mcde import (
     DEPENDENCY_KINDS,
     DependencySpec,
-    DiscretisationLevel,
     Dataset,
     discretise,
     generate,
-    noise_grid,
 )
 
 ALL_DEPENDENT = [k for k in DEPENDENCY_KINDS if k != "independent"]
@@ -151,7 +149,7 @@ def test_discretise_omega_one_is_constant():
 
 def test_discretise_omega_two_rounds_to_nearest():
     ds = Dataset(np.array([[0.4, 0.6]]))
-    out = discretise(ds, DiscretisationLevel(2))
+    out = discretise(ds, 2)
     assert out.values[0, 0] == 0.0
     assert out.values[0, 1] == 1.0
 
@@ -171,11 +169,5 @@ def test_discretise_clamps_noised_values():
 
 
 def test_discretisation_level_validation():
-    with pytest.raises(ValueError):
-        DiscretisationLevel(0)
-
-
-def test_noise_grid_endpoints():
-    grid = noise_grid(30)
-    assert grid.size == 30
-    assert grid[0] == 0.0 and grid[-1] == 1.0
+    with pytest.raises(ValueError, match="^omega must be >= 1, got 0$"):
+        discretise(Dataset(np.array([[0.4, 0.6]])), 0)

@@ -94,7 +94,7 @@ def test_drift_flag_raised_after_patience():
     tail = np.ones((25, 2))             # constant: scores drop to 0
     rows = np.vstack([head, tail])
     cfg = WindowConfig(width=20, dims=(0, 1), step=1, m=15, seed=2,
-                       flag_drift=True, drift_threshold=0.55, drift_patience=3)
+                       drift_threshold=0.55, drift_patience=3)
     events = list(monitor(iter(rows), cfg))
     flagged = [e.row_index for e in events if e.flag]
     assert flagged, "constant tail must trigger the drift flag"
@@ -105,10 +105,10 @@ def test_drift_flag_raised_after_patience():
     assert events[-1].flag  # still below threshold at the end
 
 
-def test_flag_none_when_drift_layer_disabled():
+def test_flag_is_always_a_bool():
     cfg = WindowConfig(width=5, dims=(0, 1), m=5, seed=0)
     events = list(monitor(iter(_uniform_rows(6)), cfg))
-    assert all(e.flag is None for e in events)
+    assert all(type(e.flag) is bool for e in events)
 
 
 def test_config_validation():
