@@ -70,8 +70,10 @@ def window_rows(member, ranks, starts, width, *, run_starts, run_lengths):
     Row i of ``member`` is the slice membership at the ``width`` sorted
     positions from ``starts[i]`` on, inside the column.  For a column with
     ties, row i of the 2-D ``ranks`` holds its :func:`rank_scan` ranks
-    there.  A tie-free column passes the 1-D float64 ``arange(width)`` of
-    window-local positions, which are the local ranks of every window.  Each
+    there, and every row is a window of that one column.  Tie-free columns
+    pass the 1-D float64 ``arange(width)`` of window-local positions, which
+    are the local ranks of every window, so their rows may be windows of
+    different columns, such as the reference columns of many estimates.  Each
     tie group contributes its window-local 0-based average rank to the
     members inside it; the at most two runs cut by a window boundary are
     ranked among window rows only.  Returns ``(rank_sums, member_counts,

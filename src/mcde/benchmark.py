@@ -7,9 +7,12 @@ the fraction of its scores strictly above that threshold.
 
 Every repetition owns a derived seed, so sweeps are reproducible end to end
 and instances may be scored in any order.  Since a repetition's random
-integers depend only on its seed and the shape of its data, a sample draws
-them ahead, for as many repetitions as one vectorised pass holds (see
-:mod:`mcde._rng`), then scores each instance on its own draws.  Timing
+integers depend only on its seed and the shape of its data, a sample works
+in passes: it draws for as many repetitions as one vectorised pass holds
+(see :mod:`mcde._rng`), builds their indexes, and scores them all in one
+batched estimate (:func:`mcde.contrast._estimate`), each on its own draws.
+A pass also holds at most about ``_CHUNK_CELLS`` index positions, so at
+large n it is one repetition and memory does not grow with n.  Timing
 results are the only non-deterministic output.
 """
 
@@ -23,8 +26,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._rng import LANES, check_seed, derive_seed
-from .contrast import _check_shape, _draw, _estimate, contrast
-from .generators import DependencySpec, discretise, generate
+from .contrast import _CHUNK_CELLS, _check_shape, _draw, _estimate, contrast
+from .generators import DependencySpec, _check_omega, discretise, generate
 from .ranking import construct_index
 from .slicing import check_alpha
 
@@ -83,23 +86,35 @@ def score_sample(
     seed = check_seed(seed)
     _check_shape(spec.n, spec.d)
     scores = np.empty(reps, dtype=np.float64)
-    # draw for as many reps as one pass holds, so memory does not grow with reps
-    per_pass = max(1, LANES // m)
+    # score as many reps in one pass as one draw pass and about _CHUNK_CELLS
+    # index positions hold, so memory does not grow with reps or n
+    per_pass = max(1, min(LANES // m, _CHUNK_CELLS // spec.n))
     for first in range(0, reps, per_pass):
-        seeds = [derive_seed(seed, i, 1) for i in range(first, min(reps, first + per_pass))]
+        pass_reps = range(first, min(reps, first + per_pass))
+        seeds = [derive_seed(seed, i, 1) for i in pass_reps]
+        indexes = [construct_index(_instance(spec, derive_seed(seed, i, 0), omega))
+                   for i in pass_reps]
         draws = _draw(seeds, spec.n, spec.d, m, alpha)
-        for i, rep_seed, rep_draws in zip(range(first, reps), seeds, draws):
-            data = generate(replace(spec, seed=derive_seed(seed, i, 0)))
-            if omega is not None:
-                data = discretise(data, omega)
-            scores[i] = _estimate(construct_index(data), alpha, rep_seed, rep_draws).score
+        scores[pass_reps.start:pass_reps.stop] = [
+            estimate.score for estimate in _estimate(indexes, alpha, seeds, draws)]
+        # free this pass's indexes before the next one builds its own
+        del indexes
     return scores
+
+
+def _instance(spec: DependencySpec, seed: int, omega: int | None):
+    data = generate(replace(spec, seed=seed))
+    return data if omega is None else discretise(data, omega)
+
+
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma < 100.0:
+        raise ValueError(f"gamma must be in (0, 100), got {gamma}")
 
 
 def nearest_rank_percentile(scores: Sequence[float], gamma: float) -> float:
     """The gamma-th percentile as an actual observed value (nearest rank)."""
-    if not 0.0 < gamma < 100.0:
-        raise ValueError(f"gamma must be in (0, 100), got {gamma}")
+    _check_gamma(gamma)
     ordered = np.sort(np.asarray(scores, dtype=np.float64))
     if not ordered.size:
         raise ValueError("no scores to take a percentile of")
@@ -117,6 +132,7 @@ def independence_threshold(
     seed: int = 0,
 ) -> float:
     """Null threshold: percentile of scores on fresh noise-free independent data."""
+    _check_gamma(gamma)
     spec = DependencySpec("independent", n, d, 0.0, seed=0)
     scores = score_sample(spec, reps, m=m, alpha=alpha, seed=derive_seed(seed, _NULL_STREAM))
     return nearest_rank_percentile(scores, gamma)
@@ -174,6 +190,9 @@ def power(
     from an independent sub-stream of ``seed``.
     """
     seed = check_seed(seed)
+    _check_gamma(gamma)
+    if omega is not None:
+        _check_omega(omega)
     if threshold is None:
         threshold = independence_threshold(
             spec.n, spec.d, m=m, gamma=gamma, reps=reps, alpha=alpha, seed=seed
@@ -203,26 +222,22 @@ def robustness_sweep(
     usual null bar.
     """
     seed = check_seed(seed)
+    for omega in omega_levels:
+        _check_omega(int(omega))
+    # every cell's spec is built before any scoring, so a bad kind fails first
+    cells = [
+        (DependencySpec(kind, n, d, float(noise), seed=0), int(omega),
+         derive_seed(seed, kind_pos, int(omega), int(round(noise * 1e6))))
+        for kind_pos, kind in enumerate(kinds)
+        for omega in omega_levels
+        for noise in noise_levels
+    ]
     threshold = independence_threshold(n, d, m=m, gamma=gamma, reps=reps, alpha=alpha, seed=seed)
-    rows = []
-    for kind_pos, kind in enumerate(kinds):
-        for omega in omega_levels:
-            for noise in noise_levels:
-                spec = DependencySpec(kind, n, d, float(noise), seed=0)
-                cell_seed = derive_seed(seed, kind_pos, int(omega), int(round(noise * 1e6)))
-                rows.append(
-                    power(
-                        spec,
-                        gamma=gamma,
-                        reps=reps,
-                        m=m,
-                        alpha=alpha,
-                        seed=cell_seed,
-                        threshold=threshold,
-                        omega=int(omega),
-                    )
-                )
-    return rows
+    return [
+        power(spec, gamma=gamma, reps=reps, m=m, alpha=alpha, seed=cell_seed,
+              threshold=threshold, omega=omega)
+        for spec, omega, cell_seed in cells
+    ]
 
 
 def runtime_profile(

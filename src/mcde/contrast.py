@@ -9,13 +9,18 @@ every other dimension in ascending order, then the restriction start.
 An estimate draws these integers for all M iterations first, in one
 vectorised pass (:func:`mcde._rng.iteration_integers`); callers that know
 many seeds in advance, the stream monitor and the benchmark sweeps, draw for
-all of their estimates at once and score each from its own rows of the
-block.  The iterations are then scored in batches that share a reference
-dimension: slice membership over the restriction windows, the window
-statistics and the test values are each a few 2-D numpy passes over a batch
-(:func:`mcde.slicing.slice_windows`, :func:`mcde._kernels.window_rows`,
-:func:`mcde.mwp.confidences`).  A batch holds about ``_CHUNK_CELLS`` window
-positions, so the same path serves n=1e3 and n=1e6.  An estimate runs on
+all of their estimates at once.  :func:`_estimate` then scores a stack of
+estimates that share one (n, d), each on its own index and its own draws:
+``contrast`` and the monitor pass one, and a benchmark sample passes as many
+repetitions as one draw pass and about ``_CHUNK_CELLS`` index positions
+hold.  The iterations of the whole stack are scored in batches that share a
+reference dimension: slice membership over the restriction windows, the
+window statistics and the test values are each a few 2-D numpy passes over
+a batch (:func:`mcde.slicing.slice_windows`,
+:func:`mcde._kernels.window_rows`, :func:`mcde.mwp.confidences`).  A batch
+holds about ``_CHUNK_CELLS`` window positions, so the same path serves
+n=1e3 and n=1e6.  Every value is computed row by row or elementwise, so an
+estimate does not depend on the stack it is scored in.  An estimate runs on
 the calling thread.
 
 The number of iterations needed for a target accuracy follows from the
@@ -36,7 +41,9 @@ from .mwp import confidences, restriction_bounds
 from .ranking import RankIndex, construct_index
 from .slicing import check_alpha, slice_size, slice_windows, window_view
 
-# window positions (iterations x restriction width) scored per batch
+# positions per batch: window positions (iterations x restriction width)
+# scored at once, index positions (repetitions x n) of a benchmark pass,
+# and row ids per gather
 _CHUNK_CELLS = 2**16
 
 
@@ -96,66 +103,103 @@ def contrast(
     seed = check_seed(seed)
     index = data if isinstance(data, RankIndex) else construct_index(data)
     _check_shape(index.n, index.d)
-    draws = _draw([seed], index.n, index.d, m, alpha)[0]
-    return _estimate(index, alpha, seed, draws, record_iterations)
+    draws = _draw([seed], index.n, index.d, m, alpha)
+    return _estimate([index], alpha, [seed], draws, record_iterations)[0]
 
 
-def _estimate(index: RankIndex, alpha: float, seed: int, draws: np.ndarray,
-              record_iterations: bool = False) -> ContrastEstimate:
-    """The estimate whose M iterations drew ``draws``, one row of
-    :func:`_draw` per iteration; arguments are taken as validated."""
-    n, d = index.n, index.d
-    m = draws.shape[0]
+def _gather(out: np.ndarray, values: np.ndarray, index: np.ndarray) -> None:
+    """``out[:] = values[index]``, in slices of ``_CHUNK_CELLS`` indices, so
+    the gather's temporary stays small at any n."""
+    for lo in range(0, index.size, _CHUNK_CELLS):
+        out[lo:lo + _CHUNK_CELLS] = values[index[lo:lo + _CHUNK_CELLS]]
+
+
+def _estimate(indexes, alpha: float, seeds, draws: np.ndarray,
+              record_iterations: bool = False) -> list[ContrastEstimate]:
+    """The estimates of a stack of indexes that share one (n, d): the k-th
+    drew ``draws[k]`` with seed ``seeds[k]``, one row of :func:`_draw` per
+    iteration.  Arguments are taken as validated.
+
+    The iterations of all indexes are scored together, grouped by reference
+    dimension.  Every index that drew a tie-free reference shares the
+    window-local ranks, so those iterations form one group; a reference
+    with ties brings its own ranks and runs, so its iterations form a group
+    per index.  Each score is bit-identical to the one its index gets
+    alone.
+    """
+    n, d = indexes[0].n, indexes[0].d
+    reps, m = draws.shape[:2]
     size = slice_size(n, d, alpha)
     _, width = restriction_bounds(n, alpha)
+    draws = draws.reshape(reps * m, -1)
     refs, restrictions = draws[:, 0], draws[:, -1]
 
-    # pos[j, row]: the row's position in dimension j's sorted order
+    # pos[k, j, row]: the row's position in the sorted order of dimension j
+    # of index k
     dtype = np.int32 if n < 2**31 else np.int64
-    pos = np.empty((d, n), dtype=dtype)
-    for j, dim in enumerate(index.dims):
-        pos[j][dim.row_ids] = np.arange(n, dtype=dtype)
+    pos = np.empty((reps, d, n), dtype=dtype)
+    order = np.arange(n, dtype=dtype)
+    for k, index in enumerate(indexes):
+        for j, dim in enumerate(index.dims):
+            pos[k, j][dim.row_ids] = order
+    del order
 
-    r1 = np.empty(m)
-    n1 = np.empty(m, dtype=np.int64)
-    corr = np.empty(m)
+    r1 = np.empty(reps * m)
+    n1 = np.empty(reps * m, dtype=np.int64)
+    corr = np.empty(reps * m)
     # the window-local ranks of a tie-free column, shared by its windows
     local = np.arange(width, dtype=np.float64)
     chunk = max(1, _CHUNK_CELLS // width)
-    for ref, dim in enumerate(index.dims):
+    for ref in range(d):
         batch = np.flatnonzero(refs == ref)
         if not batch.size:
             continue
+        rep_of = batch // m
+        drew = sorted(set(rep_of.tolist()))
         others = [j for j in range(d) if j != ref]
-        # positions[c, p]: the position, in the sorted order of
-        # dimension others[c], of the row at position p of this one
-        positions = np.empty((d - 1, n), dtype=dtype)
-        for c, j in enumerate(others):
-            positions[c] = pos[j][dim.row_ids]
+        # positions[k, c, p]: the position, in the sorted order of dimension
+        # others[c] of index k, of the row at position p of this one; only
+        # the indexes that drew this reference fill theirs
+        positions = np.empty((reps, d - 1, n), dtype=dtype)
+        for k in drew:
+            row_ids = indexes[k].dims[ref].row_ids
+            for c, j in enumerate(others):
+                _gather(positions[k, c], pos[k, j], row_ids)
         windows = window_view(positions, width)
-        tied = dim.adjusted_ranks is not None
-        if tied:
-            ranks = window_view(dim.adjusted_ranks, width)
-        for k in range(0, batch.size, chunk):
-            its = batch[k:k + chunk]
-            lo = restrictions[its]
-            member = slice_windows(windows, draws[its, 1:-1], size, lo)
-            r1[its], n1[its], corr[its] = _kernels.window_rows(
-                member, ranks[lo] if tied else local, lo, width,
-                run_starts=dim.run_starts, run_lengths=dim.run_lengths)
+        # a tied reference brings its own ranks and runs, so its iterations
+        # are a group per index; tie-free ones share one group
+        tied_reps = [k for k in drew if indexes[k].dims[ref].adjusted_ranks is not None]
+        groups = [batch[rep_of == k] for k in tied_reps]
+        if len(tied_reps) < len(drew):
+            groups.append(batch[~np.isin(rep_of, tied_reps)] if tied_reps else batch)
+        for group in groups:
+            dim = indexes[group[0] // m].dims[ref]
+            if dim.adjusted_ranks is not None:
+                ranks = window_view(dim.adjusted_ranks, width)
+            for at in range(0, group.size, chunk):
+                its = group[at:at + chunk]
+                lo = restrictions[its]
+                member = slice_windows(windows, its // m, draws[its, 1:-1], size, lo)
+                r1[its], n1[its], corr[its] = _kernels.window_rows(
+                    member, local if dim.adjusted_ranks is None else ranks[lo], lo, width,
+                    run_starts=dim.run_starts, run_lengths=dim.run_lengths)
         # free them before the next reference allocates its own
         del positions, windows
 
     values, tied, empty_full = confidences(r1, n1, corr, width)
-    return ContrastEstimate(
-        score=float(values.mean()),
-        m_iterations=m,
-        alpha=alpha,
-        seed=seed,
-        per_iteration=values if record_iterations else None,
-        degenerate_tied=int(np.count_nonzero(tied)),
-        degenerate_empty_full=int(np.count_nonzero(empty_full)),
-    )
+    values, tied, empty_full = (a.reshape(reps, m) for a in (values, tied, empty_full))
+    return [
+        ContrastEstimate(
+            score=float(values[k].mean()),
+            m_iterations=m,
+            alpha=alpha,
+            seed=seed,
+            per_iteration=values[k] if record_iterations else None,
+            degenerate_tied=int(np.count_nonzero(tied[k])),
+            degenerate_empty_full=int(np.count_nonzero(empty_full[k])),
+        )
+        for k, seed in enumerate(seeds)
+    ]
 
 
 def hoeffding_bound(m: int, epsilon: float) -> float:

@@ -151,14 +151,18 @@ def generate(spec: DependencySpec) -> Dataset:
     return Dataset(x)
 
 
+def _check_omega(omega: int) -> None:
+    if omega < 1:
+        raise ValueError(f"omega must be >= 1, got {omega}")
+
+
 def discretise(ds: Dataset, omega: int) -> Dataset:
     """Round every value to one of ``omega`` evenly spaced levels in [0, 1].
 
     Values are clamped into [0, 1] first since noised data may leave the
     unit range.  ``omega=1`` collapses everything to the constant 0.
     """
-    if omega < 1:
-        raise ValueError(f"omega must be >= 1, got {omega}")
+    _check_omega(omega)
     clipped = np.clip(ds.values, 0.0, 1.0)
     if omega == 1:
         binned = np.zeros_like(clipped)

@@ -8,9 +8,10 @@ rank space, which guarantees each condition keeps exactly that many rows.
 
 Slices are only ever read inside the test's restriction window on the
 reference dimension, so membership is computed there directly, for a batch
-of slices at once: each conditioning dimension's sorted positions, listed
-in the reference dimension's order, are read window by window and compared
-against each slice's start.  Every read is sequential.
+of slices at once, which may belong to different estimates of one shape:
+each conditioning dimension's sorted positions, listed in the reference
+dimension's order, are read window by window and compared against each
+slice's start.  Every read is sequential.
 """
 
 from __future__ import annotations
@@ -59,20 +60,20 @@ def window_view(a: np.ndarray, width: int) -> np.ndarray:
     return view
 
 
-def slice_windows(windows, starts, size: int, window_starts) -> np.ndarray:
+def slice_windows(windows, reps, starts, size: int, window_starts) -> np.ndarray:
     """Slice membership over a batch of restriction windows, one row per slice.
 
-    ``windows[c, s]`` lists, for the sorted positions of the reference
-    dimension from ``s`` on, the positions of their rows in the sorted order
-    of conditioning dimension c (the :func:`window_view` of those positions,
-    so every window lies inside the column).  A row is in slice i
-    when, for every c, that position lies in ``[starts[i, c], starts[i, c] +
-    size)``.  Row i of the result covers the window that starts at
-    ``window_starts[i]``.
+    ``windows[r, c, s]`` lists, for the sorted positions of the reference
+    dimension of repetition r from ``s`` on, the positions of their rows in
+    the sorted order of its conditioning dimension c (the
+    :func:`window_view` of those positions, so every window lies inside the
+    column).  A row is in slice i when, for every c, that position lies in
+    ``[starts[i, c], starts[i, c] + size)``.  Row i of the result covers
+    the window of repetition ``reps[i]`` that starts at ``window_starts[i]``.
     """
     member = None
-    for c, dim_windows in enumerate(windows):
-        batch = dim_windows[window_starts]
+    for c in range(windows.shape[1]):
+        batch = windows[reps, c, window_starts]
         batch -= starts[:, c, None].astype(batch.dtype)
         # one unsigned compare tests 0 <= position - start < size
         inside = batch.view(_UNSIGNED[batch.dtype.itemsize]) < size

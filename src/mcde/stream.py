@@ -157,7 +157,7 @@ def monitor(
             block = _draw(seeds, width, len(cfg.dims), cfg.m, cfg.alpha)
             drawn = dict(zip(ends, zip(seeds, block)))
         seed, draws = drawn.pop(row_index)
-        estimate = _estimate(construct_index(Dataset(window)), cfg.alpha, seed, draws)
+        estimate, = _estimate([construct_index(Dataset(window))], cfg.alpha, [seed], draws[None])
 
         below_run = below_run + 1 if estimate.score < cfg.drift_threshold else 0
         yield WindowScore(row_index, estimate, below_run >= cfg.drift_patience)

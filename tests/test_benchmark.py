@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -56,6 +57,44 @@ def test_power_result_is_deterministic():
 def test_threshold_value_plausible():
     thr = mcde.independence_threshold(1000, 3, m=50, reps=100, seed=42)
     assert 0.5 < thr < 0.65
+
+
+def _no_scoring(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("scored before the arguments were checked")
+    monkeypatch.setattr(mcde.benchmark, "score_sample", fail)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(gamma=150.0, threshold=0.5), r"^gamma must be in \(0, 100\), got 150.0$"),
+    (dict(gamma=100.0), r"^gamma must be in \(0, 100\), got 100.0$"),
+    (dict(gamma=0.0, threshold=0.5), r"^gamma must be in \(0, 100\), got 0.0$"),
+    (dict(omega=0), r"^omega must be >= 1, got 0$"),
+    (dict(omega=0, threshold=0.5), r"^omega must be >= 1, got 0$"),
+])
+def test_power_checks_its_arguments_before_scoring(monkeypatch, kwargs, message):
+    _no_scoring(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        mcde.power(DependencySpec("linear", 100, 2, 0.0), reps=500, m=50, **kwargs)
+
+
+def test_independence_threshold_checks_gamma_before_scoring(monkeypatch):
+    _no_scoring(monkeypatch)
+    with pytest.raises(ValueError, match=r"^gamma must be in \(0, 100\), got 100$"):
+        mcde.independence_threshold(100, 2, gamma=100)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(omega_levels=[3, 0]), r"^omega must be >= 1, got 0$"),
+    (dict(kinds=("linear", "foo")), r"^unknown dependency kind 'foo'"),
+    (dict(noise_levels=[0.0, -1.0]), r"^noise must be >= 0, got -1.0$"),
+    (dict(gamma=100.0), r"^gamma must be in \(0, 100\), got 100.0$"),
+])
+def test_robustness_sweep_checks_its_arguments_before_scoring(monkeypatch, kwargs, message):
+    _no_scoring(monkeypatch)
+    args = dict(omega_levels=[3], noise_levels=[0.0], n=100, d=2, m=10, reps=5)
+    with pytest.raises(ValueError, match=message):
+        mcde.robustness_sweep(**{**args, **kwargs})
 
 
 def test_score_distribution_single_rep_has_zero_std():
@@ -145,3 +184,49 @@ def test_score_sample_equals_per_rep_contrast(omega):
         expected.append(mcde.contrast(data, m=50, alpha=0.3,
                                       seed=derive_seed(2**63 + 1, i, 1)).score)
     assert scores.tolist() == expected
+
+
+def test_score_sample_passes_hold_about_chunk_cells_index_positions(monkeypatch):
+    # at n=4096 a pass holds 2**16 // 4096 = 16 reps, fewer than the 40
+    # draws of M=50 one draw pass holds; the scores still equal per-rep
+    # contrast calls
+    sizes = []
+    estimate = mcde.benchmark._estimate
+
+    def spy(indexes, *args, **kwargs):
+        sizes.append(len(indexes))
+        return estimate(indexes, *args, **kwargs)
+
+    monkeypatch.setattr(mcde.benchmark, "_estimate", spy)
+    spec = DependencySpec("hourglass", 4096, 2, 0.2)
+    scores = mcde.score_sample(spec, reps=20, m=50, seed=11, omega=40)
+    assert sizes == [16, 4]
+    expected = []
+    for i in range(20):
+        data = mcde.discretise(mcde.generate(replace(spec, seed=derive_seed(11, i, 0))), 40)
+        expected.append(mcde.contrast(data, m=50, seed=derive_seed(11, i, 1)).score)
+    assert scores.tolist() == expected
+
+
+def _traced_peak(fn):
+    fn()  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_score_sample_memory_does_not_grow_with_a_pass_at_large_n():
+    # from n = 2**16 on a pass holds one repetition, so a sample's peak stays
+    # near that of one generate + construct_index + contrast
+    spec = DependencySpec("linear", 2**17, 2, 0.5)
+
+    def one_rep():
+        data = mcde.generate(replace(spec, seed=derive_seed(7, 0, 0)))
+        mcde.contrast(mcde.construct_index(data), m=5, seed=derive_seed(7, 0, 1))
+
+    single = _traced_peak(one_rep)
+    sample = _traced_peak(lambda: mcde.score_sample(spec, reps=3, m=5, seed=7))
+    assert sample <= 1.5 * single

@@ -252,6 +252,23 @@ def test_benchmark_power_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["power", "--gamma", "150", "--threshold", "0.5"], "gamma must be in (0, 100), got 150.0"),
+    (["power", "--gamma", "100"], "gamma must be in (0, 100), got 100.0"),
+    (["power", "--omega", "0"], "omega must be >= 1, got 0"),
+    (["robustness", "--kinds", "linear,foo"], "unknown dependency kind 'foo'"),
+    (["robustness", "--omegas", "2,0"], "omega must be >= 1, got 0"),
+])
+def test_benchmark_rejects_bad_arguments_before_scoring(capsys, monkeypatch, argv, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("scored before the arguments were checked")
+    monkeypatch.setattr(mcde.benchmark, "score_sample", fail)
+    code, out, err = _run(capsys, ["benchmark", *argv, "--reps", "500"])
+    assert code == 1
+    assert out == ""
+    assert f"mcde: error: {message}" in err
+
+
 def test_benchmark_distribution(capsys):
     code, out, _ = _run(capsys, ["benchmark", "distribution", "--kind", "independent",
                                  "--n", "150", "--d", "2", "--m", "8", "--reps", "6"])

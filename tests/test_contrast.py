@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import mcde
 from mcde import contrast, hoeffding_bound, iterations_for
 from mcde._rng import iteration_integers
-from mcde.contrast import _draw
+from mcde.contrast import _draw, _estimate
 from mcde.mwp import restriction_bounds
 from oracles import contrast_iterations_oracle
 
@@ -199,6 +199,42 @@ def test_per_iteration_equals_oracle_across_batches(d, alpha, kind):
     rng = np.random.default_rng(d)
     index = mcde.construct_index(_data(rng, 50_000, d, kind))
     _assert_matches_oracle(index, 24, alpha, 2**64 - 1 - d)
+
+
+# --- a stack of estimates against one contrast call each --------------------
+
+
+def _stacked_column(rng, n, kind):
+    if kind == "discretised":
+        return np.floor(rng.random(n) * rng.integers(2, 8))
+    if kind == "tied":
+        return np.full(n, 0.25)
+    return rng.random(n)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n, alpha", [(2, 0.5), (120, 0.5), (1000, 0.3)])
+def test_stacked_estimate_equals_one_contrast_per_index(n, d, alpha):
+    # the k-th index gives column j the (k + j)-th kind, so every reference
+    # is tie-free in some repetitions, discretised or all tied in others
+    rng = np.random.default_rng(n * d)
+    kinds = ("continuous", "discretised", "tied", "continuous", "discretised")
+    indexes = []
+    for k in range(len(kinds)):
+        columns = [_stacked_column(rng, n, kinds[(k + j) % len(kinds)]) for j in range(d)]
+        indexes.append(mcde.construct_index(mcde.Dataset(np.column_stack(columns))))
+    seeds = [int(s) for s in rng.integers(0, 2**64, size=len(indexes), dtype=np.uint64)]
+    draws = _draw(seeds, n, d, 60, alpha)
+    stacked = _estimate(indexes, alpha, seeds, draws, record_iterations=True)
+    assert len(stacked) == len(indexes)
+    for index, seed, estimate in zip(indexes, seeds, stacked):
+        alone = contrast(index, m=60, alpha=alpha, seed=seed, record_iterations=True)
+        assert estimate.per_iteration.tobytes() == alone.per_iteration.tobytes()
+        assert dataclasses.replace(estimate, per_iteration=None) == \
+            dataclasses.replace(alone, per_iteration=None)
+    if n > 2:
+        # the all-tied columns were drawn as references
+        assert sum(estimate.degenerate_tied for estimate in stacked) > 0
 
 
 def test_restriction_windows_stay_inside_the_column():

@@ -92,24 +92,29 @@ def test_invalid_ref_dim():
 
 @pytest.mark.parametrize("case", range(6))
 def test_slice_windows_keep_exactly_the_rows_inside_every_condition(case):
+    # a stack of three indexes of one shape; row i reads repetition reps[i]
     rng = np.random.default_rng(40 + case)
     n, d = int(rng.integers(2, 300)), int(rng.integers(2, 5))
-    index = _index(n, d, seed=case)
+    indexes = [_index(n, d, seed=10 * case + r) for r in range(3)]
     ref, size = int(rng.integers(0, d)), int(rng.integers(1, n + 1))
     width = int(rng.integers(1, n + 1))
     k = 7
+    reps = rng.integers(0, len(indexes), size=k)
     window_starts = rng.integers(0, n - width + 1, size=k)
     others = [j for j in range(d) if j != ref]
     starts = rng.integers(0, n - size + 1, size=(k, len(others)))
-    pos = np.empty((d, n), dtype=np.int32)
-    for j, dim in enumerate(index.dims):
-        pos[j, dim.row_ids] = np.arange(n)
-    positions = pos[others][:, index.dims[ref].row_ids]
-    windows = sliding_window_view(positions, width, axis=1)
-    got = slice_windows(windows, starts, size, window_starts)
+    positions = np.empty((len(indexes), len(others), n), dtype=np.int32)
+    for r, index in enumerate(indexes):
+        pos = np.empty((d, n), dtype=np.int32)
+        for j, dim in enumerate(index.dims):
+            pos[j, dim.row_ids] = np.arange(n)
+        positions[r] = pos[others][:, index.dims[ref].row_ids]
+    windows = sliding_window_view(positions, width, axis=2)
+    got = slice_windows(windows, reps, starts, size, window_starts)
 
     assert got.shape == (k, width)
     for i in range(k):
+        index = indexes[reps[i]]
         member = np.ones(n, dtype=bool)
         for c, j in enumerate(others):
             kept = np.zeros(n, dtype=bool)
@@ -121,8 +126,9 @@ def test_slice_windows_keep_exactly_the_rows_inside_every_condition(case):
 
 def test_slice_windows_keep_the_positions_inside_each_slice():
     # positions in the conditioning dimension of the reference's sorted rows
-    windows = sliding_window_view(np.array([[3, 0, 4, 1, 2]], dtype=np.int32), 3, axis=1)
-    got = slice_windows(windows, np.array([[0], [1], [2], [3]]), 2, np.array([0, 1, 2, 0]))
+    windows = sliding_window_view(np.array([[[3, 0, 4, 1, 2]]], dtype=np.int32), 3, axis=2)
+    got = slice_windows(windows, np.zeros(4, dtype=np.intp), np.array([[0], [1], [2], [3]]), 2,
+                        np.array([0, 1, 2, 0]))
     assert got.tolist() == [[False, True, False],   # [3, 0, 4] in [0, 2)
                             [False, False, True],   # [0, 4, 1] in [1, 3)
                             [False, False, True],   # [4, 1, 2] in [2, 4)
