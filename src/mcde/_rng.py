@@ -16,6 +16,13 @@ and redraw on rejection (Lemire, "Fast random integer generation in an
 interval", ACM TOMS 2019).  A bound of 1 consumes no word.  The rare key
 whose words hit a rejection is replayed by the scalar generator, as is
 every key when a bound reaches 2**32.
+
+:func:`derive_seeds` derives the child seeds of many paths in one pass.
+``SeedSequence`` splits its integers into 32-bit words and mixes them into a
+pool of four words by a fixed run of multiply, xor and shift steps whose
+constants do not depend on the words (O'Neill, "Developing a seed_seq
+alternative", 2015), so the paths of one word count are mixed together,
+one uint32 array row per pool word.
 """
 
 from __future__ import annotations
@@ -33,6 +40,13 @@ _MULT_HI = _MULTIPLIERS >> _SHIFT32
 _WEYL = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _ROUNDS = 10
 _WORDS_PER_BLOCK = 8
+
+# SeedSequence's entropy pool and hash constants (numpy.random.SeedSequence)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 
 # keys per vectorised pass; larger passes only raise the memory peak
 LANES = 2**11
@@ -138,7 +152,88 @@ def iteration_integers(seeds, m: int, bounds) -> np.ndarray:
     return out.reshape(keys.size, m, len(bounds))
 
 
+def _int_words(value: int) -> list[int]:
+    """The little-endian 32-bit words ``SeedSequence`` splits ``value`` into."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"expected non-negative integer, got {value}")
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constant before each of ``count`` hashmix steps and after
+    the last, as a (count + 1, 1) uint32 column."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """Hashmix steps with the hash constants ``before`` and ``after`` each
+    step, one step per row of the constant columns."""
+    out = values ^ before
+    out *= after
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_MULT_L * x
+    out -= _MIX_MULT_R * y
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _mixed_seeds(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(1, np.uint64)`` for each
+    column of the (word count, paths) uint32 ``words``, the 32-bit words of
+    each path's entropy."""
+    count = words.shape[0]
+    steps = _POOL_SIZE**2 + _POOL_SIZE * max(0, count - _POOL_SIZE)
+    c = _hash_constants(_INIT_A, _MULT_A, steps)
+    if count < _POOL_SIZE:  # the pool words past the entropy hash a 0
+        words = np.concatenate((words, np.zeros((_POOL_SIZE - count, words.shape[1]),
+                                                dtype=np.uint32)))
+    pool = _hashmix(words[:_POOL_SIZE], c[:_POOL_SIZE], c[1:_POOL_SIZE + 1])
+    k = _POOL_SIZE
+    # mix every pool word into every other; a source word stays fixed while
+    # it is mixed into the other three, so its three steps run as one
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        hashed = _hashmix(pool[src], c[k:k + 3], c[k + 1:k + 4])
+        pool[dst] = _mix(pool[dst], hashed)
+        k += _POOL_SIZE - 1
+    for src in range(_POOL_SIZE, count):
+        pool = _mix(pool, _hashmix(words[src], c[k:k + 4], c[k + 1:k + 5]))
+        k += _POOL_SIZE
+    b = _hash_constants(_INIT_B, _MULT_B, 2)
+    state = _hashmix(pool[:2], b[:2], b[1:]).astype(np.uint64)
+    return state[0] | state[1] << _SHIFT32
+
+
+def derive_seeds(seed: int, paths) -> list[int]:
+    """``derive_seed(seed, *path)`` for every path in ``paths``, with the
+    paths of each word count mixed in one vectorised pass."""
+    head = _int_words(seed)
+    by_count: dict[int, tuple[list[int], list[list[int]]]] = {}
+    for k, path in enumerate(paths):
+        words = head + [word for value in path for word in _int_words(value)]
+        at, group = by_count.setdefault(len(words), ([], []))
+        at.append(k)
+        group.append(words)
+    out = np.empty(len(paths), dtype=np.uint64)
+    for at, group in by_count.values():
+        out[at] = _mixed_seeds(np.array(group, dtype=np.uint32).T)
+    return out.tolist()
+
+
 def derive_seed(seed: int, *path: int) -> int:
-    """Stable child seed for the sub-stream identified by ``path``."""
-    ss = np.random.SeedSequence([int(seed)] + [int(p) for p in path])
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Stable child seed for the sub-stream identified by ``path``: the
+    first 64-bit word of ``np.random.SeedSequence([seed, *path])``."""
+    return derive_seeds(seed, [path])[0]

@@ -8,12 +8,12 @@ the fraction of its scores strictly above that threshold.
 Every repetition owns a derived seed, so sweeps are reproducible end to end
 and instances may be scored in any order.  Since a repetition's random
 integers depend only on its seed and the shape of its data, a sample works
-in passes: it draws for as many repetitions as one vectorised pass holds
-(see :mod:`mcde._rng`), builds their indexes, and scores them all in one
-batched estimate (:func:`mcde.contrast._estimate`), each on its own draws.
-A pass also holds at most about ``_CHUNK_CELLS`` index positions, so at
-large n it is one repetition and memory does not grow with n.  Timing
-results are the only non-deterministic output.
+in passes: it derives the seeds and draws for as many repetitions as one
+vectorised pass holds (see :mod:`mcde._rng`), builds their indexes, and
+scores them all in one batched estimate (:func:`mcde.contrast._estimate`),
+each on its own draws.  A pass also holds at most about ``_CHUNK_CELLS``
+index positions, so at large n it is one repetition and memory does not
+grow with n.  Timing results are the only non-deterministic output.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._rng import LANES, check_seed, derive_seed
+from ._rng import LANES, check_seed, derive_seed, derive_seeds
 from .contrast import _CHUNK_CELLS, _check_shape, _draw, _estimate, contrast
 from .generators import DependencySpec, _check_omega, discretise, generate
 from .ranking import construct_index
@@ -91,9 +91,12 @@ def score_sample(
     per_pass = max(1, min(LANES // m, _CHUNK_CELLS // spec.n))
     for first in range(0, reps, per_pass):
         pass_reps = range(first, min(reps, first + per_pass))
-        seeds = [derive_seed(seed, i, 1) for i in pass_reps]
-        indexes = [construct_index(_instance(spec, derive_seed(seed, i, 0), omega))
-                   for i in pass_reps]
+        # repetition i generates its instance from seed path (i, 0) and
+        # scores it from (i, 1)
+        derived = derive_seeds(seed, [(i, t) for t in (0, 1) for i in pass_reps])
+        seeds = derived[len(pass_reps):]
+        indexes = [construct_index(_instance(spec, instance_seed, omega))
+                   for instance_seed in derived[:len(pass_reps)]]
         draws = _draw(seeds, spec.n, spec.d, m, alpha)
         scores[pass_reps.start:pass_reps.stop] = [
             estimate.score for estimate in _estimate(indexes, alpha, seeds, draws)]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 
 from . import __version__
 from .benchmark import (
@@ -230,46 +231,55 @@ def _cmd_monitor(args) -> int:
 
     fh = sys.stdin if args.input == "-" else open(args.input, "r", encoding="utf-8-sig", newline="")
     try:
-        rows = csv_rows(fh, delimiter=args.delimiter)
+        # blank lines are no rows, as for estimate
+        rows = ((line, row) for line, row in csv_rows(fh, delimiter=args.delimiter) if row)
         first = next(rows, None)
         if first is None:
             raise DataError("empty stream")
-
-        def replay():
-            # a header names the monitored columns; a row too short for
-            # them is a malformed row, which monitor reports at row 0
-            if _looks_numeric([first[j] for j in cfg.dims if j in range(len(first))]):
-                yield first
-            else:
-                _diag("skipping header row")
-            yield from rows
+        # a header names the monitored columns; a row too short for them is
+        # a malformed row, which monitor reports at row 0
+        head = first[1]
+        if not _looks_numeric([head[j] for j in cfg.dims if j in range(len(head))]):
+            _diag("skipping header row")
+            first = None
 
         print("row_index,score,flag" if args.flag_drift else "row_index,score")
         emitted = 0
         consumed = 0
+        line = 0  # the file line of the row monitor read last
 
-        def counted(gen):
-            nonlocal consumed
-            for row in gen:
+        def feed():
+            nonlocal consumed, line
+            for line, row in chain([first] if first else [], rows):
                 consumed += 1
                 yield row
 
-        for event in monitor(counted(replay()), cfg, strict=not args.lenient):
-            if isinstance(event, RowError):
-                _diag(f"skipped row {event.row_index}: {event.reason}")
-                continue
-            score = _fmt(event.estimate.score, args.full_precision)
-            if args.flag_drift:
-                print(f"{event.row_index},{score},{int(event.flag)}")
-            else:
-                print(f"{event.row_index},{score}")
-            emitted += 1
+        try:
+            for event in monitor(feed(), cfg, strict=not args.lenient):
+                if isinstance(event, RowError):
+                    _diag(f"skipped {_located(event, line)}")
+                    continue
+                score = _fmt(event.estimate.score, args.full_precision)
+                if args.flag_drift:
+                    print(f"{event.row_index},{score},{int(event.flag)}")
+                else:
+                    print(f"{event.row_index},{score}")
+                emitted += 1
+        except StreamFormatError as exc:
+            raise DataError(_located(exc, line)) from None
         if emitted == 0:
             _diag(f"end of stream after {consumed} rows; window of {cfg.width} never filled")
     finally:
         if fh is not sys.stdin:
             fh.close()
     return 0
+
+
+def _located(error: RowError | StreamFormatError, line: int) -> str:
+    """A malformed row's reason, with its file line and the column of a bad
+    cell, as estimate reports them."""
+    where = f"line {line}" if error.column is None else f"line {line}, column {error.column}"
+    return f"row {error.row_index}: {error.reason} at {where}"
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +367,7 @@ def run(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         return 0
     # an OSError is a path that cannot be read, such as a directory
-    except (DataError, StreamFormatError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"mcde: error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -13,15 +13,23 @@ all of their estimates at once.  :func:`_estimate` then scores a stack of
 estimates that share one (n, d), each on its own index and its own draws:
 ``contrast`` and the monitor pass one, and a benchmark sample passes as many
 repetitions as one draw pass and about ``_CHUNK_CELLS`` index positions
-hold.  The iterations of the whole stack are scored in batches that share a
-reference dimension: slice membership over the restriction windows, the
-window statistics and the test values are each a few 2-D numpy passes over
-a batch (:func:`mcde.slicing.slice_windows`,
+hold.  Its reference dimensions are taken in groups.  For each reference
+of a group, the positions of its rows in every other dimension are composed
+for every index of the stack, and a group holds as many references as fit
+in about ``_CHUNK_CELLS`` such positions, at least one.  So both references
+of a d=2 estimate on a monitor window form one group, while a benchmark
+pass or an estimate at n=1e5 composes one reference at a time.  The
+iterations of a group are scored in batches: all those that drew a
+tie-free reference share the window-local ranks and form one batch,
+whatever their reference and index, and those of a tied reference form a
+batch per index, with its ranks and runs.  Slice membership over the
+restriction windows, the window statistics and the test values are each a
+few 2-D numpy passes over a batch (:func:`mcde.slicing.slice_windows`,
 :func:`mcde._kernels.window_rows`, :func:`mcde.mwp.confidences`).  A batch
 holds about ``_CHUNK_CELLS`` window positions, so the same path serves
-n=1e3 and n=1e6.  Every value is computed row by row or elementwise, so an
-estimate does not depend on the stack it is scored in.  An estimate runs on
-the calling thread.
+n=1e3 and n=1e6.  Every value is computed row by row or elementwise, and
+rank sums are exact, so an estimate does not depend on the group, batch or
+stack it is scored in.  An estimate runs on the calling thread.
 
 The number of iterations needed for a target accuracy follows from the
 Hoeffding concentration bound ``P(|estimate - truth| >= eps) <= 2*exp(-2*M*eps**2)``.
@@ -43,7 +51,8 @@ from .slicing import check_alpha, slice_size, slice_windows, window_view
 
 # positions per batch: window positions (iterations x restriction width)
 # scored at once, index positions (repetitions x n) of a benchmark pass,
-# and row ids per gather
+# composed positions (references x repetitions x (d - 1) x n) of a
+# reference group, and row ids per gather
 _CHUNK_CELLS = 2**16
 
 
@@ -120,19 +129,25 @@ def _estimate(indexes, alpha: float, seeds, draws: np.ndarray,
     drew ``draws[k]`` with seed ``seeds[k]``, one row of :func:`_draw` per
     iteration.  Arguments are taken as validated.
 
-    The iterations of all indexes are scored together, grouped by reference
-    dimension.  Every index that drew a tie-free reference shares the
-    window-local ranks, so those iterations form one group; a reference
-    with ties brings its own ranks and runs, so its iterations form a group
-    per index.  Each score is bit-identical to the one its index gets
-    alone.
+    Each (reference dimension, index) pair is a stack row, ``ref * reps +
+    k``, holding the composed positions of that reference.  The reference
+    dimensions are taken in groups whose stack rows fill about
+    ``_CHUNK_CELLS`` positions, at least one reference each.  Every
+    iteration of a group with a tie-free reference shares the window-local
+    ranks, so those iterations are scored together; a tied reference brings
+    its own ranks and runs, so its iterations are scored per stack row.
+    Each score is bit-identical to the one its index gets alone.
     """
     n, d = indexes[0].n, indexes[0].d
     reps, m = draws.shape[:2]
     size = slice_size(n, d, alpha)
     _, width = restriction_bounds(n, alpha)
     draws = draws.reshape(reps * m, -1)
-    refs, restrictions = draws[:, 0], draws[:, -1]
+    restrictions = draws[:, -1]
+    # the stack row of each iteration, ref * reps + k, and the number of
+    # iterations that drew each stack row
+    stack = draws[:, 0] * reps + np.arange(reps * m) // m
+    drew = np.bincount(stack, minlength=d * reps).tolist()
 
     # pos[k, j, row]: the row's position in the sorted order of dimension j
     # of index k
@@ -150,53 +165,61 @@ def _estimate(indexes, alpha: float, seeds, draws: np.ndarray,
     # the window-local ranks of a tie-free column, shared by its windows
     local = np.arange(width, dtype=np.float64)
     chunk = max(1, _CHUNK_CELLS // width)
-    for ref in range(d):
-        batch = np.flatnonzero(refs == ref)
-        if not batch.size:
-            continue
-        rep_of = batch // m
-        drew = sorted(set(rep_of.tolist()))
-        others = [j for j in range(d) if j != ref]
-        # positions[k, c, p]: the position, in the sorted order of dimension
-        # others[c] of index k, of the row at position p of this one; only
-        # the indexes that drew this reference fill theirs
-        positions = np.empty((reps, d - 1, n), dtype=dtype)
-        for k in drew:
-            row_ids = indexes[k].dims[ref].row_ids
-            for c, j in enumerate(others):
-                _gather(positions[k, c], pos[k, j], row_ids)
+    others = [[j for j in range(d) if j != ref] for ref in range(d)]
+    group_rows = reps * max(1, _CHUNK_CELLS // (reps * (d - 1) * n))
+    for top in range(0, d * reps, group_rows):
+        rows = range(top, min(d * reps, top + group_rows))
+        # positions[s - top, c, p]: for the stack row s of reference ref and
+        # index k, the position, in the sorted order of the c-th other
+        # dimension of index k, of the row at position p of ref; only the
+        # stack rows some iteration drew fill theirs
+        positions = np.empty((len(rows), d - 1, n), dtype=dtype)
         windows = window_view(positions, width)
-        # a tied reference brings its own ranks and runs, so its iterations
-        # are a group per index; tie-free ones share one group
-        tied_reps = [k for k in drew if indexes[k].dims[ref].adjusted_ranks is not None]
-        groups = [batch[rep_of == k] for k in tied_reps]
-        if len(tied_reps) < len(drew):
-            groups.append(batch[~np.isin(rep_of, tied_reps)] if tied_reps else batch)
-        for group in groups:
-            dim = indexes[group[0] // m].dims[ref]
+        groups = []  # (iterations, reference dimension), scored together
+        free = np.zeros(d * reps, dtype=np.bool_)  # the tie-free stack rows
+        free_dim = None
+        for s in rows:
+            if not drew[s]:
+                continue
+            ref, k = divmod(s, reps)
+            dim = indexes[k].dims[ref]
+            for c, j in enumerate(others[ref]):
+                _gather(positions[s - top, c], pos[k, j], dim.row_ids)
+            if dim.adjusted_ranks is None:
+                free[s] = True
+                free_dim = dim
+            else:
+                groups.append((np.flatnonzero(stack == s), dim))
+        if free_dim is not None:
+            groups.append((np.flatnonzero(free[stack]), free_dim))
+        for group, dim in groups:
             if dim.adjusted_ranks is not None:
                 ranks = window_view(dim.adjusted_ranks, width)
             for at in range(0, group.size, chunk):
                 its = group[at:at + chunk]
                 lo = restrictions[its]
-                member = slice_windows(windows, its // m, draws[its, 1:-1], size, lo)
+                member = slice_windows(windows, stack[its] - top, draws[its, 1:-1], size, lo)
                 r1[its], n1[its], corr[its] = _kernels.window_rows(
                     member, local if dim.adjusted_ranks is None else ranks[lo], lo, width,
                     run_starts=dim.run_starts, run_lengths=dim.run_lengths)
-        # free them before the next reference allocates its own
+        # free them before the next group allocates its own
         del positions, windows
 
     values, tied, empty_full = confidences(r1, n1, corr, width)
-    values, tied, empty_full = (a.reshape(reps, m) for a in (values, tied, empty_full))
+    values = values.reshape(reps, m)
+    # each row is summed pairwise and divided by m, as values[k].mean() is
+    scores = (values.sum(axis=1) / m).tolist()
+    tied = tied.reshape(reps, m).sum(axis=1).tolist()
+    empty_full = empty_full.reshape(reps, m).sum(axis=1).tolist()
     return [
         ContrastEstimate(
-            score=float(values[k].mean()),
+            score=scores[k],
             m_iterations=m,
             alpha=alpha,
             seed=seed,
             per_iteration=values[k] if record_iterations else None,
-            degenerate_tied=int(np.count_nonzero(tied[k])),
-            degenerate_empty_full=int(np.count_nonzero(empty_full[k])),
+            degenerate_tied=tied[k],
+            degenerate_empty_full=empty_full[k],
         )
         for k, seed in enumerate(seeds)
     ]

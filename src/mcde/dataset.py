@@ -166,8 +166,9 @@ def _input_error(
     return ParseError(f"{exc} at line {row_line}")
 
 
-def csv_rows(source: Iterable[str], delimiter: str = ",") -> Iterator[list[str]]:
-    """The rows of CSV text lines, as the csv module splits them.
+def csv_rows(source: Iterable[str], delimiter: str = ",") -> Iterator[tuple[int, list[str]]]:
+    """The rows of CSV text lines, as the csv module splits them, each with
+    the 1-based line it starts on.
 
     Input the csv module or the text decoder rejects raises
     :class:`ParseError` naming its line, as in :func:`read_csv`.
@@ -176,8 +177,9 @@ def csv_rows(source: Iterable[str], delimiter: str = ",") -> Iterator[list[str]]
     last_line = 0
     try:
         for row in reader:
-            last_line = reader.line_num
-            yield row
+            # a row starts on the line after the previous one ended
+            line, last_line = last_line + 1, reader.line_num
+            yield line, row
     except (csv.Error, UnicodeDecodeError) as exc:
         raise _input_error(exc, last_line + 1, reader.line_num) from None
 

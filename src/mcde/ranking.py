@@ -103,7 +103,14 @@ def _build_dimension(column: np.ndarray, position: int) -> DimensionIndex:
     return DimensionIndex(order, adjusted, run_starts, run_lengths)
 
 
+def _index_columns(columns: np.ndarray) -> RankIndex:
+    """The rank index of the rows of the (d, n) float64 ``columns``, each a
+    column of finite values and row j the column at position j."""
+    return RankIndex(tuple(_build_dimension(column, j) for j, column in enumerate(columns)),
+                     columns.shape[1])
+
+
 def construct_index(ds: Dataset) -> RankIndex:
     """Build the rank index for every column of ``ds``."""
-    dims = tuple(_build_dimension(ds.column(j), j) for j in range(ds.d))
-    return RankIndex(dims, ds.n)
+    # the column-major values, transposed, hold one contiguous column per row
+    return _index_columns(ds.values.T)

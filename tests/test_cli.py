@@ -393,6 +393,8 @@ def test_monitor_strict_malformed_row(capsys, monkeypatch):
     code, out, err = _run(capsys, ["monitor", "--width", "2", "--dims", "0,1"],
                           stdin_text="0.1,0.2\nbad,0.4\n", monkeypatch=monkeypatch)
     assert code == 2
+    # the file line and 1-based column, as estimate reports a bad cell
+    assert err.endswith("mcde: error: row 1: cannot parse 'bad' as a number at line 2, column 1\n")
 
 
 def test_monitor_skips_a_header_with_a_numeric_name(capsys, monkeypatch):
@@ -430,13 +432,39 @@ def test_monitor_lenient_reports_a_short_first_row(capsys, monkeypatch):
 
 
 def test_monitor_lenient_skips(capsys, monkeypatch):
-    text = "0.1,0.2\nbad,0.4\n0.3,0.1\n0.6,0.9\n"
+    text = "0.1,0.2\nbad,0.4\n0.3,0.1\n0.6,0.9\n0.5,inf\n"
     code, out, err = _run(capsys, ["monitor", "--width", "3", "--dims", "0,1",
                                    "--m", "5", "--lenient"],
                           stdin_text=text, monkeypatch=monkeypatch)
     assert code == 0
-    assert "skipped row 1" in err
+    assert "# skipped row 1: cannot parse 'bad' as a number at line 2, column 1\n" in err
+    assert "# skipped row 4: non-finite value 'inf' at line 5, column 2\n" in err
     assert out.count("\n") == 2  # header + one emission
+
+
+@pytest.mark.parametrize("lenient", [[], ["--lenient"]])
+@pytest.mark.parametrize("text", [
+    "0.1,0.2\n0.3,0.1\n0.6,0.9\n0.2,0.4\n\n",          # a blank last line
+    "\n0.1,0.2\n0.3,0.1\n0.6,0.9\n0.2,0.4\n",          # a blank first line
+    "x,y\n\n0.1,0.2\n0.3,0.1\r\n\r\n0.6,0.9\n\n\n0.2,0.4\n",
+])
+def test_monitor_skips_blank_lines(capsys, monkeypatch, text, lenient):
+    # blank lines are no rows, as for estimate: the emissions, their row
+    # indexes and seeds, are those of the stream without them
+    argv = ["monitor", "--width", "2", "--dims", "0,1", "--m", "5", *lenient]
+    code, out, err = _run(capsys, argv, stdin_text=text, monkeypatch=monkeypatch)
+    assert (code, "skipped row" in err) == (0, False)
+    plain = "0.1,0.2\n0.3,0.1\n0.6,0.9\n0.2,0.4\n"
+    assert (code, out) == _run(capsys, argv, stdin_text=plain, monkeypatch=monkeypatch)[:2]
+    assert [line.split(",")[0] for line in out.split()[1:]] == ["1", "2", "3"]
+
+
+def test_monitor_bad_cell_after_blank_lines_names_its_file_line(capsys, monkeypatch):
+    text = "a,b,c\n\n0.1,0.2,0.3\n\n0.4,0.5,x\n"
+    code, out, err = _run(capsys, ["monitor", "--width", "2", "--dims", "0,2"],
+                          stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 2
+    assert err.endswith("mcde: error: row 1: cannot parse 'x' as a number at line 5, column 3\n")
 
 
 def test_console_script_pipe_end_to_end():

@@ -1,6 +1,8 @@
 import dataclasses
 import importlib
 import math
+import sys
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -235,6 +237,51 @@ def test_stacked_estimate_equals_one_contrast_per_index(n, d, alpha):
     if n > 2:
         # the all-tied columns were drawn as references
         assert sum(estimate.degenerate_tied for estimate in stacked) > 0
+
+
+@st.composite
+def _stacks(draw):
+    """A stack of indexes of one (n, d), each column continuous, at a drawn
+    number of tie levels, or constant."""
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(2, 5))
+    reps = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    indexes = []
+    for _ in range(reps):
+        columns = []
+        for _ in range(d):
+            levels = draw(st.sampled_from([0, 1, 2, 7, n // 2 + 1]))
+            column = rng.random(n)
+            columns.append(np.floor(column * levels) if levels else column)
+        indexes.append(mcde.construct_index(mcde.Dataset(np.column_stack(columns))))
+    return indexes
+
+
+@given(
+    indexes=_stacks(),
+    m=st.integers(1, 40),
+    alpha=st.floats(0.05, 1.0),
+    group=st.integers(1, 5),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_estimate_does_not_depend_on_stack_or_grouping(indexes, m, alpha, group, seed):
+    # groups of `group` references; the same cap cuts the scoring batches
+    # and the gathers, down to one iteration and one row id at a time
+    n, d, reps = indexes[0].n, indexes[0].d, len(indexes)
+    seeds = [(seed + k) % 2**64 for k in range(reps)]
+    alone = [contrast(index, m=m, alpha=alpha, seed=s, record_iterations=True)
+             for index, s in zip(indexes, seeds)]
+    draws = _draw(seeds, n, d, m, alpha)
+    cells = group * reps * (d - 1) * n
+    with patch.object(sys.modules["mcde.contrast"], "_CHUNK_CELLS", cells):
+        stacked = _estimate(indexes, alpha, seeds, draws, record_iterations=True)
+    for estimate, single in zip(stacked, alone, strict=True):
+        assert estimate.score == single.per_iteration.mean()
+        assert estimate.per_iteration.tobytes() == single.per_iteration.tobytes()
+        assert dataclasses.replace(estimate, per_iteration=None) == \
+            dataclasses.replace(single, per_iteration=None)
 
 
 def test_restriction_windows_stay_inside_the_column():

@@ -4,14 +4,16 @@
 integers; these comparisons pin that format: the first output at counter 1,
 32-bit words low half first, no word for a bound of 1, the Lemire rejection
 threshold, further counter blocks, and the scalar path for bounds >= 2**32.
-If numpy ever changes any of it, they fail.
+``derive_seeds`` reimplements ``SeedSequence``'s entropy mixing, and is
+compared with numpy's own ``SeedSequence`` the same way.  If numpy ever
+changes any of it, they fail.
 """
 
 import numpy as np
 import pytest
 
 from mcde import _rng
-from mcde._rng import iteration_integers, lane_integers
+from mcde._rng import derive_seed, derive_seeds, iteration_integers, lane_integers
 
 SEEDS = [0, 1, 2**32 + 7, 2**63, 2**63 + 12_345, 2**64 - 1]
 ITERATIONS = [*range(40), 2**32 + 3, 2**64 - 1]
@@ -89,3 +91,40 @@ def test_passes_are_cut_at_the_lane_cap(monkeypatch):
 def test_streams_of_different_seeds_differ():
     a, b = iteration_integers([1, 2], 1, [2**30])[:, 0, 0]
     assert a != b
+
+
+# --- child seeds against SeedSequence ---------------------------------------
+
+# values at the 32-bit word boundaries: one, two and three words
+WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70 + 3]
+
+
+def sequence_seed(seed, path):
+    state = np.random.SeedSequence([seed, *path]).generate_state(1, np.uint64)
+    return int(state[0])
+
+
+@pytest.mark.parametrize("seed", WORD_EDGES)
+def test_bulk_seeds_at_word_boundaries_equal_seed_sequence(seed):
+    # entropy of 1 to 8 words: padded to the pool of four, and mixed in
+    # after it; one call mixes every word count
+    paths = [(), *[(v,) for v in WORD_EDGES], *[(v, w) for v in WORD_EDGES for w in WORD_EDGES]]
+    got = derive_seeds(seed, paths)
+    assert got == [sequence_seed(seed, path) for path in paths]
+    assert [derive_seed(seed, *path) for path in paths[:9]] == got[:9]
+
+
+def test_bulk_seeds_of_random_paths_equal_seed_sequence():
+    rng = np.random.default_rng(18)
+    bits = (1, 31, 32, 33, 63, 64, 65, 96, 130)
+    for _ in range(20):
+        seed = int(rng.integers(0, 2**63)) << int(rng.integers(0, 40))
+        paths = [tuple(int(rng.integers(0, 2**62)) >> int(rng.integers(0, 62)) << int(b)
+                       for b in rng.choice(bits, size=rng.integers(0, 5)))
+                 for _ in range(30)]
+        assert derive_seeds(seed, paths) == [sequence_seed(seed, path) for path in paths]
+
+
+def test_bulk_seeds_reject_a_negative_value():
+    with pytest.raises(ValueError, match="non-negative"):
+        derive_seeds(0, [(1,), (-1,)])

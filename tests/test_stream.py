@@ -174,3 +174,49 @@ def test_lenient_emissions_with_skipped_rows_equal_offline_contrast(monkeypatch)
         offline = mcde.contrast(Dataset(window), m=200,
                                 seed=window_seed(cfg.seed, event.row_index))
         assert event.estimate == offline
+
+
+@pytest.mark.parametrize("step", [1, 3])
+@pytest.mark.parametrize("levels", [None, 3])
+def test_window_index_from_the_ring_buffer_equals_construct_index(monkeypatch, step, levels):
+    # width 7 and step 3 are coprime, so either step ends windows at every
+    # ring-buffer pivot; columns 2 and 0 are monitored in that order
+    rng = np.random.default_rng(21)
+    rows = rng.random((60, 3))
+    if levels:
+        rows = np.floor(rows * levels)
+    indexes = []
+    estimate = mcde.stream._estimate
+
+    def spy(stack, *args):
+        indexes.append(stack[0])
+        return estimate(stack, *args)
+
+    monkeypatch.setattr(mcde.stream, "_estimate", spy)
+    cfg = WindowConfig(width=7, dims=(2, 0), step=step, m=5, seed=1)
+    events = list(monitor(iter(rows), cfg))
+    assert len(indexes) == len(events)
+    assert {(e.row_index + 1) % 7 for e in events} == set(range(7))
+    for event, index in zip(events, indexes):
+        window = rows[event.row_index - 6:event.row_index + 1][:, [2, 0]]
+        expected = mcde.construct_index(Dataset(window))
+        assert index.n == expected.n == 7
+        for got, want in zip(index.dims, expected.dims, strict=True):
+            assert np.array_equal(got.row_ids, want.row_ids)
+            assert (got.adjusted_ranks is None) == (want.adjusted_ranks is None) == (not levels)
+            if levels:
+                assert np.array_equal(got.adjusted_ranks, want.adjusted_ranks)
+            assert np.array_equal(got.run_starts, want.run_starts)
+            assert np.array_equal(got.run_lengths, want.run_lengths)
+
+
+def test_bad_cell_error_names_its_column():
+    rows = [[0.1, 0.2, 0.3], [0.4, 0.5, "x"]]
+    cfg = WindowConfig(width=2, dims=(0, 2), m=5, seed=0)
+    with pytest.raises(StreamFormatError) as info:
+        list(monitor(iter(rows), cfg))
+    assert str(info.value) == "row 1: cannot parse 'x' as a number at column 3"
+    assert (info.value.row_index, info.value.column) == (1, 3)
+    events = list(monitor(iter([*rows, [0.1, 0.2, float("inf")]]), cfg, strict=False))
+    assert events == [RowError(1, "cannot parse 'x' as a number", 3),
+                      RowError(2, "non-finite value inf", 3)]
