@@ -1,7 +1,6 @@
 import dataclasses
 import importlib
 import math
-import sys
 from unittest.mock import patch
 
 import numpy as np
@@ -275,7 +274,7 @@ def test_estimate_does_not_depend_on_stack_or_grouping(indexes, m, alpha, group,
              for index, s in zip(indexes, seeds)]
     draws = _draw(seeds, n, d, m, alpha)
     cells = group * reps * (d - 1) * n
-    with patch.object(sys.modules["mcde.contrast"], "_CHUNK_CELLS", cells):
+    with patch.object(importlib.import_module("mcde.contrast"), "_CHUNK_CELLS", cells):
         stacked = _estimate(indexes, alpha, seeds, draws, record_iterations=True)
     for estimate, single in zip(stacked, alone, strict=True):
         assert estimate.score == single.per_iteration.mean()
