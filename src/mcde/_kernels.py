@@ -6,15 +6,19 @@ the window statistics of the Mann-Whitney test over a batch of iterations.
 The rank pass returns as soon as it finds no two equal neighbours: a
 tie-free column's rank is its sorted position, so it stores no ranks.
 The window statistics take each iteration's slice membership over its
-window, one row per iteration, and sum it in one 2-D pass, against the
-window-local positions for a tie-free column, else against the global
-tie-averaged ranks.  Those are already the window-local ranks, shifted by
-the window start, everywhere except in the at most two tie runs the window
-boundary cuts, which get an O(1) fix per iteration.  The tie correction
-comes from the stored runs that overlap the window, clipped to it.  Rank
-sums are multiples of 0.5 far below 2**52, and each tie correction is summed
-as an exact integer and rounded once to float64, so the results do not
-depend on summation order.
+window, one row per iteration, and pack each row into bytes, eight window
+positions to a byte.  A row's member count is the popcount of its bytes.  In
+a tie-free column a position's local rank is the position itself, so a
+row's rank sum is the sum of its set-bit positions: byte k adds ``8k`` per
+set bit plus the positions of its bits within the byte, read from a
+256-entry table, all in exact int64.  A column with ties sums the membership
+against its global tie-averaged ranks in one 2-D pass.  Those are already
+the window-local ranks, shifted by the window start, everywhere except in
+the at most two tie runs the window boundary cuts, which get an O(1) fix per
+iteration.  The tie correction comes from the stored runs that overlap the
+window, clipped to it.  Rank sums are multiples of 0.5 far below 2**52, and
+each tie correction is summed as an exact integer and rounded once to
+float64, so the results do not depend on summation order.
 """
 
 from __future__ import annotations
@@ -24,6 +28,10 @@ import numpy as np
 # below this width every window's sum of g**3 - g is at most
 # width**3 - width < 2**63, so it is exact in int64
 _INT64_SAFE_WIDTH = 2**21
+
+# the sum of the set-bit positions of each byte value, bit 0 the lowest
+_BIT_POSITIONS = np.array([sum(b for b in range(8) if v >> b & 1) for v in range(256)],
+                          dtype=np.int64)
 
 
 def _tie_correction(counts: np.ndarray, width: int) -> int:
@@ -71,22 +79,28 @@ def window_rows(member, ranks, starts, width, *, run_starts, run_lengths):
     positions from ``starts[i]`` on, inside the column.  For a column with
     ties, row i of the 2-D ``ranks`` holds its :func:`rank_scan` ranks
     there, and every row is a window of that one column.  Tie-free columns
-    pass the 1-D float64 ``arange(width)`` of window-local positions, which
-    are the local ranks of every window, so their rows may be windows of
+    pass ``ranks=None``, as the index stores them: the local rank of every
+    window position is the position, so their rows may be windows of
     different columns, such as the reference columns of many estimates.  Each
     tie group contributes its window-local 0-based average rank to the
     members inside it; the at most two runs cut by a window boundary are
     ranked among window rows only.  Returns ``(rank_sums, member_counts,
     tie_corrections)``, the last the sums of ``g**3 - g`` over window-local
     group sizes, each exact at any window width and then rounded to float64.
+
+    Each row is packed into bytes, bit b of byte k for position ``8k + b``,
+    and counted by popcount.  A tie-free rank sum is the exact integer
+    ``sum(8k * count[k] + _BIT_POSITIONS[byte[k]])``, rounded once.
     """
-    n1 = np.count_nonzero(member, axis=1)
-    # einsum keeps the sums off BLAS
-    if ranks.ndim == 1:
-        r1 = np.einsum("ij,j->i", member, ranks)
+    packed = np.packbits(member, axis=1, bitorder="little")
+    counts = np.bitwise_count(packed)
+    n1 = counts.sum(axis=1, dtype=np.int64)
+    if ranks is None:
+        first_bits = np.arange(0, 8 * packed.shape[1], 8, dtype=np.int64)
+        r1 = (counts @ first_bits + np.take(_BIT_POSITIONS, packed).sum(axis=1)).astype(np.float64)
     else:
         # global ranks shifted by the start are the local ranks of every
-        # position outside a cut run
+        # position outside a cut run; einsum keeps the sums off BLAS
         r1 = np.einsum("ij,ij->i", member, ranks) - n1 * starts
     corr = np.zeros(len(starts))
     if run_starts.size:  # per window, only for a column with tie runs

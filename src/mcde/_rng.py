@@ -58,6 +58,15 @@ def check_seed(seed: int) -> int:
     return int(seed)
 
 
+def check_key_seed(seed: int) -> int:
+    """A seed that keys iteration streams directly: the Philox key holds 64
+    bits, so a seed outside [0, 2**64) would alias a smaller one."""
+    seed = check_seed(seed)
+    if seed > _MASK64:
+        raise ValueError(f"seed must be below 2**64, got {seed}")
+    return seed
+
+
 def iteration_rng(seed: int, iteration: int) -> np.random.Generator:
     """Independent generator for one Monte Carlo iteration."""
     key = np.array([seed & _MASK64, iteration], dtype=np.uint64)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._rng import check_seed, iteration_integers
+from ._rng import check_key_seed, iteration_integers
 from .dataset import Dataset
 from .mwp import confidences, restriction_bounds
 from .ranking import RankIndex, construct_index
@@ -104,12 +104,13 @@ def contrast(
     ``data`` may be a prebuilt :class:`RankIndex` (use
     :meth:`RankIndex.project` to scan many subspaces of one dataset without
     re-sorting).  ``record_iterations=True`` keeps the M per-iteration test
-    values on the result.
+    values on the result.  ``seed`` keys the 64-bit Philox streams of the
+    iterations, so it must lie in [0, 2**64).
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     alpha = check_alpha(alpha)
-    seed = check_seed(seed)
+    seed = check_key_seed(seed)
     index = data if isinstance(data, RankIndex) else construct_index(data)
     _check_shape(index.n, index.d)
     draws = _draw([seed], index.n, index.d, m, alpha)
@@ -162,8 +163,6 @@ def _estimate(indexes, alpha: float, seeds, draws: np.ndarray,
     r1 = np.empty(reps * m)
     n1 = np.empty(reps * m, dtype=np.int64)
     corr = np.empty(reps * m)
-    # the window-local ranks of a tie-free column, shared by its windows
-    local = np.arange(width, dtype=np.float64)
     chunk = max(1, _CHUNK_CELLS // width)
     others = [[j for j in range(d) if j != ref] for ref in range(d)]
     group_rows = reps * max(1, _CHUNK_CELLS // (reps * (d - 1) * n))
@@ -200,7 +199,7 @@ def _estimate(indexes, alpha: float, seeds, draws: np.ndarray,
                 lo = restrictions[its]
                 member = slice_windows(windows, stack[its] - top, draws[its, 1:-1], size, lo)
                 r1[its], n1[its], corr[its] = _kernels.window_rows(
-                    member, local if dim.adjusted_ranks is None else ranks[lo], lo, width,
+                    member, None if dim.adjusted_ranks is None else ranks[lo], lo, width,
                     run_starts=dim.run_starts, run_lengths=dim.run_lengths)
         # free them before the next group allocates its own
         del positions, windows

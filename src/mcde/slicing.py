@@ -11,7 +11,10 @@ reference dimension, so membership is computed there directly, for a batch
 of slices at once, which may belong to different estimates of one shape:
 each conditioning dimension's sorted positions, listed in the reference
 dimension's order, are read window by window and compared against each
-slice's start.  Every read is sequential.
+slice's start.  Every read is sequential.  A batch of many windows gathers
+them into one array and subtracts in place; a batch of one window, as every
+batch at widths of 2**15 and more is, subtracts straight from the strided
+view and copies nothing first.
 """
 
 from __future__ import annotations
@@ -72,9 +75,15 @@ def slice_windows(windows, reps, starts, size: int, window_starts) -> np.ndarray
     the window of repetition ``reps[i]`` that starts at ``window_starts[i]``.
     """
     member = None
+    one = len(reps) == 1
     for c in range(windows.shape[1]):
-        batch = windows[reps, c, window_starts]
-        batch -= starts[:, c, None].astype(batch.dtype)
+        start = starts[:, c, None].astype(windows.dtype)
+        if one:
+            lo = window_starts[0]
+            batch = windows[reps[0], c, lo:lo + 1] - start
+        else:
+            batch = windows[reps, c, window_starts]
+            batch -= start
         # one unsigned compare tests 0 <= position - start < size
         inside = batch.view(_UNSIGNED[batch.dtype.itemsize]) < size
         if member is None:

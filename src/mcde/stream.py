@@ -82,6 +82,8 @@ class WindowConfig:
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         object.__setattr__(self, "alpha", check_alpha(self.alpha))
+        if not math.isfinite(self.drift_threshold):
+            raise ValueError(f"drift_threshold must be finite, got {self.drift_threshold}")
         if self.drift_patience < 1:
             raise ValueError(f"drift_patience must be >= 1, got {self.drift_patience}")
         check_seed(self.seed)

@@ -182,8 +182,7 @@ def window_stats(member, order, adjusted_ranks, start, end, *, run_starts, run_l
 
     Returns ``(rank_sum, member_count, tie_correction)``.
     """
-    ranks = (np.arange(end - start, dtype=np.float64) if adjusted_ranks is None
-             else adjusted_ranks[None, start:end])
+    ranks = None if adjusted_ranks is None else adjusted_ranks[None, start:end]
     r1, n1, corr = window_rows(
         member[order[start:end]][None], ranks,
         np.array([start]), end - start,

@@ -124,6 +124,35 @@ def test_estimate_constant_columns_prints_zero(capsys, tmp_path):
     assert "seed=0" in err
 
 
+def test_estimate_seed_past_64_bits_is_usage_error(capsys, tmp_path):
+    # seed 2**64 would alias seed 0 in the 64-bit Philox key
+    path = _write_csv(tmp_path, "lin.csv", noise=0.5)
+    code, out, err = _run(capsys, ["estimate", "--input", str(path), "--seed", str(2**64)])
+    assert code == 1
+    assert out == ""
+    assert "seed must be below 2**64, got 18446744073709551616" in err
+    code, out, _ = _run(capsys, ["estimate", "--input", str(path), "--seed", str(2**64 - 1)])
+    assert code == 0 and float(out) >= 0.0
+
+
+@pytest.mark.parametrize("argv, stdin_text", [
+    (["generate", "--kind", "linear", "--n", "20", "--noise", "0.5"], None),
+    (["benchmark", "distribution", "--kind", "linear", "--n", "60", "--d", "2",
+      "--m", "10", "--reps", "3"], None),
+    (["monitor", "--width", "20", "--step", "5", "--dims", "0,1", "--m", "10"],
+     "\n".join(f"{i * 0.37 % 1:.4f},{i * 0.61 % 1:.4f}" for i in range(40)) + "\n"),
+])
+def test_seeds_past_64_bits_derive_their_own_streams(capsys, monkeypatch, argv, stdin_text):
+    """generate, benchmark and monitor derive child seeds through
+    SeedSequence, which tells 2**64 from 0, so they accept it."""
+    outputs = []
+    for seed in (0, 2**64):
+        code, out, _ = _run(capsys, [*argv, "--seed", str(seed)], stdin_text, monkeypatch)
+        assert code == 0
+        outputs.append(out.replace(f",{seed}\n", "\n"))
+    assert outputs[0] != outputs[1]
+
+
 def test_estimate_six_significant_digits(capsys, tmp_path):
     path = _write_csv(tmp_path, "lin.csv")
     code, out, err = _run(capsys, ["estimate", "--input", str(path), "--seed", "42"])
@@ -387,6 +416,16 @@ def test_monitor_negative_column_index_is_rejected(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "column index -1 out of range" in err
+
+
+def test_monitor_non_finite_drift_threshold_is_rejected(capsys, monkeypatch):
+    # score < nan is always false, so a NaN threshold would never flag
+    code, out, err = _run(capsys, ["monitor", "--width", "2", "--dims", "0,1", "--m", "5",
+                                   "--flag-drift", "--drift-threshold", "nan"],
+                          stdin_text="0.1,0.2\n0.3,0.1\n0.6,0.9\n", monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert "drift_threshold must be finite, got nan" in err
 
 
 def test_monitor_strict_malformed_row(capsys, monkeypatch):

@@ -45,6 +45,14 @@ def test_bad_alpha_and_seed_rejected(uniform_ds):
         contrast(uniform_ds, m=5, seed=-1)
 
 
+def test_seed_past_the_64_bit_key_rejected(uniform_ds):
+    # the Philox key holds 64 bits: 2**64 would score as seed 0
+    assert contrast(uniform_ds, m=5, seed=2**64 - 1).seed == 2**64 - 1
+    for seed in (2**64, 2**64 + 7, 2**70):
+        with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):
+            contrast(uniform_ds, m=5, seed=seed)
+
+
 def test_deterministic_given_seed(uniform_ds):
     a = contrast(uniform_ds, m=40, seed=7)
     b = contrast(uniform_ds, m=40, seed=7)

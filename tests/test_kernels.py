@@ -137,10 +137,7 @@ def test_window_rows_equal_one_window_at_a_time(case):
     starts = np.sort(rng.integers(0, n - width + 1, size=9))
     member = rng.random(n) < 0.5
     rows = np.array([member[order][s:s + width] for s in starts])
-    if adj is None:
-        ranks = np.arange(width, dtype=np.float64)
-    else:
-        ranks = np.array([adj[s:s + width] for s in starts])
+    ranks = None if adj is None else np.array([adj[s:s + width] for s in starts])
     r1, n1, corr = _kernels.window_rows(rows, ranks, starts, width,
                                         run_starts=run_starts, run_lengths=run_lengths)
     for i, s in enumerate(starts.tolist()):
@@ -150,15 +147,15 @@ def test_window_rows_equal_one_window_at_a_time(case):
 
 @pytest.mark.parametrize("width", [1, 2, 7, 300, 2**21 + 5])
 def test_tie_free_window_rows_equal_explicit_ranks(width):
-    """Window-local positions give the rank sums of the explicit rank windows
-    ``arange(start, start + width)``, bit for bit, also past 2**21 rows."""
+    """Tie-free windows (``ranks=None``) give the rank sums of the explicit
+    rank windows ``arange(start, start + width)``, bit for bit, also past
+    2**21 rows."""
     rng = np.random.default_rng(width)
     n = width + 40
     starts = np.array([0, 40]) if width > 2**20 else rng.integers(0, n - width + 1, 9)
     member = rng.random((starts.size, width)) < 0.5
     empty = np.empty(0, dtype=np.intp)
-    local = np.arange(width, dtype=np.float64)
-    got = _kernels.window_rows(member, local, starts, width,
+    got = _kernels.window_rows(member, None, starts, width,
                                run_starts=empty, run_lengths=empty)
     explicit = window_view(np.arange(n, dtype=np.float64), width)[starts]
     expected = _kernels.window_rows(member, explicit, starts, width,
@@ -167,3 +164,65 @@ def test_tie_free_window_rows_equal_explicit_ranks(width):
         assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
     exact = [int(np.flatnonzero(row).sum()) for row in member]
     assert got[0].tolist() == exact
+
+
+def _member_vectors(rng, n):
+    """Row memberships: no member, every member, and three random densities."""
+    return [np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
+            *(rng.random(n) < p for p in (0.1, 0.5, 0.9))]
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_packed_window_rows_equal_oracle_at_every_width(tied):
+    """Packed counts and rank sums equal the brute-force window statistics at
+    widths 1-70, so a window ends at every bit of its last byte, for rows
+    with no member, every member and random members."""
+    rng = np.random.default_rng(19 + tied)
+    for width in range(1, 71):
+        n = width + int(rng.integers(1, 12))
+        column = (np.floor(rng.random(n) * max(1, width // 3)) if tied
+                  else rng.permutation(n).astype(np.float64))
+        order = _sorted_order(rng, column)
+        adj, run_starts, run_lengths = _kernels.rank_scan(column, order)
+        assert (adj is None) != tied
+        members = _member_vectors(rng, n)
+        starts = rng.integers(0, n - width + 1, size=len(members))
+        rows = np.array([m[order][s:s + width] for m, s in zip(members, starts)])
+        ranks = None if adj is None else window_view(adj, width)[starts]
+        r1, n1, corr = _kernels.window_rows(rows, ranks, starts, width,
+                                            run_starts=run_starts, run_lengths=run_lengths)
+        assert r1.dtype == np.float64 and n1.dtype == np.int64
+        for i, (member, s) in enumerate(zip(members, starts.tolist())):
+            expected = local_window_stats_oracle(member, order, column, s, s + width)
+            assert (r1[i], n1[i], corr[i]) == expected, (width, i)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_packed_window_rows_exact_past_int64_safe_width(tied):
+    """At width 2**21 + 5 the packed rank sums equal exact integer sums of the
+    window-local ranks; the tied column's windows cut runs of three."""
+    width = 2**21 + 5
+    n = width + 7
+    column = np.repeat(np.arange(n // 3 + 1.0), 3)[:n] if tied else np.arange(n, dtype=np.float64)
+    order = np.arange(n)
+    adj, run_starts, run_lengths = _kernels.rank_scan(column, order)
+    rng = np.random.default_rng(5)
+    starts = np.array([1, 7, 0, 2, 4])
+    members = _member_vectors(rng, n)
+    rows = np.array([m[s:s + width] for m, s in zip(members, starts)])
+    ranks = None if adj is None else window_view(adj, width)[starts]
+    r1, n1, corr = _kernels.window_rows(rows, ranks, starts, width,
+                                        run_starts=run_starts, run_lengths=run_lengths)
+    for i, s in enumerate(starts.tolist()):
+        if tied:
+            head = 3 - s % 3
+            lengths = np.array([head, *[3] * ((width - head) // 3), (width - head) % 3])
+            lengths = lengths[lengths > 0]
+        else:
+            lengths = np.ones(width, dtype=np.int64)
+        # twice each window-local average rank, an exact integer
+        twice = np.repeat(2 * (np.cumsum(lengths) - lengths) + lengths - 1, lengths)
+        window = rows[i]
+        assert r1[i] == int(twice[window].sum()) / 2
+        assert n1[i] == int(window.sum())
+        assert corr[i] == float(sum(g**3 - g for g in lengths.tolist()))

@@ -145,3 +145,25 @@ def test_window_view_equals_sliding_window_view(shape, width):
         assert got.shape == expected.shape and got.dtype == a.dtype
         assert np.array_equal(got, expected)
         assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_one_window_batch_equals_its_row_of_a_many_window_batch(dtype):
+    """A batch of one window subtracts from the strided view and a batch of
+    many gathers first; both give the same membership, bit for bit, also
+    where a start lies past a position and the difference wraps."""
+    rng = np.random.default_rng(int(np.dtype(dtype).itemsize))
+    reps, others, n, width, size = 3, 2, 200, 61, 70
+    positions = np.stack([np.stack([rng.permutation(n) for _ in range(others)])
+                          for _ in range(reps)]).astype(dtype)
+    windows = window_view(positions, width)
+    k = 12
+    rep = rng.integers(0, reps, size=k)
+    starts = rng.integers(0, n - size + 1, size=(k, others))
+    window_starts = rng.integers(0, n - width + 1, size=k)
+    many = slice_windows(windows, rep, starts, size, window_starts)
+    assert 0 < many.sum() < many.size
+    for i in range(k):
+        one = slice_windows(windows, rep[i:i + 1], starts[i:i + 1], size, window_starts[i:i + 1])
+        assert one.shape == (1, width) and one.dtype == np.bool_
+        assert one.tobytes() == many[i:i + 1].tobytes()

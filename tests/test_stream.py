@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,9 @@ def test_config_validation():
         WindowConfig(width=10, dims=(0, 1), step=0)
     with pytest.raises(ValueError):
         WindowConfig(width=10, dims=(0, 1), drift_patience=0)
+    for threshold in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="drift_threshold must be finite"):
+            WindowConfig(width=10, dims=(0, 1), drift_threshold=threshold)
     with pytest.raises(ValueError):
         WindowConfig(width=10, dims=(0, 1), seed=-2)
     with pytest.raises(ValueError):
