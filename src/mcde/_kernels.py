@@ -30,8 +30,8 @@ import numpy as np
 _INT64_SAFE_WIDTH = 2**21
 
 # the sum of the set-bit positions of each byte value, bit 0 the lowest
-_BIT_POSITIONS = np.array([sum(b for b in range(8) if v >> b & 1) for v in range(256)],
-                          dtype=np.int64)
+_BIT_POSITIONS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                               bitorder="little") @ np.arange(8, dtype=np.int64)
 
 
 def _tie_correction(counts: np.ndarray, width: int) -> int:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
@@ -60,16 +59,16 @@ def check_seed(seed: int) -> int:
 
 def check_key_seed(seed: int) -> int:
     """A seed that keys iteration streams directly: the Philox key holds 64
-    bits, so a seed outside [0, 2**64) would alias a smaller one."""
+    bits, so the seed must lie in [0, 2**64)."""
     seed = check_seed(seed)
-    if seed > _MASK64:
+    if seed >= 2**64:
         raise ValueError(f"seed must be below 2**64, got {seed}")
     return seed
 
 
 def iteration_rng(seed: int, iteration: int) -> np.random.Generator:
     """Independent generator for one Monte Carlo iteration."""
-    key = np.array([seed & _MASK64, iteration], dtype=np.uint64)
+    key = np.array([seed, iteration], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -151,7 +150,7 @@ def iteration_integers(seeds, m: int, bounds) -> np.ndarray:
     most ``LANES``; a lane's draws do not depend on the pass it runs in.
     """
     bounds = [int(b) for b in bounds]
-    keys = np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
+    keys = np.array([int(s) for s in seeds], dtype=np.uint64)
     lane_seeds = np.repeat(keys, m)
     lane_iterations = np.tile(np.arange(m, dtype=np.uint64), keys.size)
     out = np.empty((lane_seeds.size, len(bounds)), dtype=np.int64)
