@@ -20,7 +20,7 @@ in about ``_CHUNK_CELLS`` such positions, at least one.  So both references
 of a d=2 estimate on a monitor window form one group, while a benchmark
 pass or an estimate at n=1e5 composes one reference at a time.  The
 iterations of a group are scored in batches: all those that drew a
-tie-free reference share the window-local ranks and form one batch,
+tie-free reference, whose windows are ranked by position, form one batch,
 whatever their reference and index, and those of a tied reference form a
 batch per index, with its ranks and runs.  Slice membership over the
 restriction windows, the window statistics and the test values are each a
@@ -134,8 +134,8 @@ def _estimate(indexes, alpha: float, seeds, draws: np.ndarray,
     k``, holding the composed positions of that reference.  The reference
     dimensions are taken in groups whose stack rows fill about
     ``_CHUNK_CELLS`` positions, at least one reference each.  Every
-    iteration of a group with a tie-free reference shares the window-local
-    ranks, so those iterations are scored together; a tied reference brings
+    iteration of a group with a tie-free reference ranks its window by
+    position, so those iterations are scored together; a tied reference brings
     its own ranks and runs, so its iterations are scored per stack row.
     Each score is bit-identical to the one its index gets alone.
     """
