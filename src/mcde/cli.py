@@ -24,6 +24,7 @@ from .contrast import contrast
 from .dataset import (DataError, _decode_error_line, _looks_numeric, csv_rows, load_csv,
                       read_csv, select_subspace, write_csv)
 from .generators import DEPENDENCY_KINDS, DependencySpec, generate
+from .ranking import construct_index
 from .stream import RowError, StreamFormatError, WindowConfig, monitor
 
 
@@ -89,7 +90,10 @@ def _cmd_estimate(args) -> int:
     if args.dims is not None:
         ds = select_subspace(ds, args.dims)
     _diag(f"seed={args.seed} m={args.m} alpha={args.alpha}")
-    estimate = contrast(ds, m=args.m, alpha=args.alpha, seed=args.seed)
+    # score the index alone, so the values are freed before scoring allocates
+    index = construct_index(ds)
+    del ds
+    estimate = contrast(index, m=args.m, alpha=args.alpha, seed=args.seed)
     print(_fmt(estimate.score, args.full_precision))
     return 0
 

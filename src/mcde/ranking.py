@@ -78,7 +78,16 @@ class RankIndex:
         return RankIndex(tuple(self.dims[j] for j in dims), self.n)
 
 
-def _build_dimension(column: np.ndarray, position: int) -> DimensionIndex:
+def _tiebreak(position: int, n: int) -> np.ndarray:
+    """The tie-break draws of the n rows of the column at ``position``."""
+    return iteration_rng(_TIE_ORDER_SALT, position).random(n)
+
+
+def _build_dimension(column: np.ndarray, position: int,
+                     tiebreak: np.ndarray | None = None) -> DimensionIndex:
+    """The index of one column of finite values at ``position``.  A caller
+    that builds many columns of one length at one position, as the stream
+    monitor does, may pass the column's tie-break vector, drawn once."""
     column = np.ascontiguousarray(column, dtype=np.float64)
     order = np.argsort(column)
     adjusted, run_starts, run_lengths = _kernels.rank_scan(column, order)
@@ -86,7 +95,8 @@ def _build_dimension(column: np.ndarray, position: int) -> DimensionIndex:
         # the order lexsort((tiebreak, column)) gives: inside each tie run,
         # rows by tiebreak, then by row id; the runs and ranks do not move
         n = column.shape[0]
-        tiebreak = iteration_rng(_TIE_ORDER_SALT, position).random(n)
+        if tiebreak is None:
+            tiebreak = _tiebreak(position, n)
         tied = int(run_lengths.sum())
         if tied == n:
             order = np.lexsort((tiebreak, column))
@@ -103,14 +113,8 @@ def _build_dimension(column: np.ndarray, position: int) -> DimensionIndex:
     return DimensionIndex(order, adjusted, run_starts, run_lengths)
 
 
-def _index_columns(columns: np.ndarray) -> RankIndex:
-    """The rank index of the rows of the (d, n) float64 ``columns``, each a
-    column of finite values and row j the column at position j."""
-    return RankIndex(tuple(_build_dimension(column, j) for j, column in enumerate(columns)),
-                     columns.shape[1])
-
-
 def construct_index(ds: Dataset) -> RankIndex:
     """Build the rank index for every column of ``ds``."""
     # the column-major values, transposed, hold one contiguous column per row
-    return _index_columns(ds.values.T)
+    return RankIndex(tuple(_build_dimension(column, j) for j, column in enumerate(ds.values.T)),
+                     ds.n)

@@ -1,18 +1,35 @@
 """Sliding-window dependency monitoring over a row stream.
 
 The monitor keeps only the last ``width`` rows of the watched columns and,
-every ``step`` accepted rows once the window is full, rebuilds the rank
-index on the window and scores it.  Rebuilding from scratch keeps memory at
-O(width * d) and costs O(w log w + M w) per emission, which is cheap at
-typical window sizes.  Each window's score is seeded from
-``(master seed, window end row)`` so the emission for a given window equals
-an offline :func:`~mcde.contrast.contrast` call on the same rows.
+every ``step`` accepted rows once the window is full, indexes the window and
+scores it.  Memory stays at O(width * d).  Each window's score is seeded
+from ``(master seed, window end row)`` so the emission for a given window
+equals an offline :func:`~mcde.contrast.contrast` call on the same rows.
 
 The ring buffer is column-major: row j holds the last ``width`` values of
-monitored column j, each checked finite as its stream row was read.  A
-window's columns are the buffer's rows rotated to put the oldest value
-first, and each is indexed by the same per-column build that
-:func:`~mcde.ranking.construct_index` runs, with no ``Dataset`` in between.
+monitored column j, each checked finite as its stream row was read.  At a
+step of at most ``_CARRY_MAX_STEP`` the monitor also carries each column's
+sorted order forward (:class:`_SortedColumn`, in the spirit of the stream
+MCDE of Fouché, Mazankiewicz, Kalinke & Böhm, "A framework for dependency
+estimation in heterogeneous data streams", DAPD 2021): every accepted row
+bisects the leaving row out of the sorted values and the new row in, in
+O(w) memmove, so a window whose column holds no tie is indexed with no sort
+at all.  A tie-free column has exactly one sorted order, so its index is
+array for array the one a rebuild gives and scores do not change.  A
+column with ties is rebuilt, because the order inside its tie runs follows
+window-relative row ids, which shift with every row; so is every column of
+the first window, which seeds the carried order, and of every window at a
+larger step.  A rebuild rotates the buffer's row to put the oldest value
+first and runs the per-column build of
+:func:`~mcde.ranking.construct_index`, with the column's tie-break vector
+drawn once per monitor.
+
+Carrying costs about 2 µs per column per accepted row; a rebuild costs
+about 12 µs per column per window at width 900.  In process, over 20,000
+rows at width 900, M=50 and d=2 on a 2-vCPU x86_64 host, carrying took
+0.71 s against 0.77 s for rebuilding at step 5, 0.52 s against 0.56 s at
+step 7, 0.47 s against 0.47 s at step 8, 0.41 s against 0.40 s at step 10
+and 0.38 s against 0.30 s at step 20, so carrying stops at step 7.
 
 A window's random integers depend only on its shape, the estimator settings
 and its seed, never on its rows.  So the monitor draws them ahead, for the
@@ -30,6 +47,7 @@ not part of the estimator.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -37,8 +55,17 @@ import numpy as np
 
 from ._rng import LANES, check_seed, derive_seed, derive_seeds
 from .contrast import ContrastEstimate, _draw, _estimate
-from .ranking import _index_columns
+from .ranking import DimensionIndex, RankIndex, _build_dimension, _tiebreak
 from .slicing import check_alpha
+
+# the largest step at which the monitor carries each column's sorted order
+# forward row by row; larger steps rebuild every window (see the module
+# docstring for the measurement)
+_CARRY_MAX_STEP = 7
+
+# the run arrays of a tie-free column, shared by every carried index
+_NO_RUNS = np.empty(0, dtype=np.intp)
+_NO_RUNS.setflags(write=False)
 
 
 class StreamFormatError(Exception):
@@ -135,6 +162,59 @@ def _extract(row: Sequence, dims: tuple[int, ...], row_index: int) -> list[float
     return values
 
 
+class _SortedColumn:
+    """One monitored column's window values in sorted order, with the
+    accepted-row number of each, carried forward one row at a time.
+
+    ``values`` is a list, so a row is found and placed by bisection and
+    moved by the list's own insert and delete; ``rows`` moves with it.
+    ``ties`` counts the sorted neighbours of equal value, so a window knows
+    in O(1) whether the column is tie-free.  A tie-free column has one
+    sorted order, so its index is ``rows`` shifted to window-relative row
+    ids, array for array what :func:`~mcde.ranking._build_dimension` builds.
+    """
+
+    __slots__ = ("values", "rows", "ties")
+
+    def __init__(self, column: np.ndarray, order: np.ndarray):
+        # the first window: its accepted-row numbers are its row ids
+        keys = column[order]
+        self.values = keys.tolist()
+        self.rows = order.copy()
+        self.ties = int(np.count_nonzero(keys[1:] == keys[:-1]))
+
+    def replace(self, leaving: float, leaving_row: int, value: float, row: int) -> None:
+        """Drop the row ``leaving_row`` of value ``leaving``; add ``row``."""
+        values, rows = self.values, self.rows
+        p = bisect_left(values, leaving)
+        if self.ties:
+            if rows[p] != leaving_row:  # search its tie run
+                end = bisect_right(values, leaving, p)
+                p += int(np.flatnonzero(rows[p:end] == leaving_row)[0])
+            # equal neighbours of a sorted value are equal to each other, so
+            # removing it takes away one equal pair if it had any
+            if (p and values[p - 1] == leaving) or (p + 1 < len(values)
+                                                    and values[p + 1] == leaving):
+                self.ties -= 1
+        del values[p]
+        # after any equal values, so only the left neighbour can equal it
+        at = bisect_right(values, value)
+        if at and values[at - 1] == value:
+            self.ties += 1
+        values.insert(at, value)
+        if at > p:
+            rows[p:at] = rows[p + 1:at + 1]
+        elif at < p:
+            rows[at + 1:p + 1] = rows[at:p]
+        rows[at] = row
+
+    def index(self, first: int) -> DimensionIndex:
+        """The index of a tie-free window whose oldest row is ``first``."""
+        row_ids = self.rows - first  # a copy no later row changes
+        row_ids.setflags(write=False)
+        return DimensionIndex(row_ids, None, _NO_RUNS, _NO_RUNS)
+
+
 def monitor(
     source: Iterable[Sequence],
     cfg: WindowConfig,
@@ -148,10 +228,12 @@ def monitor(
     and reported as :class:`RowError` items.  A stream shorter than the
     window width produces no scores.
     """
-    width, step = cfg.width, cfg.step
+    width, step, d = cfg.width, cfg.step, len(cfg.dims)
     ahead = max(1, LANES // cfg.m)
     drawn: dict[int, tuple[int, np.ndarray]] = {}  # end row -> (seed, draws)
-    buffer = np.empty((len(cfg.dims), width), dtype=np.float64)
+    buffer = np.empty((d, width), dtype=np.float64)
+    tiebreaks = [_tiebreak(j, width) for j in range(d)]
+    carried: list[_SortedColumn] | None = None  # seeded by the first window
     accepted = 0
     below_run = 0
 
@@ -164,22 +246,36 @@ def monitor(
             yield RowError(exc.row_index, exc.reason, exc.column)
             continue
 
-        buffer[:, accepted % width] = values
+        slot = accepted % width
+        if carried is not None:
+            for column, leaving, value in zip(carried, buffer[:, slot].tolist(), values):
+                column.replace(leaving, accepted - width, value, accepted)
+        buffer[:, slot] = values
         accepted += 1
         if accepted < width or (accepted - width) % step != 0:
             continue
 
-        # unroll the ring buffer into window order (oldest row first)
+        first = accepted - width
         pivot = accepted % width
-        columns = (np.concatenate((buffer[:, pivot:], buffer[:, :pivot]), axis=1) if pivot
-                   else buffer)
+        dims = []
+        for j in range(d):
+            if carried is not None and not carried[j].ties:
+                dims.append(carried[j].index(first))
+                continue
+            # unroll the ring buffer into window order (oldest row first)
+            column = (np.concatenate((buffer[j, pivot:], buffer[j, :pivot])) if pivot
+                      else buffer[j])
+            dims.append(_build_dimension(column, j, tiebreaks[j]))
+        if carried is None and step <= _CARRY_MAX_STEP:
+            carried = [_SortedColumn(buffer[j], dim.row_ids) for j, dim in enumerate(dims)]
+
         if row_index not in drawn:
             ends = range(row_index, row_index + ahead * step, step)
             seeds = derive_seeds(cfg.seed, [(end,) for end in ends])  # each window_seed
-            block = _draw(seeds, width, len(cfg.dims), cfg.m, cfg.alpha)
+            block = _draw(seeds, width, d, cfg.m, cfg.alpha)
             drawn = dict(zip(ends, zip(seeds, block)))
         seed, draws = drawn.pop(row_index)
-        estimate, = _estimate([_index_columns(columns)], cfg.alpha, [seed], draws[None])
+        estimate, = _estimate([RankIndex(tuple(dims), width)], cfg.alpha, [seed], draws[None])
 
         below_run = below_run + 1 if estimate.score < cfg.drift_threshold else 0
         yield WindowScore(row_index, estimate, below_run >= cfg.drift_patience)

@@ -1,11 +1,17 @@
+import dataclasses
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mcde
+import mcde.stream
 from mcde import Dataset, WindowConfig, monitor, window_seed
-from mcde.stream import RowError, StreamFormatError, WindowScore
+from mcde.ranking import _build_dimension
+from mcde.stream import _CARRY_MAX_STEP, RowError, StreamFormatError, WindowScore
 
 
 def _uniform_rows(n, d=2, seed=4):
@@ -225,3 +231,161 @@ def test_bad_cell_error_names_its_column():
     events = list(monitor(iter([*rows, [0.1, 0.2, float("inf")]]), cfg, strict=False))
     assert events == [RowError(1, "cannot parse 'x' as a number", 3),
                       RowError(2, "non-finite value inf", 3)]
+
+
+# a few values, so leaving rows often have duplicates and windows move in and
+# out of ties; -0.0 ties with 0.0
+_FEW = (-1.5, -0.0, 0.0, 0.25, 1.0, 3.0)
+_BAD_ROWS = (["bad"], [math.inf], [])  # an unparsable, a non-finite, a short row
+
+
+def _arrays(dim):
+    """The fields of a DimensionIndex, not copied (as ``astuple`` would)."""
+    return [getattr(dim, field.name) for field in dataclasses.fields(dim)]
+
+
+@st.composite
+def _streams(draw):
+    """Rows of d columns: runs of values from a few, of any float, and of
+    one constant row, with malformed rows in between."""
+    d = draw(st.integers(2, 3))
+    width = draw(st.integers(2, 40))
+    rows = []
+    while len(rows) < width + draw(st.integers(0, 50)):
+        kind = draw(st.sampled_from(["few", "any", "constant", "bad"]))
+        length = draw(st.integers(1, 12))
+        if kind == "bad":
+            bad = draw(st.sampled_from(_BAD_ROWS))
+            rows.append(bad * d if bad else bad)
+            continue
+        if kind == "constant":
+            rows += [[draw(st.sampled_from(_FEW))] * d] * length
+            continue
+        cell = (st.sampled_from(_FEW) if kind == "few" else
+                st.floats(-1e3, 1e3, allow_nan=False).map(lambda v: v + 0.0))
+        rows += [[draw(cell) for _ in range(d)] for _ in range(length)]
+    return width, rows
+
+
+@given(
+    stream=_streams(),
+    step=st.integers(1, _CARRY_MAX_STEP + 1),
+    m=st.integers(1, 20),
+    seed=st.integers(0, 2**64 - 1),
+    strict=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_carried_emissions_equal_offline_estimates(stream, step, m, seed, strict):
+    width, rows = stream
+    d = len(max(rows, key=len))
+    cfg = WindowConfig(width=width, dims=tuple(range(d)), step=step, m=m, seed=seed)
+    handed = []  # (index, a copy of its arrays) of every scored window
+    estimate = mcde.stream._estimate
+
+    def recording(stack, alpha, seeds, draws):
+        index, = stack
+        handed.append((index, [[None if a is None else a.copy() for a in _arrays(dim)]
+                               for dim in index.dims]))
+        return estimate(stack, alpha, seeds, draws, record_iterations=True)
+
+    events = []
+    with patch.object(mcde.stream, "_estimate", recording):
+        try:
+            for event in monitor(iter(rows), cfg, strict=strict):
+                events.append(event)
+        except StreamFormatError as exc:
+            assert strict
+            bad = exc.row_index
+        else:
+            bad = len(rows)
+    good = [(i, row) for i, row in enumerate(rows[:bad])
+            if len(row) == d and all(isinstance(v, float) and math.isfinite(v) for v in row)]
+    assert bad == len(rows) or not strict or bad == next(
+        i for i, row in enumerate(rows) if (i, row) not in good)
+    assert [e.row_index for e in events if isinstance(e, RowError)] == sorted(
+        set(range(bad)) - {i for i, _ in good})
+
+    scores = [e for e in events if isinstance(e, WindowScore)]
+    ends = [good[k][0] for k in range(width - 1, len(good), step)]
+    assert [e.row_index for e in scores] == ends
+    assert len(handed) == len(scores)
+    for event, (index, arrays) in zip(scores, handed):
+        end = next(k for k, (i, _) in enumerate(good) if i == event.row_index)
+        window = np.array([row for _, row in good[end - width + 1:end + 1]])
+        offline = mcde.contrast(Dataset(window), m=m, seed=window_seed(seed, event.row_index),
+                                record_iterations=True)
+        got = event.estimate
+        assert got.per_iteration.tobytes() == offline.per_iteration.tobytes()
+        assert dataclasses.replace(got, per_iteration=None) == \
+            dataclasses.replace(offline, per_iteration=None)
+        # every index, carried or rebuilt, is the rebuild's array for array,
+        # read-only, and unchanged by the rows that came after it
+        for j, (dim, copies) in enumerate(zip(index.dims, arrays, strict=True)):
+            want = _build_dimension(window[:, j], j)
+            for got_a, copy, want_a in zip(_arrays(dim), copies, _arrays(want), strict=True):
+                if want_a is None:
+                    assert got_a is None and copy is None
+                    continue
+                assert not got_a.flags.writeable
+                assert got_a.dtype == want_a.dtype
+                assert np.array_equal(got_a, want_a)
+                assert np.array_equal(copy, want_a)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_carry_is_taken_at_small_steps(monkeypatch, d):
+    # a tie-free stream at step 1 builds the first window and carries every
+    # later one; past the largest carried step every window is rebuilt
+    builds = []
+
+    def counting(column, position, tiebreak=None):
+        builds.append(position)
+        return _build_dimension(column, position, tiebreak)
+
+    monkeypatch.setattr(mcde.stream, "_build_dimension", counting)
+    rows = _uniform_rows(200, d=d, seed=12)
+    for step in (1, _CARRY_MAX_STEP, _CARRY_MAX_STEP + 1):
+        builds.clear()
+        cfg = WindowConfig(width=30, dims=tuple(range(d)), step=step, m=5, seed=0)
+        windows = len(list(monitor(iter(rows), cfg)))
+        assert windows == len(range(29, 200, step))
+        carried = step <= _CARRY_MAX_STEP
+        assert builds == list(range(d)) * (1 if carried else windows)
+    # a constant head ties the windows that hold two of its rows, ending at
+    # rows 29-57; once it has left, the carry is taken again
+    rows[:30] = 0.5
+    builds.clear()
+    cfg = WindowConfig(width=30, dims=tuple(range(d)), step=1, m=5, seed=0)
+    assert len(list(monitor(iter(rows), cfg))) == 171
+    assert builds == list(range(d)) * 29
+
+
+def test_carried_order_follows_the_leaving_row_through_its_tie_run(monkeypatch):
+    # pairs of equal values enter and leave narrow windows, so a leaving
+    # row often shares its value with a row that stays; the tie-break
+    # vectors of the three positions seed the pairs in either order
+    indexes = []
+    estimate = mcde.stream._estimate
+
+    def spy(stack, *args):
+        indexes.append(stack[0])
+        return estimate(stack, *args)
+
+    monkeypatch.setattr(mcde.stream, "_estimate", spy)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        rows = rng.random((80, 3))
+        for k in rng.choice(79, size=12, replace=False):
+            rows[k + 1, rng.integers(3)] = rows[k, rng.integers(3)]
+        indexes.clear()
+        cfg = WindowConfig(width=5, dims=(0, 1, 2), step=1, m=3, seed=seed)
+        events = list(monitor(iter(rows), cfg))
+        assert len(indexes) == len(events) == 76
+        for event, index in zip(events, indexes):
+            window = rows[event.row_index - 4:event.row_index + 1]
+            for j, dim in enumerate(index.dims):
+                want = _build_dimension(window[:, j], j)
+                for got_a, want_a in zip(_arrays(dim), _arrays(want), strict=True):
+                    assert (got_a is None) == (want_a is None)
+                    if got_a is not None:
+                        assert np.array_equal(got_a, want_a)
