@@ -24,12 +24,14 @@ first and runs the per-column build of
 :func:`~mcde.ranking.construct_index`, with the column's tie-break vector
 drawn once per monitor.
 
-Carrying costs about 2 µs per column per accepted row; a rebuild costs
-about 12 µs per column per window at width 900.  In process, over 20,000
-rows at width 900, M=50 and d=2 on a 2-vCPU x86_64 host, carrying took
-0.71 s against 0.77 s for rebuilding at step 5, 0.52 s against 0.56 s at
-step 7, 0.47 s against 0.47 s at step 8, 0.41 s against 0.40 s at step 10
-and 0.38 s against 0.30 s at step 20, so carrying stops at step 7.
+Carrying costs about 2 µs per column per accepted row, and a window's
+index then costs a copy of its row ids; a rebuild costs about 16 µs per
+column per window at width 900.  In process, over 20,000 rows at width
+900, M=50 and d=2 on a 2-vCPU x86_64 host, carrying took 0.80 s against
+0.89 s for rebuilding at step 4, 0.52 s against 0.54 s at step 7, 0.46 s
+against 0.49 s at step 8 (0.47 s against 0.47 s in another run), 0.41 s
+against 0.41 s at step 10 and 0.23 s against 0.19 s at step 20.  So
+carrying stops at step 7, the largest step it won in every run.
 
 A window's random integers depend only on its shape, the estimator settings
 and its seed, never on its rows.  So the monitor draws them ahead, for the

@@ -246,8 +246,8 @@ def _arrays(dim):
 
 @st.composite
 def _streams(draw):
-    """Rows of d columns: runs of values from a few, of any float, and of
-    one constant row, with malformed rows in between."""
+    """d and the width, and rows of d columns: runs of values from a few, of
+    any float, and of one constant row, with malformed rows in between."""
     d = draw(st.integers(2, 3))
     width = draw(st.integers(2, 40))
     rows = []
@@ -261,10 +261,9 @@ def _streams(draw):
         if kind == "constant":
             rows += [[draw(st.sampled_from(_FEW))] * d] * length
             continue
-        cell = (st.sampled_from(_FEW) if kind == "few" else
-                st.floats(-1e3, 1e3, allow_nan=False).map(lambda v: v + 0.0))
+        cell = st.sampled_from(_FEW) if kind == "few" else st.floats(-1e3, 1e3)
         rows += [[draw(cell) for _ in range(d)] for _ in range(length)]
-    return width, rows
+    return d, width, rows
 
 
 @given(
@@ -276,8 +275,7 @@ def _streams(draw):
 )
 @settings(max_examples=150, deadline=None)
 def test_carried_emissions_equal_offline_estimates(stream, step, m, seed, strict):
-    width, rows = stream
-    d = len(max(rows, key=len))
+    d, width, rows = stream
     cfg = WindowConfig(width=width, dims=tuple(range(d)), step=step, m=m, seed=seed)
     handed = []  # (index, a copy of its arrays) of every scored window
     estimate = mcde.stream._estimate
@@ -288,30 +286,28 @@ def test_carried_emissions_equal_offline_estimates(stream, step, m, seed, strict
                                for dim in index.dims]))
         return estimate(stack, alpha, seeds, draws, record_iterations=True)
 
+    valid = [len(row) == d and all(isinstance(v, float) and math.isfinite(v) for v in row)
+             for row in rows]
+    malformed = [i for i, ok in enumerate(valid) if not ok]
+    # strict mode stops at the first malformed row; lenient mode reports each
+    end = malformed[0] if strict and malformed else len(rows)
     events = []
     with patch.object(mcde.stream, "_estimate", recording):
-        try:
-            for event in monitor(iter(rows), cfg, strict=strict):
-                events.append(event)
-        except StreamFormatError as exc:
-            assert strict
-            bad = exc.row_index
+        if end < len(rows):
+            with pytest.raises(StreamFormatError) as info:
+                events.extend(monitor(iter(rows), cfg, strict=strict))
+            assert info.value.row_index == end
         else:
-            bad = len(rows)
-    good = [(i, row) for i, row in enumerate(rows[:bad])
-            if len(row) == d and all(isinstance(v, float) and math.isfinite(v) for v in row)]
-    assert bad == len(rows) or not strict or bad == next(
-        i for i, row in enumerate(rows) if (i, row) not in good)
-    assert [e.row_index for e in events if isinstance(e, RowError)] == sorted(
-        set(range(bad)) - {i for i, _ in good})
+            events.extend(monitor(iter(rows), cfg, strict=strict))
+    assert [e.row_index for e in events if isinstance(e, RowError)] == \
+        ([] if strict else malformed)
+    good = [(i, rows[i]) for i in range(end) if valid[i]]
 
     scores = [e for e in events if isinstance(e, WindowScore)]
-    ends = [good[k][0] for k in range(width - 1, len(good), step)]
-    assert [e.row_index for e in scores] == ends
-    assert len(handed) == len(scores)
-    for event, (index, arrays) in zip(scores, handed):
-        end = next(k for k, (i, _) in enumerate(good) if i == event.row_index)
-        window = np.array([row for _, row in good[end - width + 1:end + 1]])
+    lasts = range(width - 1, len(good), step)  # each window's last good row
+    assert [e.row_index for e in scores] == [good[k][0] for k in lasts]
+    for event, (index, arrays), last in zip(scores, handed, lasts, strict=True):
+        window = np.array([row for _, row in good[last - width + 1:last + 1]])
         offline = mcde.contrast(Dataset(window), m=m, seed=window_seed(seed, event.row_index),
                                 record_iterations=True)
         got = event.estimate
