@@ -14,11 +14,21 @@ set bit plus the positions of its bits within the byte, read from a
 256-entry table, all in exact int64.  A column with ties sums the membership
 against its global tie-averaged ranks in one 2-D pass.  Those are already
 the window-local ranks, shifted by the window start, everywhere except in
-the at most two tie runs the window boundary cuts, which get an O(1) fix per
-iteration.  The tie correction comes from the stored runs that overlap the
-window, clipped to it.  Rank sums are multiples of 0.5 far below 2**52, and
-each tie correction is summed as an exact integer and rounded once to
-float64, so the results do not depend on summation order.
+the at most two tie runs the window boundary cuts.  Which runs a window
+cuts depends only on its start, so :func:`cut_runs` finds them for many
+windows of a column at once: two ``searchsorted`` passes give each window's
+head run, the last one starting at or before its start, and its tail run,
+the last one starting before its end.  The head run's part of the window is
+a prefix of its row and a cut tail run's part a suffix, so the fix needs
+only the members before three edges of each row, which
+:func:`window_rows` reads from the row's 64-bit words and their prefix
+popcounts, with no loop over windows.  A window's tie correction is the
+``g**3 - g`` of its head and tail parts plus that of the runs between them,
+a difference of prefix sums over the column's runs: below 2**21 positions
+per window the difference is exact in int64 even where the prefix sums
+wrap, and a wider window sums its runs as exact integers.  Rank sums are
+multiples of 0.5 far below 2**52, and each tie correction is rounded once
+to float64, so the results do not depend on summation order.
 """
 
 from __future__ import annotations
@@ -32,6 +42,12 @@ _INT64_SAFE_WIDTH = 2**21
 # the sum of the set-bit positions of each byte value, bit 0 the lowest
 _BIT_POSITIONS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
                                bitorder="little") @ np.arange(8, dtype=np.int64)
+
+# the bits below bit b of a 64-bit word, for b in 0..64
+_LOW_BITS = np.array([(1 << b) - 1 for b in range(65)], dtype=np.uint64)
+
+# the runs cut_runs reads for a column without tie runs: one empty run
+_NO_RUN = np.zeros(1, dtype=np.intp)
 
 
 def _tie_correction(counts: np.ndarray, width: int) -> int:
@@ -67,19 +83,22 @@ def rank_scan(values: np.ndarray, order: np.ndarray):
     starts = np.flatnonzero(first)
     counts = np.diff(starts, append=n)
     extra = counts - 1
-    adjusted = (starts + extra / 2.0)[np.cumsum(first) - 1]
+    adjusted = np.repeat(starts + extra / 2.0, counts)
     tied = np.flatnonzero(extra)  # runs of two or more positions
     return adjusted, starts[tied], counts[tied]
 
 
-def window_rows(member, ranks, starts, width, *, run_starts, run_lengths):
+def window_rows(member, ranks, starts, width, *, run_starts=None, run_lengths=None, cuts=None):
     """Rank each restriction window locally and sum its member ranks.
 
     Row i of ``member`` is the slice membership at the ``width`` sorted
     positions from ``starts[i]`` on, inside the column.  For a column with
     ties, row i of the 2-D ``ranks`` holds its :func:`rank_scan` ranks
-    there, and every row is a window of that one column.  Tie-free columns
-    pass ``ranks=None``, as the index stores them: the local rank of every
+    there, and every row is a window of that one column, whose runs
+    ``run_starts`` and ``run_lengths`` give the windows' :func:`cut_runs`;
+    a caller that scores many batches of windows of one column may pass
+    those ``cuts`` instead, computed once.  Tie-free columns pass
+    ``ranks=None``, as the index stores them: the local rank of every
     window position is the position, so their rows may be windows of
     different columns, such as the reference columns of many estimates.  Each
     tie group contributes its window-local 0-based average rank to the
@@ -88,52 +107,112 @@ def window_rows(member, ranks, starts, width, *, run_starts, run_lengths):
     tie_corrections)``, the last the sums of ``g**3 - g`` over window-local
     group sizes, each exact at any window width and then rounded to float64.
 
-    Each row is packed into bytes, bit b of byte k for position ``8k + b``,
-    and counted by popcount.  A tie-free rank sum is the exact integer
-    ``sum(8k * count[k] + _BIT_POSITIONS[byte[k]])``, rounded once.
+    Each row is packed into bytes, bit b of byte k for position ``8k + b``.
+    A tie-free row is counted by the popcount of its bytes, and its rank sum
+    is the exact integer ``sum(8k * count[k] + _BIT_POSITIONS[byte[k]])``,
+    rounded once.  A tied row is read as 64-bit words, whose prefix
+    popcounts give its member count and the members of its cut runs.
     """
     packed = np.packbits(member, axis=1, bitorder="little")
-    counts = np.bitwise_count(packed)
-    n1 = counts.sum(axis=1, dtype=np.int64)
     if ranks is None:
+        counts = np.bitwise_count(packed)
+        n1 = counts.sum(axis=1, dtype=np.int64)
         first_bits = np.arange(0, 8 * packed.shape[1], 8, dtype=np.int64)
         r1 = (counts @ first_bits + np.take(_BIT_POSITIONS, packed).sum(axis=1)).astype(np.float64)
-    else:
-        # global ranks shifted by the start are the local ranks of every
-        # position outside a cut run; einsum keeps the sums off BLAS
-        r1 = np.einsum("ij,ij->i", member, ranks) - n1 * starts
-    corr = np.zeros(len(starts))
-    if run_starts.size:  # per window, only for a column with tie runs
-        for i, start in enumerate(starts.tolist()):
-            r1[i], corr[i] = _clip_runs(member[i], r1[i], start, start + width,
-                                        run_starts, run_lengths)
-    return r1, n1, corr
+        return r1, n1, np.zeros(len(starts))
+    if cuts is None:
+        cuts = cut_runs(starts, width, run_starts, run_lengths, len(starts))
+    edge, word, bits, weight, corr = cuts
+    # words[i, k] holds bit b of row i's position 64k + b, and below[i, k]
+    # counts the row's members in its first k words
+    words = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    words = words.view("<u8")
+    below = np.zeros((words.shape[0], words.shape[1] + 1), dtype=np.int64)
+    np.add.accumulate(np.bitwise_count(words), axis=1, dtype=np.int64, out=below[:, 1:])
+    # the members before each edge: bits ``bits`` of word ``word``
+    rows = np.arange(len(starts))
+    before = below[rows, word] + np.bitwise_count(words[rows, word] & bits)
+    # the global ranks between the batch's edges; einsum keeps the sums off
+    # BLAS
+    lo, hi = edge[3:, 0].tolist()
+    r1 = np.einsum("ij,ij->i", member[:, lo:hi], ranks[:, lo:hi]) + (before * weight).sum(axis=0)
+    return r1, before[2], corr
 
 
-def _clip_runs(w_member, r1, start, end, run_starts, run_lengths):
-    """Rank sum ``r1`` with the cut runs of the window [start, end) re-ranked,
-    and the window's exact tie correction rounded once to float."""
-    # runs [first, last) overlap the window: the last run starting at or
-    # before start, if it reaches into the window, through the last one
-    # starting before end
-    first = int(np.searchsorted(run_starts, start, "right"))
-    if first and run_starts[first - 1] + run_lengths[first - 1] > start:
-        first -= 1
-    last = int(np.searchsorted(run_starts, end, "left"))
-    if first == last:
-        return r1, 0.0
-    counts = run_lengths[first:last].copy()
-    for i in {first, last - 1}:
-        s = int(run_starts[i])
-        e = s + int(run_lengths[i])
-        a, b = max(s, start), min(e, end)
-        if b - a < e - s:
-            # cut run: its members move from the global mean rank
-            # (s + e - 1) / 2 to the window-local one (a + b - 1) / 2
-            counts[i - first] = b - a
-            cut_members = int(np.count_nonzero(w_member[a - start:b - start]))
-            r1 += cut_members * ((a + b) - (s + e)) / 2.0
-    return r1, float(_tie_correction(counts, end - start))
+def cut_runs(starts, width, run_starts, run_lengths, batch):
+    """Where the tie runs of one column meet each window ``[starts[i],
+    starts[i] + width)``, as :func:`window_rows` reads it in batches of
+    ``batch`` windows.
+
+    A window's head run is the last one starting at or before its start,
+    and its tail run the last one starting before its end; every run
+    between them lies inside the window.  The head run's part of the window
+    is a prefix of its row, and a tail run that reaches the window's end
+    fills a suffix; a run cut at both ends is the head run.  Every position
+    of such a part has the run's global mean rank ``(s + e - 1) / 2``, and
+    its local rank is the part's mean ``(a + b - 1) / 2``, where ``[a, b)``
+    is the part; every other position's local rank is its global rank less
+    the start.  So a row's rank sum is the sum of global ranks between two
+    edges of its batch, the least prefix end and the greatest suffix start
+    of its windows, plus at each of five edges the members before it times
+    a weight: the row's prefix end, its suffix start and its end, and the
+    batch's two edges.  A batch of one window sums global ranks only
+    between its cut parts.  Edge j of window i is ``edge[j, i]``, before
+    bits ``bits[j, i]`` of the row's 64-bit word ``word[j, i]``.  Returns
+    ``(edge, word, bits, weight, tie_corrections)``, the first four of
+    shape (5, windows), the last the windows' exact tie corrections rounded
+    once to float64.
+    """
+    if not run_starts.size:  # ranks given for a tie-free column
+        run_starts = run_lengths = _NO_RUN
+    ends = starts + width
+    head, tail = np.searchsorted(run_starts, np.add.outer((0, width - 1), starts), "right") - 1
+    head_start, tail_start = run_starts[head], run_starts[tail]
+    head_end = head_start + run_lengths[head]
+    tail_end = tail_start + run_lengths[tail]
+    # the head part, empty for a window with no head run (-1), and the tail
+    # run's part, empty where the tail run is the head run
+    head_g = np.maximum(np.minimum(head_end, ends) - starts, 0) * (head >= 0)
+    tail_g = (np.minimum(tail_end, ends) - tail_start) * (tail > head)
+    edge = np.empty((5, starts.size), dtype=np.int64)
+    edge[0] = head_g
+    edge[1] = width - tail_g * (tail_end >= ends)
+    edge[2] = width
+    first = np.arange(0, starts.size, batch)
+    edge[3] = np.repeat(np.minimum.reduceat(edge[0], first), batch)[:starts.size]
+    edge[4] = np.repeat(np.maximum.reduceat(edge[1], first), batch)[:starts.size]
+    word = np.minimum(edge >> 6, (width - 1) >> 6)
+    bits = _LOW_BITS[edge - 64 * word]
+    # twice the local mean rank of the prefix and of the suffix less twice
+    # the start, and twice the global mean rank of the head and tail runs.
+    # A garbage mean, of an empty part, meets no member or cancels.
+    prefix = edge[0] - 1 + 2 * starts
+    suffix = edge[1] + width - 1
+    head_mean = head_start + head_end - 1
+    tail_mean = tail_start + tail_end - 1
+    weight = np.empty((5, starts.size))
+    weight[0] = (prefix - head_mean) / 2.0
+    weight[1] = (tail_mean - 2 * starts - suffix) / 2.0
+    weight[2] = suffix / 2.0
+    weight[3] = head_mean / 2.0
+    weight[4] = tail_mean / -2.0
+    # the runs between the head and tail runs, [inner, outer)
+    inner = head + 1
+    outer = np.maximum(tail, inner)
+    if width < _INT64_SAFE_WIDTH:
+        # every window's sum of g**3 - g is below 2**63, so differences of
+        # int64 prefix sums give it exactly even where the sums wrap
+        lo, hi = int(inner.min()), int(outer.max())
+        inside = run_lengths[lo:hi]
+        cubes = np.zeros(hi - lo + 1, dtype=np.int64)
+        np.add.accumulate(inside * inside * inside - inside, out=cubes[1:])
+        corr = (cubes[outer - lo] - cubes[inner - lo]
+                + head_g * head_g * head_g - head_g + tail_g * tail_g * tail_g - tail_g)
+        return edge, word, bits, weight, corr.astype(np.float64)
+    corr = [float(_tie_correction(np.concatenate(([h], run_lengths[lo:hi], [t])), width))
+            for h, t, lo, hi in zip(head_g.tolist(), tail_g.tolist(), inner.tolist(), outer.tolist())]
+    return edge, word, bits, weight, np.array(corr)
 
 
 def backend_name() -> str:

@@ -22,12 +22,15 @@ pass or an estimate at n=1e5 composes one reference at a time.  The
 iterations of a group are scored in batches: all those that drew a
 tie-free reference, whose windows are ranked by position, form one batch,
 whatever their reference and index, and those of a tied reference form a
-batch per index, with its ranks and runs.  Slice membership over the
-restriction windows, the window statistics and the test values are each a
-few 2-D numpy passes over a batch (:func:`mcde.slicing.slice_windows`,
-:func:`mcde._kernels.window_rows`, :func:`mcde.mwp.confidences`).  A batch
-holds about ``_CHUNK_CELLS`` window positions, so the same path serves
-n=1e3 and n=1e6.  Every value is computed row by row or elementwise, and
+batch per index, with its ranks and the runs its windows cut, found once
+for all of its iterations (:func:`mcde._kernels.cut_runs`).  Slice
+membership over the restriction windows, the window statistics and the
+test values are each a few 2-D numpy passes over a batch
+(:func:`mcde.slicing.slice_windows`, :func:`mcde._kernels.window_rows`,
+:func:`mcde.mwp.confidences`).  A batch holds about ``_CHUNK_CELLS`` window
+positions, so the same path serves n=1e3 and n=1e6; a batch of one window,
+as every batch at widths above 2**15 is, reads views of its membership and
+ranks and copies neither.  Every value is computed row by row or elementwise, and
 rank sums are exact, so an estimate does not depend on the group, batch or
 stack it is scored in.  An estimate runs on the calling thread.
 
@@ -136,7 +139,8 @@ def _estimate(indexes, alpha: float, seeds, draws: np.ndarray,
     ``_CHUNK_CELLS`` positions, at least one reference each.  Every
     iteration of a group with a tie-free reference ranks its window by
     position, so those iterations are scored together; a tied reference brings
-    its own ranks and runs, so its iterations are scored per stack row.
+    its own ranks and runs, so its iterations are scored per stack row, and
+    the runs their windows cut are found once for all of them.
     Each score is bit-identical to the one its index gets alone.
     """
     n, d = indexes[0].n, indexes[0].d
@@ -192,15 +196,23 @@ def _estimate(indexes, alpha: float, seeds, draws: np.ndarray,
         if free_dim is not None:
             groups.append((np.flatnonzero(free[stack]), free_dim))
         for group, dim in groups:
-            if dim.adjusted_ranks is not None:
+            tied = dim.adjusted_ranks is not None
+            if tied:
                 ranks = window_view(dim.adjusted_ranks, width)
+                cuts = _kernels.cut_runs(restrictions[group], width, dim.run_starts,
+                                         dim.run_lengths, chunk)
             for at in range(0, group.size, chunk):
                 its = group[at:at + chunk]
                 lo = restrictions[its]
                 member = slice_windows(windows, stack[its] - top, draws[its, 1:-1], size, lo)
+                if not tied:
+                    r1[its], n1[its], corr[its] = _kernels.window_rows(member, None, lo, width)
+                    continue
+                # one window reads a view of its ranks, as slice_windows does
+                window_ranks = ranks[lo[0]:lo[0] + 1] if its.size == 1 else ranks[lo]
                 r1[its], n1[its], corr[its] = _kernels.window_rows(
-                    member, None if dim.adjusted_ranks is None else ranks[lo], lo, width,
-                    run_starts=dim.run_starts, run_lengths=dim.run_lengths)
+                    member, window_ranks, lo, width,
+                    cuts=[part[..., at:at + chunk] for part in cuts])
         # free them before the next group allocates its own
         del positions, windows
 

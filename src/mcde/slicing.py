@@ -13,7 +13,7 @@ each conditioning dimension's sorted positions, listed in the reference
 dimension's order, are read window by window and compared against each
 slice's start.  Every read is sequential.  A batch of many windows gathers
 them into one array and subtracts in place; a batch of one window, as every
-batch at widths of 2**15 and more is, subtracts straight from the strided
+batch at widths above 2**15 is, subtracts straight from the strided
 view and copies nothing first.
 """
 

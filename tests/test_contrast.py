@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 import mcde
 from mcde import contrast, hoeffding_bound, iterations_for
+from mcde import _kernels
 from mcde._rng import iteration_integers
 from mcde.contrast import _draw, _estimate
-from mcde.mwp import restriction_bounds
-from oracles import contrast_iterations_oracle
+from mcde.mwp import confidences, restriction_bounds
+from oracles import contrast_iterations_oracle, draw_slice
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +182,49 @@ def _assert_matches_oracle(index, m, alpha, seed):
     assert est.per_iteration.tobytes() == expected.tobytes()
     assert est.degenerate_tied == sum(o.degenerate and o.p_c == 0.0 for o in outcomes)
     assert est.degenerate_empty_full == sum(o.degenerate and o.p_c == 1.0 for o in outcomes)
+
+
+def _exact_window_value(values, member, width):
+    """The test value of one window from its sorted values and its members'
+    flags: rank sum and tie correction summed as exact integers."""
+    firsts = np.flatnonzero(np.diff(values, prepend=np.nan) != 0)
+    sizes = np.diff(firsts, append=width)
+    inside = np.add.reduceat(member.astype(np.int64), firsts)
+    # members times twice their group's local mean rank, 2 * first + size - 1:
+    # below width * 2 * width < 2**63, so exact in int64
+    twice_r1 = int((inside * (2 * firsts + sizes - 1)).sum())
+    corr = sum(g**3 - g for g in sizes[sizes > 1].tolist())
+    n1 = int(member.sum())
+    return confidences(np.array([twice_r1 / 2]), np.array([n1]), np.array([float(corr)]),
+                       width)[0][0], corr
+
+
+def test_estimate_past_the_int64_safe_tie_width():
+    """Restriction windows wider than 2**21 rows, on a 2-level column whose
+    windows' sums of g**3 - g pass int64: every test value equals the one
+    recomputed from exact integer rank sums and tie corrections."""
+    n = 2**22 + 2
+    rng = np.random.default_rng(22)
+    data = np.column_stack([(rng.random(n) < 0.5).astype(np.float64), rng.random(n)])
+    index = mcde.construct_index(mcde.Dataset(data))
+    # windows of 0.9 n rows hold two groups of about 1.9M rows each
+    m, alpha, seed = 4, 0.9, 0
+    starts, width = restriction_bounds(n, alpha)
+    assert width > _kernels._INT64_SAFE_WIDTH
+    got = contrast(index, m=m, alpha=alpha, seed=seed, record_iterations=True).per_iteration
+    expected, corrections = [], []
+    for i in range(m):
+        draws = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+        ref = int(draws.integers(0, 2))
+        member = draw_slice(index, ref, alpha, draws)
+        start = int(draws.integers(0, starts))
+        rows = index.dims[ref].row_ids[start:start + width]
+        value, corr = _exact_window_value(data[rows, ref], member[rows], width)
+        expected.append(value)
+        corrections.append(corr)
+    assert max(corrections) >= 2**63  # the 2-level column was drawn
+    assert 0.0 < got[corrections.index(max(corrections))] < 1.0
+    assert got.tobytes() == np.array(expected).tobytes()
 
 
 @pytest.mark.parametrize("case", range(27))

@@ -226,3 +226,74 @@ def test_packed_window_rows_exact_past_int64_safe_width(tied):
         assert r1[i] == int(twice[window].sum()) / 2
         assert n1[i] == int(window.sum())
         assert corr[i] == float(sum(g**3 - g for g in lengths.tolist()))
+
+
+def _check_batched_cuts(column, width, starts, seed):
+    """A batch of windows of a sorted column gives each window's own
+    statistics and the brute-force ones, also when the cut runs are found
+    once for all windows and read in smaller batches, as contrast reads
+    them."""
+    order = np.arange(column.size)
+    adj, run_starts, run_lengths = _kernels.rank_scan(column, order)
+    starts = np.asarray(starts)
+    members = np.random.default_rng(seed).random((starts.size, column.size)) < 0.5
+    rows = np.array([m[s:s + width] for m, s in zip(members, starts)])
+    ranks = window_view(adj, width)[starts]
+    got = _kernels.window_rows(rows, ranks, starts, width,
+                               run_starts=run_starts, run_lengths=run_lengths)
+    batch = max(1, starts.size // 2)
+    cuts = _kernels.cut_runs(starts, width, run_starts, run_lengths, batch)
+    for part in (slice(at, at + batch) for at in range(0, starts.size, batch)):
+        read = _kernels.window_rows(rows[part], ranks[part], starts[part], width,
+                                    cuts=[c[..., part] for c in cuts])
+        for g, r in zip(got, read):
+            assert g[part].tobytes() == r.tobytes()
+    for i, s in enumerate(starts.tolist()):
+        one = _kernels.window_rows(rows[i:i + 1], ranks[i:i + 1], starts[i:i + 1], width,
+                                   run_starts=run_starts, run_lengths=run_lengths)
+        expected = local_window_stats_oracle(members[i], order, column, s, s + width)
+        assert (got[0][i], got[1][i], got[2][i]) == (one[0][0], one[1][0], one[2][0]) == expected, s
+
+
+# sorted: a run of 260, 140 distinct values, a run of 200
+_HEAD_TAIL = np.concatenate([np.zeros(260), np.arange(1.0, 141), np.full(200, 141.0)])
+
+
+@pytest.mark.parametrize("width", [129, 192, 200])
+def test_batched_cut_runs_at_byte_and_word_edges(width):
+    """The head run's part ends, and the tail run's part starts, at local
+    positions 8k - 1, 8k and 8k + 1, also where 8k is a 64-bit word edge."""
+    edges = [p for k in (1, 2, 8, 16) for p in (8 * k - 1, 8 * k, 8 * k + 1) if p < width]
+    heads = [260 - p for p in edges]          # head part of length p
+    tails = [400 - p for p in edges]          # tail part from local position p
+    starts = [s for s in heads + tails if 0 <= s <= _HEAD_TAIL.size - width]
+    _check_batched_cuts(_HEAD_TAIL, width, starts, width)
+
+
+@pytest.mark.parametrize("column, width, starts", [
+    (np.full(40, 3.0), 17, [0, 5, 23]),                         # one run, cut at both ends
+    (np.concatenate([np.full(17, 1.0), np.arange(2.0, 10)]), 17, [0, 0, 8]),  # the run is the window
+    (np.concatenate([np.arange(5.0), np.full(30, 9.0)]), 17, [5, 10, 18]),    # a run from the start on
+    (np.concatenate([np.full(30, 0.0), np.arange(1.0, 6)]), 17, [0, 8, 13]),  # a run to the end
+])
+def test_batched_cut_runs_one_run_covers_the_window(column, width, starts):
+    _check_batched_cuts(column, width, starts, 1)
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_batched_cut_runs_at_widths_2_and_3(width):
+    # runs of 1 to 4 rows, so windows hold a whole run, a cut run or none
+    column = np.repeat(np.arange(12.0), [1, 2, 3, 4, 1, 1, 2, 4, 3, 1, 2, 2])
+    _check_batched_cuts(column, width, range(column.size - width + 1), width)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_batched_cut_runs_mix_cut_and_uncut_windows(case):
+    """Random batches over runs and tie-free stretches: windows that cut two
+    runs, one run or none, hold whole runs or no run at all."""
+    rng = np.random.default_rng(600 + case)
+    lengths = rng.choice([1, 1, 1, 2, 3, 9, 30], size=60)
+    column = np.repeat(np.arange(lengths.size, dtype=np.float64), lengths)
+    width = int(rng.integers(2, 90))
+    starts = rng.integers(0, column.size - width + 1, size=25)
+    _check_batched_cuts(column, width, starts, case)

@@ -187,7 +187,11 @@ class _CoarseDraws:
 
 def _check_against_oracle(n, draws):
     rng = np.random.default_rng(n)
-    data = np.column_stack([kind(rng, n) for kind in _COLUMN_KINDS])
+    _check_columns(np.column_stack([kind(rng, n) for kind in _COLUMN_KINDS]), draws)
+
+
+def _check_columns(data, draws):
+    n = data.shape[0]
     index = construct_index(Dataset(data))
     for j, dim in enumerate(index.dims):
         tiebreak = draws(ranking._TIE_ORDER_SALT, j).random(n)
@@ -209,3 +213,32 @@ def test_index_equals_lexsort_oracle(n):
 def test_equal_tiebreak_draws_fall_back_to_row_id(n, monkeypatch):
     monkeypatch.setattr(ranking, "iteration_rng", _CoarseDraws)
     _check_against_oracle(n, _CoarseDraws)
+
+
+class _LowBitDraws:
+    """Tie-break draws on four levels that differ only in their lowest eight
+    bits, so that a key keeping only the draws' leading bits sees many
+    different draws as equal."""
+
+    def __init__(self, salt, position):
+        self._rng = iteration_rng(salt, position)
+
+    def random(self, n):
+        coarse = np.floor(self._rng.random(n) * 4) / 4
+        low = self._rng.integers(0, 256, n, dtype=np.uint64)
+        return (coarse.view(np.uint64) + low).view(np.float64)
+
+
+@pytest.mark.parametrize("n", [11, 900, 100_000])
+def test_truncated_keys_order_by_full_draw(n, monkeypatch):
+    """Draws that agree in the bits a tie key keeps are ordered by their full
+    value, then by row id.  A column of value pairs has n // 2 tie runs,
+    50,000 at n = 1e5, far more than 2**11, so the key drops the draws' low
+    bits there; so does a column of value triples."""
+    monkeypatch.setattr(ranking, "iteration_rng", _LowBitDraws)
+    rng = np.random.default_rng(n)
+    pairs = rng.permutation(np.arange(n) // 2).astype(np.float64)
+    triples = rng.permutation(np.arange(n) // 3).astype(np.float64)
+    some_tied = np.where(rng.random(n) < 0.1, np.floor(rng.random(n) * 50), rng.random(n) + 50)
+    _check_columns(np.column_stack([pairs, triples, some_tied, _COLUMN_KINDS[1](rng, n)]),
+                   _LowBitDraws)
