@@ -19,8 +19,9 @@ cuts depends only on its start, so :func:`cut_runs` finds them for many
 windows of a column at once: two ``searchsorted`` passes give each window's
 head run, the last one starting at or before its start, and its tail run,
 the last one starting before its end.  The head run's part of the window is
-a prefix of its row and a cut tail run's part a suffix, so the fix needs
-only the members before three edges of each row, which
+a prefix of its row and a cut tail run's part a suffix, each of one global
+rank, so the 2-D pass sums only between a batch's cut parts, and the fix
+needs only the members before five edges of each row, which
 :func:`window_rows` reads from the row's 64-bit words and their prefix
 popcounts, with no loop over windows.  A window's tie correction is the
 ``g**3 - g`` of its head and tail parts plus that of the runs between them,
@@ -95,9 +96,10 @@ def window_rows(member, ranks, starts, width, *, run_starts=None, run_lengths=No
     positions from ``starts[i]`` on, inside the column.  For a column with
     ties, row i of the 2-D ``ranks`` holds its :func:`rank_scan` ranks
     there, and every row is a window of that one column, whose runs
-    ``run_starts`` and ``run_lengths`` give the windows' :func:`cut_runs`;
-    a caller that scores many batches of windows of one column may pass
-    those ``cuts`` instead, computed once.  Tie-free columns pass
+    ``run_starts`` and ``run_lengths`` give the windows' :func:`cut_runs`.
+    A caller that scores the windows of one column in batches may pass
+    ``cuts`` instead: theirs, found once for that batch size and sliced to
+    the batch.  Tie-free columns pass
     ``ranks=None``, as the index stores them: the local rank of every
     window position is the position, so their rows may be windows of
     different columns, such as the reference columns of many estimates.  Each
@@ -184,19 +186,18 @@ def cut_runs(starts, width, run_starts, run_lengths, batch):
     edge[4] = np.repeat(np.maximum.reduceat(edge[1], first), batch)[:starts.size]
     word = np.minimum(edge >> 6, (width - 1) >> 6)
     bits = _LOW_BITS[edge - 64 * word]
-    # twice the local mean rank of the prefix and of the suffix less twice
-    # the start, and twice the global mean rank of the head and tail runs.
-    # A garbage mean, of an empty part, meets no member or cancels.
-    prefix = edge[0] - 1 + 2 * starts
-    suffix = edge[1] + width - 1
+    # twice the weights, from twice the local mean ranks of the prefix and
+    # the suffix and the global mean ranks of the head and tail runs.  The
+    # garbage mean of an empty part meets no member or cancels.
     head_mean = head_start + head_end - 1
     tail_mean = tail_start + tail_end - 1
-    weight = np.empty((5, starts.size))
-    weight[0] = (prefix - head_mean) / 2.0
-    weight[1] = (tail_mean - 2 * starts - suffix) / 2.0
-    weight[2] = suffix / 2.0
-    weight[3] = head_mean / 2.0
-    weight[4] = tail_mean / -2.0
+    twice = np.empty((5, starts.size), dtype=np.int64)
+    twice[2] = edge[1] + width - 1
+    twice[0] = edge[0] - 1 + 2 * starts - head_mean
+    twice[1] = tail_mean - 2 * starts - twice[2]
+    twice[3] = head_mean
+    twice[4] = -tail_mean
+    weight = twice / 2.0
     # the runs between the head and tail runs, [inner, outer)
     inner = head + 1
     outer = np.maximum(tail, inner)

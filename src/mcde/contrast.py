@@ -29,10 +29,10 @@ test values are each a few 2-D numpy passes over a batch
 (:func:`mcde.slicing.slice_windows`, :func:`mcde._kernels.window_rows`,
 :func:`mcde.mwp.confidences`).  A batch holds about ``_CHUNK_CELLS`` window
 positions, so the same path serves n=1e3 and n=1e6; a batch of one window,
-as every batch at widths above 2**15 is, reads views of its membership and
-ranks and copies neither.  Every value is computed row by row or elementwise, and
-rank sums are exact, so an estimate does not depend on the group, batch or
-stack it is scored in.  An estimate runs on the calling thread.
+as every batch at widths above 2**15 is, reads its conditioning positions
+and its ranks as views and copies neither.  Every value is computed row by
+row or elementwise, and rank sums are exact, so an estimate does not depend
+on the group, batch or stack it is scored in.  An estimate runs on the calling thread.
 
 The number of iterations needed for a target accuracy follows from the
 Hoeffding concentration bound ``P(|estimate - truth| >= eps) <= 2*exp(-2*M*eps**2)``.

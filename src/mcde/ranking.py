@@ -30,9 +30,8 @@ pattern orders like its value, so keys that differ above the row bits are
 in the exact order.  Where two neighbouring keys agree above the row bits,
 their draws may still differ below the bits the key kept, or be equal; the
 rows of every such clash are re-sorted by full draw, then by row id.  With
-continuous draws clashes are rare and small.  The
-key is built and checked in slices of ``_CHUNK`` rows, so the sort's
-temporaries stay small.
+continuous draws clashes are rare and small.  The key is built and checked
+in slices of ``_CHUNK`` rows, so the sort's temporaries stay small.
 """
 
 from __future__ import annotations
@@ -150,15 +149,15 @@ def _order_ties(order, tiebreak, run_starts, run_lengths) -> None:
         pair = key[lo:lo + _CHUNK + 1]
         same.append(np.flatnonzero((pair[1:] ^ pair[:-1]) >> row_bits == 0) + lo)
     same = np.concatenate(same)
+    row_mask = (1 << row_bits) - 1
     if same.size:
-        # the stable lexsort keeps the rows of equal draws in the key's order,
+        # the stable lexsort keeps the keys of equal draws in their order,
         # which is by row id
         clash = np.union1d(same, same + 1)
-        rows = key[clash] & ((1 << row_bits) - 1)
-        rows = rows[np.lexsort((tiebreak[rows.view(np.intp)], key[clash] >> row_bits))]
-    key &= (1 << row_bits) - 1
-    if same.size:
-        key[clash] = rows
+        keys = key[clash]
+        rows = (keys & row_mask).view(np.intp)
+        key[clash] = keys[np.lexsort((tiebreak[rows], keys >> row_bits))]
+    key &= row_mask
     order[tied] = key.view(np.intp)
 
 
