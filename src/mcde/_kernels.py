@@ -99,15 +99,15 @@ def window_rows(member, ranks, starts, width, *, run_starts=None, run_lengths=No
     ``run_starts`` and ``run_lengths`` give the windows' :func:`cut_runs`.
     A caller that scores the windows of one column in batches may pass
     ``cuts`` instead: theirs, found once for that batch size and sliced to
-    the batch.  Tie-free columns pass
-    ``ranks=None``, as the index stores them: the local rank of every
-    window position is the position, so their rows may be windows of
-    different columns, such as the reference columns of many estimates.  Each
-    tie group contributes its window-local 0-based average rank to the
-    members inside it; the at most two runs cut by a window boundary are
-    ranked among window rows only.  Returns ``(rank_sums, member_counts,
-    tie_corrections)``, the last the sums of ``g**3 - g`` over window-local
-    group sizes, each exact at any window width and then rounded to float64.
+    the batch.  Tie-free columns pass ``ranks=None``, as the index stores
+    them: the local rank of every window position is the position, so their
+    rows may be windows of different columns, such as the reference columns
+    of many estimates.  Each tie group contributes its window-local 0-based
+    average rank to the members inside it; the at most two runs cut by a
+    window boundary are ranked among window rows only.  Returns
+    ``(rank_sums, member_counts, tie_corrections)``, the last the sums of
+    ``g**3 - g`` over window-local group sizes, each exact at any window
+    width and then rounded to float64.
 
     Each row is packed into bytes, bit b of byte k for position ``8k + b``.
     A tie-free row is counted by the popcount of its bytes, and its rank sum
@@ -135,8 +135,8 @@ def window_rows(member, ranks, starts, width, *, run_starts=None, run_lengths=No
     # the members before each edge: bits ``bits`` of word ``word``
     rows = np.arange(len(starts))
     before = below[rows, word] + np.bitwise_count(words[rows, word] & bits)
-    # the global ranks between the batch's edges; einsum keeps the sums off
-    # BLAS
+    # the global ranks between the batch's two edges; einsum keeps the sums
+    # off BLAS
     lo, hi = edge[3:, 0].tolist()
     r1 = np.einsum("ij,ij->i", member[:, lo:hi], ranks[:, lo:hi]) + (before * weight).sum(axis=0)
     return r1, before[2], corr
