@@ -18,6 +18,7 @@ grow with n.  Timing results are the only non-deterministic output.
 
 from __future__ import annotations
 
+import operator
 import statistics
 import time
 from dataclasses import dataclass, fields, replace
@@ -78,6 +79,7 @@ def score_sample(
     omega: int | None = None,
 ) -> np.ndarray:
     """Score ``reps`` fresh instances of ``spec``; one derived seed each."""
+    reps, m = operator.index(reps), operator.index(m)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if m < 1:

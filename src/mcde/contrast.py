@@ -41,6 +41,7 @@ Hoeffding concentration bound ``P(|estimate - truth| >= eps) <= 2*exp(-2*M*eps**
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +111,7 @@ def contrast(
     values on the result.  ``seed`` keys the 64-bit Philox streams of the
     iterations, so it must lie in [0, 2**64).
     """
+    m = operator.index(m)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     alpha = check_alpha(alpha)

@@ -94,6 +94,18 @@ class RankIndex:
         return RankIndex(tuple(self.dims[j] for j in dims), self.n)
 
 
+# the run arrays of a tie-free column, shared by every tie-free index
+_NO_RUNS = np.empty(0, dtype=np.intp)
+_NO_RUNS.setflags(write=False)
+
+
+def _tie_free(row_ids: np.ndarray) -> DimensionIndex:
+    """The index of a tie-free column whose sorted rows are ``row_ids``,
+    which become read-only."""
+    row_ids.setflags(write=False)
+    return DimensionIndex(row_ids, None, _NO_RUNS, _NO_RUNS)
+
+
 def _tiebreak(position: int, n: int) -> np.ndarray:
     """The tie-break draws of the n rows of the column at ``position``."""
     return iteration_rng(_TIE_ORDER_SALT, position).random(n)
@@ -107,13 +119,13 @@ def _build_dimension(column: np.ndarray, position: int,
     column = np.ascontiguousarray(column, dtype=np.float64)
     order = np.argsort(column)
     adjusted, run_starts, run_lengths = _kernels.rank_scan(column, order)
-    if run_starts.size:
-        if tiebreak is None:
-            tiebreak = _tiebreak(position, column.shape[0])
-        _order_ties(order, tiebreak, run_starts, run_lengths)
+    if adjusted is None:
+        return _tie_free(order)
+    if tiebreak is None:
+        tiebreak = _tiebreak(position, column.shape[0])
+    _order_ties(order, tiebreak, run_starts, run_lengths)
     for arr in (order, adjusted, run_starts, run_lengths):
-        if arr is not None:
-            arr.setflags(write=False)
+        arr.setflags(write=False)
     return DimensionIndex(order, adjusted, run_starts, run_lengths)
 
 

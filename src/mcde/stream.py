@@ -8,21 +8,23 @@ equals an offline :func:`~mcde.contrast.contrast` call on the same rows.
 
 The ring buffer is column-major: row j holds the last ``width`` values of
 monitored column j, each checked finite as its stream row was read.  At a
-step of at most ``_CARRY_MAX_STEP`` the monitor also carries each column's
-sorted order forward (:class:`_SortedColumn`, in the spirit of the stream
-MCDE of Fouché, Mazankiewicz, Kalinke & Böhm, "A framework for dependency
-estimation in heterogeneous data streams", DAPD 2021): every accepted row
-bisects the leaving row out of the sorted values and the new row in, in
-O(w) memmove, so a window whose column holds no tie is indexed with no sort
-at all.  A tie-free column has exactly one sorted order, so its index is
-array for array the one a rebuild gives and scores do not change.  A
-column with ties is rebuilt, because the order inside its tie runs follows
-window-relative row ids, which shift with every row; so is every column of
-the first window, which seeds the carried order, and of every window at a
-larger step.  A rebuild rotates the buffer's row to put the oldest value
-first and runs the per-column build of
-:func:`~mcde.ranking.construct_index`, with the column's tie-break vector
-drawn once per monitor.
+step of at most ``_CARRY_MAX_STEP`` the monitor also carries the sorted
+order of each tie-free column forward (:class:`_SortedColumn`, in the
+spirit of the stream MCDE of Fouché, Mazankiewicz, Kalinke & Böhm, "A
+framework for dependency estimation in heterogeneous data streams", DAPD
+2021): every accepted row bisects the leaving value out of the sorted
+values and the new value in, in O(w) memmove, so the column's window is
+indexed with no sort at all.  A tie-free column has exactly one sorted
+order, so its index is array for array the one a rebuild gives and scores
+do not change.  A tied column is not carried, because the order inside its
+tie runs follows window-relative row ids, which shift with every row: a
+column drops its carry when a new value equals one still in the window.
+Every window rebuilds each column without a carry.  A rebuild rotates the
+buffer's row to put the oldest value first and runs the per-column build
+of :func:`~mcde.ranking.construct_index`, with the column's tie-break
+vector drawn once per monitor.  A rebuilt column that is tie-free, at a
+step that carries, seeds the carry: so does every column of the first
+window, and a tied column rejoins the carry at its first tie-free rebuild.
 
 Carrying costs about 2 µs per column per accepted row, and a window's
 index then costs a copy of its row ids; a rebuild costs about 16 µs per
@@ -49,7 +51,8 @@ not part of the estimator.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -57,17 +60,13 @@ import numpy as np
 
 from ._rng import LANES, check_seed, derive_seed, derive_seeds
 from .contrast import ContrastEstimate, _draw, _estimate
-from .ranking import DimensionIndex, RankIndex, _build_dimension, _tiebreak
+from .ranking import DimensionIndex, RankIndex, _build_dimension, _tie_free, _tiebreak
 from .slicing import check_alpha
 
-# the largest step at which the monitor carries each column's sorted order
-# forward row by row; larger steps rebuild every window (see the module
+# the largest step at which the monitor carries a tie-free column's sorted
+# order forward row by row; larger steps rebuild every window (see the module
 # docstring for the measurement)
 _CARRY_MAX_STEP = 7
-
-# the run arrays of a tie-free column, shared by every carried index
-_NO_RUNS = np.empty(0, dtype=np.intp)
-_NO_RUNS.setflags(write=False)
 
 
 class StreamFormatError(Exception):
@@ -97,6 +96,8 @@ class WindowConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(j) for j in self.dims))
+        for count in ("width", "step", "m", "drift_patience"):
+            object.__setattr__(self, count, operator.index(getattr(self, count)))
         if self.width < 2:
             raise ValueError(f"width must be >= 2, got {self.width}")
         if self.step < 1:
@@ -165,56 +166,45 @@ def _extract(row: Sequence, dims: tuple[int, ...], row_index: int) -> list[float
 
 
 class _SortedColumn:
-    """One monitored column's window values in sorted order, with the
-    accepted-row number of each, carried forward one row at a time.
+    """One tie-free monitored column's window values in sorted order, with
+    the accepted-row number of each, carried forward one row at a time.
 
-    ``values`` is a list, so a row is found and placed by bisection and
-    moved by the list's own insert and delete; ``rows`` moves with it.
-    ``ties`` counts the sorted neighbours of equal value, so a window knows
-    in O(1) whether the column is tie-free.  A tie-free column has one
-    sorted order, so its index is ``rows`` shifted to window-relative row
-    ids, array for array what :func:`~mcde.ranking._build_dimension` builds.
+    ``values`` is a list, so a value is found and placed by bisection and
+    moved by the list's own insert and delete; ``rows`` moves with it.  A
+    tie-free column has one sorted order, so its index is ``rows`` shifted
+    to window-relative row ids, array for array what
+    :func:`~mcde.ranking._build_dimension` builds.  A column that gains a
+    tie is not carried on: :meth:`replace` says so.
     """
 
-    __slots__ = ("values", "rows", "ties")
+    __slots__ = ("values", "rows")
 
-    def __init__(self, column: np.ndarray, order: np.ndarray):
-        # the first window: its accepted-row numbers are its row ids
-        keys = column[order]
-        self.values = keys.tolist()
-        self.rows = order.copy()
-        self.ties = int(np.count_nonzero(keys[1:] == keys[:-1]))
+    def __init__(self, column: np.ndarray, order: np.ndarray, first: int):
+        # a window whose oldest row is accepted row ``first``, sorted by ``order``
+        self.values = column[order].tolist()
+        self.rows = order + first
 
-    def replace(self, leaving: float, leaving_row: int, value: float, row: int) -> None:
-        """Drop the row ``leaving_row`` of value ``leaving``; add ``row``."""
+    def replace(self, leaving: float, value: float, row: int) -> bool:
+        """Drop the row of value ``leaving``, which is unique, and add
+        ``row`` of ``value``.  Returns False, leaving the column unusable,
+        when ``value`` equals a value that stays."""
         values, rows = self.values, self.rows
         p = bisect_left(values, leaving)
-        if self.ties:
-            if rows[p] != leaving_row:  # search its tie run
-                end = bisect_right(values, leaving, p)
-                p += int(np.flatnonzero(rows[p:end] == leaving_row)[0])
-            # equal neighbours of a sorted value are equal to each other, so
-            # removing it takes away one equal pair if it had any
-            if (p and values[p - 1] == leaving) or (p + 1 < len(values)
-                                                    and values[p + 1] == leaving):
-                self.ties -= 1
         del values[p]
-        # after any equal values, so only the left neighbour can equal it
-        at = bisect_right(values, value)
-        if at and values[at - 1] == value:
-            self.ties += 1
+        at = bisect_left(values, value)
+        if at < len(values) and values[at] == value:
+            return False
         values.insert(at, value)
         if at > p:
             rows[p:at] = rows[p + 1:at + 1]
         elif at < p:
             rows[at + 1:p + 1] = rows[at:p]
         rows[at] = row
+        return True
 
     def index(self, first: int) -> DimensionIndex:
-        """The index of a tie-free window whose oldest row is ``first``."""
-        row_ids = self.rows - first  # a copy no later row changes
-        row_ids.setflags(write=False)
-        return DimensionIndex(row_ids, None, _NO_RUNS, _NO_RUNS)
+        """The index of the window whose oldest row is ``first``."""
+        return _tie_free(self.rows - first)  # a copy no later row changes
 
 
 def monitor(
@@ -235,7 +225,7 @@ def monitor(
     drawn: dict[int, tuple[int, np.ndarray]] = {}  # end row -> (seed, draws)
     buffer = np.empty((d, width), dtype=np.float64)
     tiebreaks = [_tiebreak(j, width) for j in range(d)]
-    carried: list[_SortedColumn] | None = None  # seeded by the first window
+    carried: list[_SortedColumn | None] = [None] * d  # seeded by tie-free rebuilds
     accepted = 0
     below_run = 0
 
@@ -249,9 +239,10 @@ def monitor(
             continue
 
         slot = accepted % width
-        if carried is not None:
-            for column, leaving, value in zip(carried, buffer[:, slot].tolist(), values):
-                column.replace(leaving, accepted - width, value, accepted)
+        if any(carried):
+            for j, leaving in enumerate(buffer[:, slot].tolist()):
+                if carried[j] and not carried[j].replace(leaving, values[j], accepted):
+                    carried[j] = None
         buffer[:, slot] = values
         accepted += 1
         if accepted < width or (accepted - width) % step != 0:
@@ -260,16 +251,17 @@ def monitor(
         first = accepted - width
         pivot = accepted % width
         dims = []
-        for j in range(d):
-            if carried is not None and not carried[j].ties:
-                dims.append(carried[j].index(first))
+        for j, sorted_column in enumerate(carried):
+            if sorted_column is not None:
+                dims.append(sorted_column.index(first))
                 continue
             # unroll the ring buffer into window order (oldest row first)
             column = (np.concatenate((buffer[j, pivot:], buffer[j, :pivot])) if pivot
                       else buffer[j])
-            dims.append(_build_dimension(column, j, tiebreaks[j]))
-        if carried is None and step <= _CARRY_MAX_STEP:
-            carried = [_SortedColumn(buffer[j], dim.row_ids) for j, dim in enumerate(dims)]
+            dim = _build_dimension(column, j, tiebreaks[j])
+            if dim.adjusted_ranks is None and step <= _CARRY_MAX_STEP:
+                carried[j] = _SortedColumn(column, dim.row_ids, first)
+            dims.append(dim)
 
         if row_index not in drawn:
             ends = range(row_index, row_index + ahead * step, step)

@@ -171,6 +171,13 @@ def test_score_sample_validates_reps():
         mcde.score_sample(DependencySpec("linear", 50, 2, 0.0), reps=0)
 
 
+@pytest.mark.parametrize("count", ["reps", "m"])
+def test_score_sample_rejects_a_non_integral_count(count):
+    spec = DependencySpec("linear", 50, 2, 0.0)
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        mcde.score_sample(spec, **{"reps": 3, "m": 5, count: 2.5})
+
+
 @pytest.mark.parametrize("omega", [None, 3])
 def test_score_sample_equals_per_rep_contrast(omega):
     # at M=50 one pass draws for 40 reps, so 45 reps take two

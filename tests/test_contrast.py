@@ -27,6 +27,12 @@ def test_zero_iterations_rejected(uniform_ds):
         contrast(uniform_ds, m=0)
 
 
+def test_a_non_integral_count_is_rejected_before_scoring(uniform_ds):
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        contrast(uniform_ds, m=2.5)
+    assert contrast(uniform_ds, m=np.int64(5), seed=3) == contrast(uniform_ds, m=5, seed=3)
+
+
 def test_single_column_rejected():
     ds = mcde.Dataset(np.random.default_rng(0).random((50, 1)))
     with pytest.raises(ValueError):

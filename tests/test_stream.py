@@ -143,6 +143,14 @@ def test_config_validation():
         WindowConfig(width=10, dims=(0, 1), alpha=1.5)
 
 
+@pytest.mark.parametrize("count", ["width", "step", "m", "drift_patience"])
+def test_config_rejects_a_non_integral_count(count):
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        WindowConfig(**{"width": 10, "dims": (0, 1), count: 10.5})
+    cfg = WindowConfig(**{"width": 10, "dims": (0, 1), count: np.int64(10)})
+    assert type(getattr(cfg, count)) is int
+
+
 def test_memory_stays_bounded_by_width():
     # the monitor must not retain more than width rows: feed a long stream
     # and confirm emissions depend only on the trailing window
@@ -348,18 +356,41 @@ def test_carry_is_taken_at_small_steps(monkeypatch, d):
         carried = step <= _CARRY_MAX_STEP
         assert builds == list(range(d)) * (1 if carried else windows)
     # a constant head ties the windows that hold two of its rows, ending at
-    # rows 29-57; once it has left, the carry is taken again
+    # rows 29-57, so they are rebuilt; the first tie-free rebuild, ending at
+    # row 58, seeds the carry again
     rows[:30] = 0.5
     builds.clear()
     cfg = WindowConfig(width=30, dims=tuple(range(d)), step=1, m=5, seed=0)
     assert len(list(monitor(iter(rows), cfg))) == 171
-    assert builds == list(range(d)) * 29
+    assert builds == list(range(d)) * 30
+
+
+@pytest.mark.parametrize("equal", [(0.25, 0.25), (0.0, -0.0)])
+def test_a_tie_drops_the_carry_until_it_leaves(monkeypatch, equal):
+    # in a tie-free stream at step 1, row 40 of column 1 equals row 35; only
+    # the windows that hold both rows, ending at rows 40-44, and the first
+    # window after them are rebuilt, and column 0 stays carried throughout
+    ends = []  # the last row of every emitted window
+    built = []  # (column, the last row of its window) of every rebuild
+
+    def counting(column, position, tiebreak=None):
+        built.append((position, 9 + len(ends)))  # windows end at rows 9, 10, ...
+        return _build_dimension(column, position, tiebreak)
+
+    monkeypatch.setattr(mcde.stream, "_build_dimension", counting)
+    rows = _uniform_rows(80, seed=5)
+    rows[35, 1], rows[40, 1] = equal
+    cfg = WindowConfig(width=10, dims=(0, 1), step=1, m=5, seed=0)
+    for event in monitor(iter(rows), cfg):
+        ends.append(event.row_index)
+    assert ends == list(range(9, 80))
+    assert built == [(0, 9), (1, 9)] + [(1, end) for end in range(40, 46)]
 
 
 def test_carried_order_follows_the_leaving_row_through_its_tie_run(monkeypatch):
-    # pairs of equal values enter and leave narrow windows, so a leaving
-    # row often shares its value with a row that stays; the tie-break
-    # vectors of the three positions seed the pairs in either order
+    # pairs of equal values enter and leave narrow windows, so a column
+    # often drops its carry and rejoins it at a tie-free rebuild; the
+    # tie-break vectors of the three positions order the pairs either way
     indexes = []
     estimate = mcde.stream._estimate
 
