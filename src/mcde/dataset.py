@@ -1,24 +1,41 @@
 """Numerical datasets: validation, CSV input/output, column projection.
 
-CSV text is parsed into one flat buffer of floats, so no per-row object
-outlives its row.  Once the first data row has fixed the width, the lines
-are read in blocks of ``_BLOCK_LINES``.  A plain block (digits, ``eE+-.``,
-the delimiter and one line break at the end of each line) is parsed by
-numpy in one call.  Only the other blocks go through the strict loop, which
-parses a row as the csv module yields it and is the only path that raises:
-numpy and ``float`` read plain cells alike, so a block numpy rejects is
-replayed through the strict loop, which reports the error at its line, and
-numpy resumes at the first row end past that block.  Values are held
-column-major (Fortran order) because every downstream pass walks single
-columns.  Datasets are immutable after construction; the backing array is
-marked read-only so they can be shared across threads.
+:func:`load_csv` hands a regular file to numpy's text reader by its path,
+so numpy reads it in large chunks and splits its lines in C.  The header is
+decided first, as :func:`read_csv` decides it, from the file's first rows;
+numpy then parses the lines from the first data row on.  The file falls
+back to :func:`read_csv` when numpy may read it otherwise than the strict
+path would: when it is no regular file (a pipe can be read only once), when
+its name ends in a suffix numpy decompresses, when the delimiter takes no
+fast path, when no data row follows the header or the header's width
+differs from the first row's, when a line passes the csv module's field
+size limit, and when numpy rejects the file or reads a non-finite value.  So every file gives the dataset or the error, with its
+line and column, that :func:`read_csv` gives, and a valid file numpy
+rejects, such as one with quoted cells, is read twice.
+
+:func:`read_csv` parses any source of lines, stdin among them, into one
+flat buffer of floats, so no per-row object outlives its row.  Once the
+first data row has fixed the width, the lines are read in blocks of
+``_BLOCK_LINES``.  A plain block (digits, ``eE+-.``, the delimiter and one
+line break at the end of each line) is parsed by numpy in one call.  Only
+the other blocks go through the strict loop, which parses a row as the csv
+module yields it and is the only path that raises: numpy and ``float`` read
+plain cells alike, so a block numpy rejects is replayed through the strict
+loop, which reports the error at its line, and numpy resumes at the first
+row end past that block.  Values are held column-major (Fortran order)
+because every downstream pass walks single columns.  Datasets are immutable
+after construction; the backing array is marked read-only so they can be
+shared across threads.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
+import os
 import re
+import stat
 from array import array
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
@@ -97,8 +114,8 @@ class Dataset:
 
 
 def check_dims(dims: Sequence[int], d: int) -> tuple[int, ...]:
-    """Validate a column-index selection: distinct, each in [0, d)."""
-    dims = tuple(int(j) for j in dims)
+    """Validate a column-index selection: distinct integers, each in [0, d)."""
+    dims = tuple(map(operator.index, dims))
     if len(set(dims)) != len(dims):
         raise ValueError(f"duplicate column indices in {list(dims)}")
     for j in dims:
@@ -195,6 +212,12 @@ _BLOCK_LINES = 1 << 8
 _PLAIN = "0123456789eE+-."
 
 
+def _fast(delimiter: str) -> bool:
+    """Whether numpy may parse lines of this delimiter: not one that can
+    occur inside a plain cell, nor a line break."""
+    return delimiter not in _PLAIN + "\r\n"
+
+
 def _plain_values(block: list[str], width: int, delimiter: str) -> np.ndarray | None:
     """The values of a plain block of lines, as an array of ``width`` columns.
 
@@ -248,8 +271,7 @@ def read_csv(
     module or the text decoder rejects raises :class:`ParseError` too.
     """
     lines = iter(source)
-    # a delimiter that can occur inside a plain cell, or a line break, takes no fast path
-    fast = delimiter not in _PLAIN + "\r\n"
+    fast = _fast(delimiter)
     names: list[str] | None = None
     width = 0
     cells = array("d")
@@ -312,12 +334,96 @@ def read_csv(
     return Dataset(np.frombuffer(cells).reshape(-1, width), names)
 
 
+# numpy opens a path through ``np.lib._datasource``, which decompresses a
+# file by these suffixes; the strict path reads such a file as text
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+# a line break, and the bytes read first from each block of _short_lines
+_BREAK = re.compile(rb"[\r\n]")
+_LINE_PROBE = 4096
+
+
+def _short_lines(path: str) -> bool:
+    """Whether every line of the file is shorter than the csv module's
+    field size limit, which the strict path enforces and numpy does not.
+
+    Each whole block of half the limit must hold a line break: a stretch
+    with no line break then spans no whole block, so it is shorter than the
+    limit in bytes and in characters.  Only a block's first ``_LINE_PROBE``
+    bytes are read unless they hold no line break, so the scan reads a
+    small part of a file of short lines; a memory map of the file would
+    add its pages to the peak resident size.
+    """
+    half = max(csv.field_size_limit() // 2, 1)
+    with open(path, "rb", buffering=0) as raw:
+        for lo in range(0, os.fstat(raw.fileno()).st_size - half + 1, half):
+            raw.seek(lo)
+            block = raw.read(min(half, _LINE_PROBE))
+            if not _BREAK.search(block):
+                block += raw.read(half - len(block))
+                if not _BREAK.search(block):
+                    return False
+    return True
+
+
+def _numpy_file(path, has_header: bool | None, delimiter: str) -> Dataset | None:
+    """The dataset of a regular CSV file, its lines parsed by numpy from
+    its path, or None where :func:`read_csv` must read the file (see the
+    module docstring)."""
+    path = os.fspath(path)
+    if not isinstance(path, str) or path.endswith(_COMPRESSED) or not _fast(delimiter):
+        return None
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+    except OSError:
+        return None  # raised again by the strict path's open
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        names = None
+        try:
+            # the header and the first data row, as read_csv decides them
+            for line, row in csv_rows(fh, delimiter):
+                if not row:
+                    continue
+                if names is None and (
+                    not _looks_numeric(row) if has_header is None else has_header
+                ):
+                    names = [cell.strip() for cell in row]
+                    continue
+                break
+            else:
+                return None  # no data row, of which numpy only warns
+        except ParseError:
+            return None
+    if (names is not None and len(names) != len(row)) or not _short_lines(path):
+        return None
+    try:
+        # an absolute path, which numpy cannot take for a URL
+        values = np.loadtxt(os.path.abspath(path), delimiter=delimiter, comments=None,
+                            ndmin=2, skiprows=line - 1, encoding="utf-8-sig")
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    try:
+        return Dataset(values, names)
+    except ValidationError:  # a non-finite value, which the strict path locates
+        return None
+
+
 def load_csv(
     path: str,
     has_header: bool | None = None,
     delimiter: str = ",",
 ) -> Dataset:
-    """Load a dataset from a CSV file (UTF-8, LF or CRLF)."""
+    """Load a dataset from a CSV file (UTF-8, LF, CRLF or CR line ends).
+
+    A regular file is parsed by numpy from its path; a file numpy does not
+    read exactly as :func:`read_csv` would goes through :func:`read_csv`,
+    so a valid file numpy rejects, such as one with quoted cells, is read
+    twice.  Either way the dataset and every error are :func:`read_csv`'s.
+    """
+    ds = _numpy_file(path, has_header, delimiter)
+    if ds is not None:
+        return ds
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return read_csv(fh, has_header=has_header, delimiter=delimiter)
 

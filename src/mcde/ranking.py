@@ -37,7 +37,7 @@ in slices of ``_CHUNK`` rows, so the sort's temporaries stay small.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -112,18 +112,17 @@ def _tiebreak(position: int, n: int) -> np.ndarray:
 
 
 def _build_dimension(column: np.ndarray, position: int,
-                     tiebreak: np.ndarray | None = None) -> DimensionIndex:
-    """The index of one column of finite values at ``position``.  A caller
-    that builds many columns of one length at one position, as the stream
-    monitor does, may pass the column's tie-break vector, drawn once."""
+                     tiebreak: Callable[[int, int], np.ndarray] = _tiebreak) -> DimensionIndex:
+    """The index of one column of finite values at ``position``.  Only a
+    column with ties calls ``tiebreak(position, n)`` for its tie-break
+    vector; a caller that builds many columns of one length at one
+    position, as the stream monitor does, may pass one that keeps it."""
     column = np.ascontiguousarray(column, dtype=np.float64)
     order = np.argsort(column)
     adjusted, run_starts, run_lengths = _kernels.rank_scan(column, order)
     if adjusted is None:
         return _tie_free(order)
-    if tiebreak is None:
-        tiebreak = _tiebreak(position, column.shape[0])
-    _order_ties(order, tiebreak, run_starts, run_lengths)
+    _order_ties(order, tiebreak(position, column.shape[0]), run_starts, run_lengths)
     for arr in (order, adjusted, run_starts, run_lengths):
         arr.setflags(write=False)
     return DimensionIndex(order, adjusted, run_starts, run_lengths)

@@ -22,7 +22,8 @@ column drops its carry when a new value equals one still in the window.
 Every window rebuilds each column without a carry.  A rebuild rotates the
 buffer's row to put the oldest value first and runs the per-column build
 of :func:`~mcde.ranking.construct_index`, with the column's tie-break
-vector drawn once per monitor.  A rebuilt column that is tie-free, at a
+vector drawn at its first rebuild that finds ties and kept for the
+monitor's later ones.  A rebuilt column that is tie-free, at a
 step that carries, seeds the carry: so does every column of the first
 window, and a tied column rejoins the carry at its first tie-free rebuild.
 
@@ -50,6 +51,7 @@ not part of the estimator.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from bisect import bisect_left
@@ -95,7 +97,7 @@ class WindowConfig:
     drift_patience: int = 3
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(j) for j in self.dims))
+        object.__setattr__(self, "dims", tuple(map(operator.index, self.dims)))
         for count in ("width", "step", "m", "drift_patience"):
             object.__setattr__(self, count, operator.index(getattr(self, count)))
         if self.width < 2:
@@ -224,7 +226,7 @@ def monitor(
     ahead = max(1, LANES // cfg.m)
     drawn: dict[int, tuple[int, np.ndarray]] = {}  # end row -> (seed, draws)
     buffer = np.empty((d, width), dtype=np.float64)
-    tiebreaks = [_tiebreak(j, width) for j in range(d)]
+    tiebreak = functools.cache(_tiebreak)  # drawn once per tied column
     carried: list[_SortedColumn | None] = [None] * d  # seeded by tie-free rebuilds
     accepted = 0
     below_run = 0
@@ -258,7 +260,7 @@ def monitor(
             # unroll the ring buffer into window order (oldest row first)
             column = (np.concatenate((buffer[j, pivot:], buffer[j, :pivot])) if pivot
                       else buffer[j])
-            dim = _build_dimension(column, j, tiebreaks[j])
+            dim = _build_dimension(column, j, tiebreak)
             if dim.adjusted_ranks is None and step <= _CARRY_MAX_STEP:
                 carried[j] = _SortedColumn(column, dim.row_ids, first)
             dims.append(dim)

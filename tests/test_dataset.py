@@ -1,10 +1,15 @@
 import csv
+import gzip
 import io
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcde import (
     Dataset,
@@ -429,6 +434,13 @@ def test_select_subspace_rejects_duplicates_and_range():
         select_subspace(ds, [0, 3])
 
 
+def test_select_subspace_rejects_a_non_integral_column_index():
+    ds = Dataset(np.arange(6.0).reshape(2, 3))
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        select_subspace(ds, [0, 2.9])
+    assert select_subspace(ds, [np.int64(2), np.int32(0)]).column_names == ("col2", "col0")
+
+
 def test_select_all_columns_is_identity():
     ds = Dataset(np.random.default_rng(1).random((4, 3)))
     assert select_subspace(ds, [0, 1, 2]) == ds
@@ -496,3 +508,207 @@ def test_field_over_the_csv_limit_is_parse_error_naming_its_line(tmp_path):
     path.write_text('x,y\n1,2\n3,"' + "9" * 200_000 + '"\n5,6\n')
     with pytest.raises(ParseError, match=r"field limit \(131072\) at line 3$"):
         load_csv(str(path))
+
+
+# ---------------------------------------------------------------------------
+# load_csv: numpy parses a regular file from its path, or read_csv reads it
+# ---------------------------------------------------------------------------
+
+
+def _strict_load(path, **kwargs):
+    """``read_csv`` of the file's lines, as ``load_csv`` read every file
+    before numpy parsed files from their paths."""
+    return _outcome(read_csv, lambda: open(path, "r", encoding="utf-8-sig", newline=""),
+                    **kwargs)
+
+
+def _no_block_loop(monkeypatch):
+    def failing(*args, **kwargs):
+        raise AssertionError("read_csv was called")
+
+    monkeypatch.setattr(dataset_module, "read_csv", failing)
+
+
+def _file_values(rows, d):
+    """``rows`` x ``d`` values, among them signed zeros, a subnormal, the
+    largest double and values of 17 significant digits."""
+    values = np.random.default_rng(rows).normal(scale=1e3, size=(rows, d))
+    special = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, -1e-300, 1e22]
+    values.flat[:len(special)] = special[:values.size]
+    return values
+
+
+def _file_text(values, delimiter=",", ending="\n", header=None):
+    lines = [delimiter.join(map(repr, row)) for row in values.tolist()]
+    if header is not None:
+        lines.insert(0, delimiter.join(header))
+    return "".join(line + ending for line in lines)
+
+
+_FILES = {
+    "header": (_file_text(_file_values(50, 3), header="abc"), {}),
+    "no header": (_file_text(_file_values(50, 3)), {}),
+    "has_header True": (_file_text(_file_values(50, 3)), {"has_header": True}),
+    "has_header False": (_file_text(_file_values(50, 3)), {"has_header": False}),
+    "numeric header": (_file_text(_file_values(50, 3), header="123"), {"has_header": True}),
+    "crlf": (_file_text(_file_values(50, 3), ending="\r\n", header="abc"), {}),
+    # past a block of half the csv field limit, each of which holds a line break
+    "cr": (_file_text(_file_values(3000, 3), ending="\r", header="abc"), {}),
+    "bom": ("\ufeff" + _file_text(_file_values(50, 3), header="abc"), {}),
+    "bom, no header": ("\ufeff" + _file_text(_file_values(50, 3)), {}),
+    "blank lines": ("\n\r\n\n" + _file_text(_file_values(50, 2), header="ab")
+                    .replace("\n", "\n\n", 3) + "\r\n\n\r", {}),
+    "blank lines, no header": ("\n\n" + _file_text(_file_values(50, 2)) + "\n\n", {}),
+    "semicolon": (_file_text(_file_values(50, 3), ";", header="abc"), {"delimiter": ";"}),
+    "tab": (_file_text(_file_values(50, 3), "\t", header="abc"), {"delimiter": "\t"}),
+    "single row": (_file_text(_file_values(1, 3), header="abc"), {}),
+    "single row, no header": (_file_text(_file_values(1, 3)), {}),
+    "single column": (_file_text(_file_values(50, 1), header="a"), {}),
+    "single cell": ("7", {}),
+    "no final line break": (_file_text(_file_values(50, 3), header="abc").rstrip("\n"), {}),
+    "padded cells": ("a, b\n 1 ,\t2\xa0\n3,4\n", {}),
+    "quoted header": ('"a\nb",c\n' + _file_text(_file_values(50, 2)), {}),
+    # numpy reads past its first chunks
+    "many rows": (_file_text(_file_values(60_000, 3), header="abc"), {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FILES))
+def test_load_csv_parses_a_plain_file_with_numpy_as_read_csv_reads_it(tmp_path, monkeypatch, name):
+    text, kwargs = _FILES[name]
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    want = _strict_load(path, **kwargs)
+    assert isinstance(want[0], tuple)  # a dataset
+    _no_block_loop(monkeypatch)
+    assert _outcome(load_csv, lambda: str(path), **kwargs) == want
+
+
+_FIELD_LIMIT = "field larger than field limit (131072) at line 3"
+
+_STRICT_FILES = {
+    "whitespace line": ("a,b\n1,2\n  \n3,4\n",
+                        "ragged row at line 3: expected 2 cells, got 1"),
+    "whitespace line, one column": ("a\n1\n \t\n2\n",
+                                    "cannot parse '' as a number at line 3, column 1"),
+    "form feed line": ("1,2\n\x0c\n", "ragged row at line 2: expected 2 cells, got 1"),
+    "quoted cells": ('a,b\n"1",2\n3,"4\n"\n5,6\n', None),
+    "nan": ("a,b\n1,2\n3,nan\n", "non-finite value 'nan' at line 3, column 2"),
+    "overflow": ("a,b\n1,2\n3,4\n5,-1e999\n", "non-finite value '-1e999' at line 4, column 2"),
+    "underscore": ("1,2\n3,1_0\n", None),
+    "cell over the field limit": ("x,y\n1,2\n3," + "0" * 200_000 + "1\n5,6\n", _FIELD_LIMIT),
+    "cell over the field limit, cr": ("x,y\r1,2\r3," + "0" * 200_000 + "1\r5,6\r",
+                                      _FIELD_LIMIT),
+    "header only": ("a,b\n", "no data rows after the header"),
+    "header and blank lines": ("a,b\n\n\r\n", "no data rows after the header"),
+    "empty file": ("", "empty input: no rows found"),
+    "blank lines only": ("\n\n", "empty input: no rows found"),
+    "wide header": ("a,b,c\n1,2\n3,4\n", "header has 3 names but rows have 2 cells"),
+    "ragged": ("a,b\n1,2\n3,4\n5,6,7\n", "ragged row at line 4: expected 2 cells, got 3"),
+    "not numeric": ("a,b\n1,2\n3,x\n", "cannot parse 'x' as a number at line 3, column 2"),
+    "has_header False": ("a,b\n1,2\n", "cannot parse 'a' as a number at line 1, column 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STRICT_FILES))
+def test_load_csv_gives_read_csvs_result_where_numpy_may_read_otherwise(tmp_path, name):
+    text, message = _STRICT_FILES[name]
+    kwargs = {"has_header": False} if name == "has_header False" else {}
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    got = _outcome(load_csv, lambda: str(path), **kwargs)
+    assert got == _strict_load(path, **kwargs)
+    if message is None:
+        assert isinstance(got[0], tuple)  # a dataset, read twice
+    else:
+        assert got[1] == message
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_load_csv_reads_a_compressed_name_as_text(tmp_path, suffix):
+    # numpy would decompress a file by these suffixes
+    path = tmp_path / f"data.csv{suffix}"
+    path.write_bytes(b"a,b\n1,2\n")
+    got = _outcome(load_csv, lambda: str(path))
+    assert got == _strict_load(path)
+    assert got[0] == ("a", "b")
+
+
+def test_load_csv_does_not_decompress_a_gzip_file(tmp_path):
+    path = tmp_path / "data.csv.gz"
+    path.write_bytes(gzip.compress(b"a,b\n1,2\n"))
+    got = _outcome(load_csv, lambda: str(path))
+    assert got == _strict_load(path)
+    assert got == (ParseError, "cannot decode byte b'\\x8b' as utf-8 at line 1")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_load_csv_reads_a_fifo_once(tmp_path):
+    path = tmp_path / "pipe.csv"
+    os.mkfifo(path)
+    text = _file_text(_file_values(3 * _B, 2), header="ab")
+    got = []
+
+    def feed():
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    # a reader that opened the pipe twice would wait for a second writer
+    threads = [threading.Thread(target=feed, daemon=True),
+               threading.Thread(target=lambda: got.append(load_csv(str(path))), daemon=True)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert len(got) == 1
+    want = read_csv(io.StringIO(text))
+    assert got[0].column_names == want.column_names
+    assert got[0].values.tobytes() == want.values.tobytes()
+
+
+def test_load_csv_peak_memory_is_a_small_multiple_of_the_values(tmp_path, monkeypatch):
+    values = np.random.default_rng(5).random((20_000, 3))
+    path = tmp_path / "data.csv"
+    save_csv(Dataset(values), str(path))
+    _no_block_loop(monkeypatch)
+    tracemalloc.start()
+    try:
+        ds = load_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(ds.values, values)
+    assert peak <= 4 * ds.values.nbytes, peak / ds.values.nbytes
+
+
+# cells numpy and the csv module may read alike or not; plain ones weigh more
+_FUZZ_CELLS = ["0", "1", "-0.0", "2.5", "1e-3", "-7E+2", ".5", "5.", "123456789.125"] * 10 + [
+    " 3 ", "\t4", "4\xa0", "1_0", "nan", "-inf", "1e999", "", '"6"', '"7,8"', '"9\n"', "x",
+    "\x0c", "\x00", "\ufeff1", "0x1", "\u0661", "#2",
+]
+
+
+@st.composite
+def _fuzz_files(draw):
+    delimiter = draw(st.sampled_from([",", ";", "\t", " "]))
+    width = draw(st.integers(1, 3))
+    row = st.lists(st.sampled_from(_FUZZ_CELLS), min_size=width, max_size=width)
+    line = st.one_of(row.map(delimiter.join), row.map(delimiter.join), st.sampled_from(["", " "]))
+    ending = st.sampled_from(["\n", "\r\n", "\r"])
+    body = draw(st.lists(st.tuples(line, ending), max_size=8))
+    header = draw(st.sampled_from(["", "a", "a,b", "a,b,c", "1,2"])).replace(",", delimiter)
+    text = draw(st.sampled_from(["", "\ufeff"])) + header + draw(ending)
+    text += "".join(cells + end for cells, end in body)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, delimiter, draw(st.sampled_from([None, True, False]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_fuzz_files())
+def test_load_csv_gives_read_csvs_result_for_any_file(tmp_path_factory, case):
+    text, delimiter, has_header = case
+    path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+    path.write_bytes(text.encode())
+    kwargs = {"delimiter": delimiter, "has_header": has_header}
+    assert _outcome(load_csv, lambda: str(path), **kwargs) == _strict_load(path, **kwargs)

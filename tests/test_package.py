@@ -1,4 +1,10 @@
-"""The package's export list."""
+"""The package's export list and start-up imports."""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
 
 import mcde
 
@@ -56,3 +62,35 @@ def test_every_public_name_resolves():
 
 def test_public_names_are_pinned():
     assert set(mcde.__all__) == PUBLIC
+
+
+# run in a fresh interpreter: prints whether numpy.random was imported
+_CHILD = """
+import sys
+from mcde.cli import run
+code = 0 if len(sys.argv) == 1 else run(sys.argv[1:])
+print("numpy.random" in sys.modules, code)
+"""
+
+
+def _random_imported(*argv):
+    package_root = os.path.dirname(os.path.dirname(mcde.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + path if path else ""))
+    child = subprocess.run([sys.executable, "-c", _CHILD, *argv],
+                           capture_output=True, text=True, env=env, check=True)
+    return child.stdout.splitlines()[-1]
+
+
+def test_start_up_and_a_tie_free_monitor_leave_numpy_random_unimported(tmp_path):
+    # numpy.random is imported only to draw: by generators and by the
+    # tie-break of a tied column
+    assert _random_imported() == "False 0"
+    values = np.random.default_rng(3).random((300, 2))
+    path = tmp_path / "stream.csv"
+    mcde.save_csv(mcde.Dataset(values), str(path))
+    argv = ["monitor", "--input", str(path), "--width", "50", "--dims", "0,1", "--m", "5"]
+    assert _random_imported(*argv) == "False 0"
+    # a tied column draws its tie-break vector, so the check can fail
+    mcde.save_csv(mcde.Dataset(np.round(values, 1)), str(path))
+    assert _random_imported(*argv) == "True 0"

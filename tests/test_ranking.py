@@ -165,6 +165,14 @@ def test_projection_reuses_structures():
         index.project([4])
 
 
+def test_projection_rejects_a_non_integral_column_index():
+    index = construct_index(Dataset(np.random.default_rng(5).random((50, 4))))
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        index.project([0, 1.5])
+    sub = index.project([np.int64(3), np.int32(1)])
+    assert sub.dims == (index.dims[3], index.dims[1])
+
+
 # one column of each kind; signed zeros tie with each other
 _COLUMN_KINDS = (
     lambda rng, n: rng.random(n),                                         # continuous

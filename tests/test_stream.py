@@ -151,6 +151,13 @@ def test_config_rejects_a_non_integral_count(count):
     assert type(getattr(cfg, count)) is int
 
 
+def test_config_rejects_a_non_integral_column_index():
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        WindowConfig(width=10, dims=(0, 1.7))
+    cfg = WindowConfig(width=10, dims=(np.int64(2), np.int32(0)))
+    assert cfg.dims == (2, 0) and all(type(j) is int for j in cfg.dims)
+
+
 def test_memory_stays_bounded_by_width():
     # the monitor must not retain more than width rows: feed a long stream
     # and confirm emissions depend only on the trailing window
@@ -385,6 +392,33 @@ def test_a_tie_drops_the_carry_until_it_leaves(monkeypatch, equal):
         ends.append(event.row_index)
     assert ends == list(range(9, 80))
     assert built == [(0, 9), (1, 9)] + [(1, end) for end in range(40, 46)]
+
+
+@pytest.mark.parametrize("step", [1, _CARRY_MAX_STEP + 1])
+def test_a_tie_break_vector_is_drawn_once_per_tied_column(monkeypatch, step):
+    # column 1 ties from row 60 on, column 0 never: only column 1's vector
+    # is drawn, at its first tied rebuild, and every later one reuses it
+    draws = []
+
+    def counting(position, n):
+        draws.append(position)
+        return mcde.ranking._tiebreak(position, n)
+
+    monkeypatch.setattr(mcde.stream, "_tiebreak", counting)
+    rows = _uniform_rows(120, seed=9)
+    cfg = WindowConfig(width=20, dims=(0, 1), step=step, m=5, seed=0)
+    tie_free = list(monitor(iter(rows), cfg))
+    assert draws == []
+    rows[60:, 1] = np.round(rows[60:, 1] * 4) / 4
+    events = list(monitor(iter(rows), cfg))
+    assert draws == [1]
+    for event in events:
+        window = Dataset(rows[event.row_index - 19:event.row_index + 1])
+        want = mcde.contrast(window, m=5, seed=window_seed(0, event.row_index))
+        assert event.estimate.score == want.score
+    # the tie-free windows before row 60 score as they did without the ties
+    head = [e for e in events if e.row_index < 60]
+    assert [e.estimate.score for e in head] == [e.estimate.score for e in tie_free[:len(head)]]
 
 
 def test_carried_order_follows_the_leaving_row_through_its_tie_run(monkeypatch):
