@@ -4,14 +4,15 @@
 so numpy reads it in large chunks and splits its lines in C.  The header is
 decided first, as :func:`read_csv` decides it, from the file's first rows;
 numpy then parses the lines from the first data row on.  The file falls
-back to :func:`read_csv` when numpy may read it otherwise than the strict
-path would: when it is no regular file (a pipe can be read only once), when
-its name ends in a suffix numpy decompresses, when the delimiter takes no
-fast path, when no data row follows the header or the header's width
-differs from the first row's, when a line passes the csv module's field
-size limit, and when numpy rejects the file or reads a non-finite value.  So every file gives the dataset or the error, with its
-line and column, that :func:`read_csv` gives, and a valid file numpy
-rejects, such as one with quoted cells, is read twice.
+back to :func:`read_csv` wherever numpy may read it otherwise: when it is
+no regular file (a pipe can be read only once), when its name ends in a
+suffix numpy decompresses, when the delimiter takes no fast path, when no
+data row follows the header or the header's width differs from the first
+row's, when a line passes the csv module's field size limit, and when
+numpy rejects the file or reads a non-finite value.
+So every file gives the dataset or the error, with its line and column,
+that :func:`read_csv` gives, and a valid file numpy rejects, such as one
+with quoted cells, is read twice.
 
 :func:`read_csv` parses any source of lines, stdin among them, into one
 flat buffer of floats, so no per-row object outlives its row.  Once the
@@ -155,6 +156,12 @@ def _looks_numeric(row: Sequence[str]) -> bool:
     return True
 
 
+def _is_header(row: Sequence[str], has_header: bool | None) -> bool:
+    """Whether the first non-blank row is a header: as ``has_header`` says,
+    or, when it is None, when any of its cells is non-numeric."""
+    return not _looks_numeric(row) if has_header is None else bool(has_header)
+
+
 def _decode_error_line(exc: UnicodeDecodeError, lines_read: int) -> int:
     """1-based line of the byte a text stream failed to decode.
 
@@ -288,9 +295,7 @@ def read_csv(
                 if not row:
                     continue
                 if not width:
-                    if names is None and (
-                        not _looks_numeric(row) if has_header is None else has_header
-                    ):
+                    if names is None and _is_header(row, has_header):
                         names = [cell.strip() for cell in row]
                         continue
                     width = len(row)
@@ -335,17 +340,16 @@ def read_csv(
 
 
 # numpy opens a path through ``np.lib._datasource``, which decompresses a
-# file by these suffixes; the strict path reads such a file as text
+# file by these suffixes; read_csv reads such a file as text
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
-# a line break, and the bytes read first from each block of _short_lines
-_BREAK = re.compile(rb"[\r\n]")
+# the bytes _short_lines reads first from each block
 _LINE_PROBE = 4096
 
 
 def _short_lines(path: str) -> bool:
     """Whether every line of the file is shorter than the csv module's
-    field size limit, which the strict path enforces and numpy does not.
+    field size limit, which :func:`read_csv` enforces and numpy does not.
 
     Each whole block of half the limit must hold a line break: a stretch
     with no line break then spans no whole block, so it is shorter than the
@@ -357,12 +361,13 @@ def _short_lines(path: str) -> bool:
     half = max(csv.field_size_limit() // 2, 1)
     with open(path, "rb", buffering=0) as raw:
         for lo in range(0, os.fstat(raw.fileno()).st_size - half + 1, half):
-            raw.seek(lo)
-            block = raw.read(min(half, _LINE_PROBE))
-            if not _BREAK.search(block):
-                block += raw.read(half - len(block))
-                if not _BREAK.search(block):
-                    return False
+            for size in (min(half, _LINE_PROBE), half):  # the block's head, then all of it
+                raw.seek(lo)
+                block = raw.read(size)
+                if b"\n" in block or b"\r" in block:
+                    break
+            else:
+                return False
     return True
 
 
@@ -377,7 +382,7 @@ def _numpy_file(path, has_header: bool | None, delimiter: str) -> Dataset | None
         if not stat.S_ISREG(os.stat(path).st_mode):
             return None
     except OSError:
-        return None  # raised again by the strict path's open
+        return None  # raised again by load_csv's open
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         names = None
         try:
@@ -385,9 +390,7 @@ def _numpy_file(path, has_header: bool | None, delimiter: str) -> Dataset | None
             for line, row in csv_rows(fh, delimiter):
                 if not row:
                     continue
-                if names is None and (
-                    not _looks_numeric(row) if has_header is None else has_header
-                ):
+                if names is None and _is_header(row, has_header):
                     names = [cell.strip() for cell in row]
                     continue
                 break
@@ -405,7 +408,7 @@ def _numpy_file(path, has_header: bool | None, delimiter: str) -> Dataset | None
         return None
     try:
         return Dataset(values, names)
-    except ValidationError:  # a non-finite value, which the strict path locates
+    except ValidationError:  # a non-finite value, which read_csv locates
         return None
 
 
