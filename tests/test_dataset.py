@@ -516,8 +516,7 @@ def test_field_over_the_csv_limit_is_parse_error_naming_its_line(tmp_path):
 
 
 def _strict_load(path, **kwargs):
-    """``read_csv`` of the file's lines, as ``load_csv`` read every file
-    before numpy parsed files from their paths."""
+    """``read_csv`` of the file's lines: what ``load_csv`` must give."""
     return _outcome(read_csv, lambda: open(path, "r", encoding="utf-8-sig", newline=""),
                     **kwargs)
 
