@@ -18,7 +18,6 @@ grow with n.  Timing results are the only non-deterministic output.
 
 from __future__ import annotations
 
-import operator
 import statistics
 import time
 from dataclasses import dataclass, fields, replace
@@ -30,7 +29,7 @@ from ._rng import LANES, check_seed, derive_seed, derive_seeds
 from .contrast import _CHUNK_CELLS, _check_shape, _draw, _estimate, contrast
 from .generators import DependencySpec, _check_omega, discretise, generate
 from .ranking import construct_index
-from .slicing import check_alpha
+from .slicing import check_alpha, check_count
 
 # sub-stream tags keeping null draws, dependent draws, and timing data apart
 _NULL_STREAM = 0
@@ -79,7 +78,7 @@ def score_sample(
     omega: int | None = None,
 ) -> np.ndarray:
     """Score ``reps`` fresh instances of ``spec``; one derived seed each."""
-    reps, m = operator.index(reps), operator.index(m)
+    reps, m = check_count(reps), check_count(m)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if m < 1:

@@ -41,7 +41,6 @@ Hoeffding concentration bound ``P(|estimate - truth| >= eps) <= 2*exp(-2*M*eps**
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +50,7 @@ from ._rng import check_key_seed, iteration_integers
 from .dataset import Dataset
 from .mwp import confidences, restriction_bounds
 from .ranking import RankIndex, construct_index
-from .slicing import check_alpha, slice_size, slice_windows, window_view
+from .slicing import check_alpha, check_count, slice_size, slice_windows, window_view
 
 # positions per batch: window positions (iterations x restriction width)
 # scored at once, index positions (repetitions x n) of a benchmark pass,
@@ -111,7 +110,7 @@ def contrast(
     values on the result.  ``seed`` keys the 64-bit Philox streams of the
     iterations, so it must lie in [0, 2**64).
     """
-    m = operator.index(m)
+    m = check_count(m)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     alpha = check_alpha(alpha)
@@ -240,6 +239,7 @@ def _estimate(indexes, alpha: float, seeds, draws: np.ndarray,
 
 def hoeffding_bound(m: int, epsilon: float) -> float:
     """Upper bound on the probability of an estimate deviating >= epsilon."""
+    m = check_count(m)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0.0 < epsilon < 1.0:

@@ -14,6 +14,25 @@ So every file gives the dataset or the error, with its line and column,
 that :func:`read_csv` gives, and a valid file numpy rejects, such as one
 with quoted cells, is read twice.
 
+``np.loadtxt`` holds the interpreter lock, so a large file is parsed in
+processes: its data lines are split at line ends into one part per CPU,
+each of at least ``_MIN_PART`` bytes.  The caller parses the first part
+with ``max_rows``, and a forked worker each other part with ``skiprows``,
+by the same path and with the same arguments, so numpy reads every line as
+it would in one call.  Each worker sends its rows through a pipe, and the
+caller writes every part into one Fortran-order array, which the dataset
+keeps without a copy.  The lines before the last split point are counted
+in chunks, and the file is split only where they hold no ``\r``, no ``"``
+and no empty data line, because ``max_rows`` skips an empty line that
+``skiprows`` counts.  A small file, a platform without ``os.fork``, a
+caller with other Python threads, and on Python 3.12 or later a process
+with other OS threads (numpy's BLAS starts them at import unless
+``OPENBLAS_NUM_THREADS=1``) parse the file in one call.  So does a split
+that fails, where numpy rejects a part, the parts differ in width or a
+worker fails; a non-finite value in any part sends the file to
+:func:`read_csv`, as above.  Workers write nothing, leave by ``os._exit``,
+and are always reaped, on an interrupt too.
+
 :func:`read_csv` parses any source of lines, stdin among them, into one
 flat buffer of floats, so no per-row object outlives its row.  Once the
 first data row has fixed the width, the lines are read in blocks of
@@ -32,11 +51,15 @@ shared across threads.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
 import os
 import re
 import stat
+import sys
+import threading
+import warnings
 from array import array
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
@@ -371,6 +394,191 @@ def _short_lines(path: str) -> bool:
     return True
 
 
+# A file is parsed in parts only where each part holds at least this many
+# bytes: below it, the fork, the pipe and the line count cost more than the
+# part's share of the parse saves.
+_MIN_PART = 1 << 19
+
+# the bytes of each read of _split_lines, and of each copy from a worker's pipe
+_CHUNK = 1 << 18
+
+
+def _part_count(size: int) -> int:
+    """How many parts a file of ``size`` bytes is parsed in at once: one
+    per CPU of this process, each at least ``_MIN_PART`` bytes, and one
+    where a fork is missing or may be unsafe."""
+    parts = size // _MIN_PART
+    if parts < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if sys.version_info >= (3, 12):
+        # such a Python warns on a fork in a process of several OS threads
+        try:
+            if len(os.listdir("/proc/self/task")) != 1:
+                return 1
+        except OSError:
+            return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(parts, cpus)
+
+
+def _split_lines(path: str, size: int, skip: int, parts: int) -> list[int] | None:
+    """The number of lines before each of the points that split the file
+    into ``parts`` parts of about equal size, or None where the file cannot
+    be split.
+
+    Each point follows a ``\\n``, and each part holds at least one line.
+    None also where the bytes up to the last point's first one hold a
+    ``\\r`` or a ``"``, or an empty line after the first ``skip`` lines: a
+    part is read up to its point with numpy's ``max_rows``, which skips
+    empty lines, and the next from its point with ``skiprows``, which counts
+    them.  The lines are counted in reads of ``_CHUNK`` bytes, so the file
+    is never held in memory.
+    """
+    points: list[int] = []
+    with open(path, "rb", buffering=0) as raw:
+        for k in range(1, parts):
+            # the first line end at or past the point's target
+            at = max(size * k // parts, points[-1] if points else 0)
+            raw.seek(at)
+            while block := raw.read(_LINE_PROBE):
+                end = block.find(b"\n")
+                if end >= 0:
+                    points.append(at + end + 1)
+                    break
+                at += len(block)
+            else:
+                return None
+        raw.seek(0)
+        buf = bytearray(_CHUNK)
+        view = memoryview(buf)
+        stop = points[-1] + 1  # the scan takes the last part's first byte
+        counts: list[int] = []
+        base = lines = 0  # the bytes and the line ends before the chunk
+        after_end = True  # whether a line end precedes the chunk, as the file's start
+        while base < stop:
+            got = raw.readinto(view[:min(_CHUNK, stop - base)])
+            if not got:
+                return None  # no byte past the last point
+            if buf.find(b"\r", 0, got) >= 0 or buf.find(b'"', 0, got) >= 0:
+                return None
+            ends = np.frombuffer(buf, np.uint8, got) == ord("\n")
+            if (after_end and ends[0]) or (ends[1:] & ends[:-1]).any():
+                # a line end right after another ends an empty line, which
+                # is the line of its index among the line ends
+                at = np.flatnonzero(ends)
+                empty = np.flatnonzero(np.diff(at, prepend=-1 if after_end else -2) == 1)
+                if lines + empty[-1] >= skip:
+                    return None
+            while len(counts) < len(points) and points[len(counts)] <= base + got:
+                counts.append(lines + int(np.count_nonzero(ends[:points[len(counts)] - base])))
+            lines += int(np.count_nonzero(ends))
+            after_end = bool(ends[-1])
+            base += got
+    return counts if counts[0] > skip else None
+
+
+def _read_into(pipe, array: np.ndarray) -> bool:
+    """Fill the C-contiguous ``array`` from ``pipe``; False where the pipe
+    ends first."""
+    view = memoryview(array).cast("B")
+    while view:
+        got = pipe.readinto(view)
+        if not got:
+            return False
+        view = view[got:]
+    return True
+
+
+def _fork_part(path: str, skip: int, rows: int | None, options: dict) -> tuple[int, io.FileIO]:
+    """Fork a worker that parses ``rows`` lines of the file (all where
+    None) after the first ``skip``, and writes the shape and the values of
+    their array to a pipe: the worker's pid and the pipe's read end.
+
+    The worker writes nothing else, where numpy raises or warns included,
+    and leaves by ``os._exit``, so it runs none of its parent's exit code.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_end)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = np.loadtxt(path, skiprows=skip, max_rows=rows, **options)
+            with open(write_end, "wb") as pipe:
+                pipe.write(np.array(values.shape, dtype=np.int64).tobytes())
+                pipe.write(values.data)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_end)
+    return pid, open(read_end, "rb", buffering=0)
+
+
+def _parse_parts(path: str, skip: int, counts: list[int], options: dict) -> np.ndarray | None:
+    """The values of the file's lines after the first ``skip``, parsed by
+    numpy in parts that end after ``counts`` lines, as one Fortran-order
+    array; None where a part fails or its width differs from the first.
+
+    Each part after the first is parsed in a forked worker, the first by
+    the caller; every worker is reaped before this returns or raises.
+    """
+    import signal  # here, so that importing mcde loads no more modules
+
+    bounds = [skip, *counts, None]  # the lines before each part, and the end
+    workers: list[tuple[int, io.FileIO]] = []  # until each is reaped
+    try:
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                workers.append(_fork_part(path, lo, None if hi is None else hi - lo, options))
+        except OSError:  # no process or pipe to be had
+            return None
+        try:
+            first = np.loadtxt(path, skiprows=skip, max_rows=counts[0] - skip, **options)
+        except ValueError:
+            return None
+        d = first.shape[1]
+        part_rows = []
+        for _, pipe in workers:
+            shape = np.empty(2, dtype=np.int64)
+            if not _read_into(pipe, shape) or shape[1] != d:
+                return None
+            part_rows.append(int(shape[0]))
+        values = np.empty((len(first) + sum(part_rows), d), order="F")
+        values[:len(first)] = first
+        lo = len(first)
+        del first
+        buf = np.empty((max(min(max(part_rows), _CHUNK // (8 * d)), 1), d))
+        for (_, pipe), rows in zip(workers, part_rows):
+            for start in range(lo, lo + rows, len(buf)):
+                part = buf[:min(len(buf), lo + rows - start)]
+                if not _read_into(pipe, part):
+                    return None
+                values[start:start + len(part)] = part
+            lo += rows
+        while workers:
+            pid, pipe = workers[-1]
+            status = os.waitpid(pid, 0)[1]
+            workers.pop()
+            pipe.close()
+            if status:
+                return None
+        return values
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _numpy_file(path, has_header: bool | None, delimiter: str) -> Dataset | None:
     """The dataset of a regular CSV file, its lines parsed by numpy from
     its path, or None where :func:`read_csv` must read the file (see the
@@ -400,12 +608,17 @@ def _numpy_file(path, has_header: bool | None, delimiter: str) -> Dataset | None
             return None
     if (names is not None and len(names) != len(row)) or not _short_lines(path):
         return None
-    try:
-        # an absolute path, which numpy cannot take for a URL
-        values = np.loadtxt(os.path.abspath(path), delimiter=delimiter, comments=None,
-                            ndmin=2, skiprows=line - 1, encoding="utf-8-sig")
-    except ValueError:  # UnicodeDecodeError included
-        return None
+    path = os.path.abspath(path)  # which numpy cannot take for a URL
+    options = {"delimiter": delimiter, "comments": None, "ndmin": 2, "encoding": "utf-8-sig"}
+    size = os.path.getsize(path)
+    parts = _part_count(size)
+    counts = _split_lines(path, size, line - 1, parts) if parts > 1 else None
+    values = _parse_parts(path, line - 1, counts, options) if counts else None
+    if values is None:  # the file in one part
+        try:
+            values = np.loadtxt(path, skiprows=line - 1, **options)
+        except ValueError:  # UnicodeDecodeError included
+            return None
     try:
         return Dataset(values, names)
     except ValidationError:  # a non-finite value, which read_csv locates

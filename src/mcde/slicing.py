@@ -20,6 +20,7 @@ view and copies nothing first.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -38,8 +39,17 @@ def check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
+def check_count(count: int) -> int:
+    """``count`` as an ``int``: any integer but a bool, which would count
+    as 0 or 1."""
+    if isinstance(count, bool):
+        raise TypeError("a count must be an integer, not a bool")
+    return operator.index(count)
+
+
 def slice_size(n: int, d: int, alpha: float = 0.5) -> int:
     """Rows kept per condition: ``ceil(n * alpha**(1/(d-1)))``, in [1, n]."""
+    n, d = check_count(n), check_count(d)
     if d < 2:
         raise ValueError(f"slice size needs d >= 2 dimensions, got d={d}")
     if n < 1:

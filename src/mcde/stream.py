@@ -63,7 +63,7 @@ import numpy as np
 from ._rng import LANES, check_seed, derive_seed, derive_seeds
 from .contrast import ContrastEstimate, _draw, _estimate
 from .ranking import DimensionIndex, RankIndex, _build_dimension, _tie_free, _tiebreak
-from .slicing import check_alpha
+from .slicing import check_alpha, check_count
 
 # the largest step at which the monitor carries a tie-free column's sorted
 # order forward row by row; larger steps rebuild every window (see the module
@@ -99,7 +99,7 @@ class WindowConfig:
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(map(operator.index, self.dims)))
         for count in ("width", "step", "m", "drift_patience"):
-            object.__setattr__(self, count, operator.index(getattr(self, count)))
+            object.__setattr__(self, count, check_count(getattr(self, count)))
         if self.width < 2:
             raise ValueError(f"width must be >= 2, got {self.width}")
         if self.step < 1:

@@ -176,6 +176,8 @@ def test_score_sample_rejects_a_non_integral_count(count):
     spec = DependencySpec("linear", 50, 2, 0.0)
     with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
         mcde.score_sample(spec, **{"reps": 3, "m": 5, count: 2.5})
+    with pytest.raises(TypeError, match="a count must be an integer, not a bool"):
+        mcde.score_sample(spec, **{"reps": 3, "m": 5, count: True})
 
 
 @pytest.mark.parametrize("omega", [None, 3])

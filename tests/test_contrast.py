@@ -30,6 +30,8 @@ def test_zero_iterations_rejected(uniform_ds):
 def test_a_non_integral_count_is_rejected_before_scoring(uniform_ds):
     with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
         contrast(uniform_ds, m=2.5)
+    with pytest.raises(TypeError, match="a count must be an integer, not a bool"):
+        contrast(uniform_ds, m=True)
     assert contrast(uniform_ds, m=np.int64(5), seed=3) == contrast(uniform_ds, m=5, seed=3)
 
 
@@ -442,6 +444,16 @@ def test_hoeffding_bound_validates():
         hoeffding_bound(10, 0.0)
     with pytest.raises(ValueError):
         hoeffding_bound(10, 1.0)
+
+
+@pytest.mark.parametrize("m, error", [
+    (2.5, "'float' object cannot be interpreted as an integer"),
+    (True, "a count must be an integer, not a bool"),
+])
+def test_hoeffding_bound_rejects_a_non_integral_count(m, error):
+    with pytest.raises(TypeError, match=error):
+        hoeffding_bound(m, 0.1)
+    assert hoeffding_bound(np.int64(200), 0.1) == hoeffding_bound(200, 0.1)
 
 
 def test_iterations_for_reference_values():

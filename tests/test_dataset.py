@@ -1,10 +1,13 @@
+import contextlib
 import csv
 import gzip
 import io
 import os
 import re
 import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -680,6 +683,223 @@ def test_load_csv_peak_memory_is_a_small_multiple_of_the_values(tmp_path, monkey
     assert peak <= 4 * ds.values.nbytes, peak / ds.values.nbytes
 
 
+# ---------------------------------------------------------------------------
+# load_csv: a file split across forked numpy workers
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _split_forced(parts=3):
+    """``load_csv`` splits every file it can into ``parts`` parts, however
+    small; yields the pids of the workers it forks."""
+    forked = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset_module, "_MIN_PART", 1)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)), raising=False)
+        patch.setattr(os, "fork", spy)
+        yield forked
+
+
+# the files of _FILES that load_csv parses in one part, and why
+_UNSPLIT = {
+    "crlf": "a \\r before every split point",
+    "cr": "a \\r before every split point",
+    "blank lines": "a \\r before every split point",
+    "quoted header": 'a " before every split point',
+    "single cell": "one line",
+    "single row": "no line past the first data row to split at",
+    "single row, no header": "one line",
+    "padded cells": "the last split point would end the file",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FILES))
+def test_a_split_load_parses_a_plain_file_as_read_csv_reads_it(tmp_path, monkeypatch, name):
+    text, kwargs = _FILES[name]
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    want = _strict_load(path, **kwargs)
+    _no_block_loop(monkeypatch)
+    with _split_forced() as forked:
+        assert _outcome(load_csv, lambda: str(path), **kwargs) == want
+    assert bool(forked) == (name not in _UNSPLIT)
+
+
+@pytest.mark.parametrize("name", sorted(_STRICT_FILES))
+def test_a_split_load_gives_read_csvs_result_where_numpy_may_read_otherwise(tmp_path, name):
+    text, _ = _STRICT_FILES[name]
+    kwargs = {"has_header": False} if name == "has_header False" else {}
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    with _split_forced():
+        assert _outcome(load_csv, lambda: str(path), **kwargs) == _strict_load(path, **kwargs)
+
+
+def _rows_text(rows=30, faults=None, ending="\n"):
+    """A header and ``rows`` rows of three cells, row ``i`` (1-based, on
+    line ``i + 1``) replaced by ``faults[i]``: a whole line with its end,
+    or a number of cells that fill the row's line to its length."""
+    lines = ["a,b,c\n"] + [f"{i},{i / 7!r},-{i}e-3\n" for i in range(1, rows + 1)]
+    for i, line in (faults or {}).items():
+        if isinstance(line, int):  # so the split points stay where they were
+            line = "1," * (line - 1) + "2" * (len(lines[i]) - 2 * line + 1) + "\n"
+        lines[i] = line
+    return "".join(lines).replace("\n", ending)
+
+
+# Three parts of _rows_text() start on lines 12 and 22: row 3 lies before
+# the first split point, row 15 in the middle worker's part and rows 21 to
+# 30 in the last one's.  Each case names the rows it replaces, whether
+# the file is split, and who reads a valid file or the error read_csv gives.
+_SPLIT_CASES = {
+    "empty line before a split": ({3: "\n"}, False, "numpy"),
+    # both split points fall in the header or the first data row
+    "long header": ({0: "a" * 2000 + ",b,c\n"}, False, "numpy"),
+    "cr before a split": ({3: "3,4,5\r\n"}, False, "numpy"),
+    "quote before a split": ({3: '"3",4,5\n'}, False, "read_csv"),
+    "empty line after the last split": ({28: "\n"}, True, "numpy"),
+    "cr after the last split": ({28: "3,4,5\r\n"}, True, "numpy"),
+    "trailing empty lines": ({30: "30,31,32\n\n\n\n"}, True, "numpy"),
+    "no final line break": ({30: "30,31,32"}, True, "numpy"),
+    "bad cell in the middle part": (
+        {15: "1,x,2\n"}, True, "cannot parse 'x' as a number at line 16, column 2"),
+    "bad cell in the last part": (
+        {28: "1,2,x\n"}, True, "cannot parse 'x' as a number at line 29, column 3"),
+    "quoted cell in the last part": ({28: '1,"2",3\n'}, True, "read_csv"),
+    "nan in the last part": ({28: "1,nan,3\n"}, True, "non-finite value 'nan' at line 29, column 2"),
+    "overflow in the middle part": (
+        {15: "1e999,2,3\n"}, True, "non-finite value '1e999' at line 16, column 1"),
+    "ragged row in the last part": (
+        {28: "1,2\n"}, True, "ragged row at line 29: expected 3 cells, got 2"),
+    "narrow last part": (
+        dict.fromkeys(range(21, 31), 2), True, "ragged row at line 22: expected 3 cells, got 2"),
+    "wide last part": (
+        dict.fromkeys(range(21, 31), 6), True, "ragged row at line 22: expected 3 cells, got 6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_CASES))
+def test_a_split_load_gives_read_csvs_result(tmp_path, monkeypatch, name):
+    faults, splits, result = _SPLIT_CASES[name]
+    path = tmp_path / "data.csv"
+    path.write_bytes(_rows_text(faults=faults).encode())
+    want = _strict_load(path)
+    loads = []
+    monkeypatch.setattr(dataset_module, "read_csv", lambda *a, **k: loads.append(1) or read_csv(*a, **k))
+    with _split_forced() as forked:
+        assert _outcome(load_csv, lambda: str(path)) == want
+    assert bool(forked) == splits
+    if result in ("numpy", "read_csv"):
+        assert isinstance(want[0], tuple)
+        # where numpy reads the file, no part failed: no worker warned
+        assert bool(loads) == (result == "read_csv")
+    else:
+        assert want[1] == result
+
+
+def test_a_split_load_assembles_one_fortran_array_read_csv_equals(tmp_path):
+    values = _file_values(3000, 4)
+    path = tmp_path / "data.csv"
+    path.write_bytes(_file_text(values, header="abcd").encode())
+    with _split_forced(parts=4) as forked:
+        ds = load_csv(str(path))
+    assert len(forked) == 3
+    assert ds.values.flags.f_contiguous and ds.values.tobytes() == values.tobytes()
+    assert ds == read_csv(io.StringIO(path.read_text()))
+
+
+def test_split_workers_print_nothing(tmp_path, monkeypatch, capfd):
+    good = tmp_path / "good.csv"
+    good.write_bytes(_rows_text().encode())
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(_rows_text(faults={15: "1,x,2\n", 28: "1,nan,2\n"}).encode())
+    caller, loadtxt = os.getpid(), np.loadtxt
+
+    def warning(*args, **kwargs):
+        if os.getpid() != caller:
+            warnings.warn("a worker's warning")
+        return loadtxt(*args, **kwargs)
+
+    with _split_forced() as forked, warnings.catch_warnings():
+        # shown as outside the test suite, on the standard error's descriptor
+        warnings.simplefilter("always")
+        monkeypatch.setattr(warnings, "showwarning", lambda *a, **k: os.write(2, b"warned\n"))
+        load_csv(str(good))
+        with pytest.raises(ParseError):
+            load_csv(str(bad))
+        monkeypatch.setattr(np, "loadtxt", warning)
+        assert load_csv(str(good)) == read_csv(io.StringIO(good.read_text()))
+    assert len(forked) == 6
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_worker_that_exits_non_zero_gives_the_whole_files_result(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_bytes(_rows_text().encode())
+    want = _strict_load(path)
+    caller, exit_ = os.getpid(), os._exit
+    # a worker that sent all its values, then failed
+    monkeypatch.setattr(os, "_exit", lambda code: exit_(3 if os.getpid() != caller else code))
+    whole = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        if os.getpid() == caller and kwargs.get("max_rows") is None:
+            whole.append(kwargs["skiprows"])
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    with _split_forced() as forked:
+        assert _outcome(load_csv, lambda: str(path)) == want
+    assert len(forked) == 2
+    assert whole == [1]  # one np.loadtxt of all data lines, as without a split
+
+
+def test_an_interrupt_in_the_callers_part_kills_and_reaps_the_workers(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_bytes(_rows_text().encode())
+    caller = os.getpid()
+
+    def interrupted(*args, **kwargs):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(60)  # a worker that would outlive its caller
+
+    monkeypatch.setattr(np, "loadtxt", interrupted)
+    start = time.monotonic()
+    with _split_forced() as forked, pytest.raises(KeyboardInterrupt):
+        load_csv(str(path))
+    assert time.monotonic() - start < 30
+    assert len(forked) == 2
+    for pid in forked:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("threads, parts", [(False, 3), (True, 1)])
+def test_a_caller_with_other_threads_parses_in_one_part(threads, parts):
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, daemon=True)
+    if threads:
+        other.start()
+    try:
+        with _split_forced():
+            assert dataset_module._part_count(1 << 20) == parts
+    finally:
+        release.set()
+        if threads:
+            other.join(timeout=30)
+            assert not other.is_alive()
+
+
 # cells numpy and the csv module may read alike or not; plain ones weigh more
 _FUZZ_CELLS = ["0", "1", "-0.0", "2.5", "1e-3", "-7E+2", ".5", "5.", "123456789.125"] * 10 + [
     " 3 ", "\t4", "4\xa0", "1_0", "nan", "-inf", "1e999", "", '"6"', '"7,8"', '"9\n"', "x",
@@ -711,3 +931,14 @@ def test_load_csv_gives_read_csvs_result_for_any_file(tmp_path_factory, case):
     path.write_bytes(text.encode())
     kwargs = {"delimiter": delimiter, "has_header": has_header}
     assert _outcome(load_csv, lambda: str(path), **kwargs) == _strict_load(path, **kwargs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_fuzz_files())
+def test_a_split_load_gives_read_csvs_result_for_any_file(tmp_path_factory, case):
+    text, delimiter, has_header = case
+    path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+    path.write_bytes(text.encode())
+    kwargs = {"delimiter": delimiter, "has_header": has_header}
+    with _split_forced():
+        assert _outcome(load_csv, lambda: str(path), **kwargs) == _strict_load(path, **kwargs)

@@ -30,6 +30,21 @@ def test_slice_size_bounds():
         slice_size(0, 3, 0.5)
 
 
+@pytest.mark.parametrize("n, d, error", [
+    (10.5, 2, "'float' object cannot be interpreted as an integer"),
+    (10, 2.5, "'float' object cannot be interpreted as an integer"),
+    (True, 2, "a count must be an integer, not a bool"),
+    (10, True, "a count must be an integer, not a bool"),
+])
+def test_slice_size_rejects_a_non_integral_count(n, d, error):
+    with pytest.raises(TypeError, match=error):
+        slice_size(n, d, 0.5)
+
+
+def test_slice_size_takes_numpy_integers():
+    assert slice_size(np.int64(1000), np.int32(3), 0.5) == 708
+
+
 def _index(n, d, seed=0):
     rng = np.random.default_rng(seed)
     return construct_index(Dataset(rng.random((n, d))))

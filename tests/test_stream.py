@@ -147,6 +147,8 @@ def test_config_validation():
 def test_config_rejects_a_non_integral_count(count):
     with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
         WindowConfig(**{"width": 10, "dims": (0, 1), count: 10.5})
+    with pytest.raises(TypeError, match="a count must be an integer, not a bool"):
+        WindowConfig(**{"width": 10, "dims": (0, 1), count: True})
     cfg = WindowConfig(**{"width": 10, "dims": (0, 1), count: np.int64(10)})
     assert type(getattr(cfg, count)) is int
 
