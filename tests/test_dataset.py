@@ -744,16 +744,16 @@ def test_a_split_load_gives_read_csvs_result_where_numpy_may_read_otherwise(tmp_
         assert _outcome(load_csv, lambda: str(path), **kwargs) == _strict_load(path, **kwargs)
 
 
-def _rows_text(rows=30, faults=None, ending="\n"):
-    """A header and ``rows`` rows of three cells, row ``i`` (1-based, on
-    line ``i + 1``) replaced by ``faults[i]``: a whole line with its end,
-    or a number of cells that fill the row's line to its length."""
-    lines = ["a,b,c\n"] + [f"{i},{i / 7!r},-{i}e-3\n" for i in range(1, rows + 1)]
+def _rows_text(faults=None):
+    """A header and 30 rows of three cells, row ``i`` (1-based, on line
+    ``i + 1``) replaced by ``faults[i]``: a whole line with its end, or a
+    number of cells that fill the row's line to its length."""
+    lines = ["a,b,c\n"] + [f"{i},{i / 7!r},-{i}e-3\n" for i in range(1, 31)]
     for i, line in (faults or {}).items():
         if isinstance(line, int):  # so the split points stay where they were
             line = "1," * (line - 1) + "2" * (len(lines[i]) - 2 * line + 1) + "\n"
         lines[i] = line
-    return "".join(lines).replace("\n", ending)
+    return "".join(lines)
 
 
 # Three parts of _rows_text() start on lines 12 and 22: row 3 lies before
@@ -902,18 +902,19 @@ def test_a_caller_with_other_threads_parses_in_one_part(threads, parts):
 
 
 @pytest.mark.parametrize("tasks, parts", [(["7"], 3), (["7", "8"], 1), (None, 1)])
-def test_a_newer_python_splits_only_in_a_process_of_one_os_thread(monkeypatch, tasks, parts):
+def test_a_newer_python_splits_only_in_a_process_of_one_os_thread(tasks, parts):
     def listdir(path):
         assert path == "/proc/self/task"
         if tasks is None:
             raise FileNotFoundError(path)
         return tasks
 
-    with _split_forced():
-        # such a Python warns on a fork in a process of several OS threads
-        monkeypatch.setattr(sys, "version_info", (3, 12, 0))
-        monkeypatch.setattr(os, "listdir", listdir)
-        assert dataset_module._part_count(1 << 20) == parts
+    # such a Python warns on a fork in a process of several OS threads
+    with _split_forced(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "version_info", (3, 12, 0))
+        patch.setattr(os, "listdir", listdir)
+        parts_made = dataset_module._part_count(1 << 20)
+    assert parts_made == parts
 
 
 # cells numpy and the csv module may read alike or not; plain ones weigh more
