@@ -8,8 +8,10 @@ the effective value to stderr so published numbers stay reproducible.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
-from itertools import chain
+from itertools import chain, islice
 
 from . import __version__
 from .benchmark import (
@@ -21,11 +23,11 @@ from .benchmark import (
     score_distribution,
 )
 from .contrast import contrast
-from .dataset import (DataError, _decode_error_line, _looks_numeric, csv_rows, load_csv,
-                      read_csv, select_subspace, write_csv)
+from .dataset import (_BLOCK_LINES, DataError, _decode_error_line, _looks_numeric, csv_rows,
+                      load_csv, read_csv, select_subspace, write_csv)
 from .generators import DEPENDENCY_KINDS, DependencySpec, generate
 from .ranking import construct_index
-from .stream import RowError, StreamFormatError, WindowConfig, monitor
+from .stream import RowError, StreamFormatError, WindowConfig, _monitor
 
 
 class _UsageError(Exception):
@@ -246,22 +248,47 @@ def _cmd_monitor(args) -> int:
         if not _looks_numeric([head[j] for j in cfg.dims if j in range(len(head))]):
             _diag("skipping header row")
             first = None
+        # a regular file's rows are all on disk, so no reader waits for a
+        # window while the rows after it are read: they are read, and their
+        # windows scored, in blocks; any other input, one row at a time
+        regular = fh is not sys.stdin and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        size = _BLOCK_LINES if regular else 1
 
         print("row_index,score,flag" if args.flag_drift else "row_index,score")
         emitted = 0
         consumed = 0
-        line = 0  # the file line of the row monitor read last
+        lines: list[int] = []  # the file line of each row of the block read last
 
-        def feed():
-            nonlocal consumed, line
-            for line, row in chain([first] if first else [], rows):
-                consumed += 1
-                yield row
+        def blocks():
+            nonlocal consumed
+            numbered = chain([first] if first else [], rows)
+            while True:
+                block = []
+                try:
+                    # extend keeps the rows it took before the source raised
+                    block.extend(islice(numbered, size))
+                except (DataError, OSError) as exc:  # raised after the rows before it
+                    error = exc
+                else:
+                    error = None
+                if block:
+                    lines[:] = [line for line, _ in block]
+                    consumed += len(block)
+                    yield [row for _, row in block]
+                if error is not None:
+                    raise error
+                if len(block) < size:
+                    return
+
+        def located(event: RowError | StreamFormatError) -> str:
+            # every event is of a row of the last block, whose first row is
+            # row consumed - len(lines)
+            return _located(event, lines[event.row_index - (consumed - len(lines))])
 
         try:
-            for event in monitor(feed(), cfg, strict=not args.lenient):
+            for event in _monitor(blocks(), cfg, not args.lenient):
                 if isinstance(event, RowError):
-                    _diag(f"skipped {_located(event, line)}")
+                    _diag(f"skipped {located(event)}")
                     continue
                 score = _fmt(event.estimate.score, args.full_precision)
                 if args.flag_drift:
@@ -270,7 +297,7 @@ def _cmd_monitor(args) -> int:
                     print(f"{event.row_index},{score}")
                 emitted += 1
         except StreamFormatError as exc:
-            raise DataError(_located(exc, line)) from None
+            raise DataError(located(exc)) from None
         if emitted == 0:
             _diag(f"end of stream after {consumed} rows; window of {cfg.width} never filled")
     finally:

@@ -11,14 +11,16 @@ vectorised pass (:func:`mcde._rng.iteration_integers`); callers that know
 many seeds in advance, the stream monitor and the benchmark sweeps, draw for
 all of their estimates at once.  :func:`_estimate` then scores a stack of
 estimates that share one (n, d), each on its own index and its own draws:
-``contrast`` and the monitor pass one, and a benchmark sample passes as many
-repetitions as one draw pass and about ``_CHUNK_CELLS`` index positions
-hold.  Its reference dimensions are taken in groups.  For each reference
-of a group, the positions of its rows in every other dimension are composed
-for every index of the stack, and a group holds as many references as fit
-in about ``_CHUNK_CELLS`` such positions, at least one.  So both references
-of a d=2 estimate on a monitor window form one group, while a benchmark
-pass or an estimate at n=1e5 composes one reference at a time.  The
+``contrast`` passes one, the monitor the windows of the rows it holds, up to
+one draw pass of them, and a benchmark sample as many repetitions as one
+draw pass and about ``_CHUNK_CELLS`` index positions hold.  Its reference
+dimensions are taken in groups.  For each reference of a group, the
+positions of its rows in every other dimension are composed for every index
+of the stack, and a group holds as many references as fit in about
+``_CHUNK_CELLS`` such positions, at least one.  So both references of a
+lone d=2 monitor window form one group, while a stack of 40 such windows
+of width 900, a benchmark pass or an estimate at n=1e5 composes one
+reference at a time.  The
 iterations of a group are scored in batches: all those that drew a
 tie-free reference, whose windows are ranked by position, form one batch,
 whatever their reference and index, and those of a tied reference form a
@@ -50,7 +52,7 @@ from ._rng import check_key_seed, iteration_integers
 from .dataset import Dataset
 from .mwp import confidences, restriction_bounds
 from .ranking import RankIndex, construct_index
-from .slicing import check_alpha, check_count, slice_size, slice_windows, window_view
+from .slicing import _slice_size, check_alpha, check_count, slice_windows, window_view
 
 # positions per batch: window positions (iterations x restriction width)
 # scored at once, index positions (repetitions x n) of a benchmark pass,
@@ -90,7 +92,7 @@ def _draw(seeds, n: int, d: int, m: int, alpha: float) -> np.ndarray:
     reference dimension, the slice start of each other dimension in
     ascending order, then its restriction start.  A slice that keeps every
     row starts at 0, from a bound of 1, which consumes no random word."""
-    size = slice_size(n, d, alpha)
+    size = _slice_size(n, d, alpha)
     window_starts, _ = restriction_bounds(n, alpha)
     return iteration_integers(seeds, m, (d, *[max(1, n - size)] * (d - 1), window_starts))
 
@@ -146,7 +148,7 @@ def _estimate(indexes, alpha: float, seeds, draws: np.ndarray,
     """
     n, d = indexes[0].n, indexes[0].d
     reps, m = draws.shape[:2]
-    size = slice_size(n, d, alpha)
+    size = _slice_size(n, d, alpha)
     _, width = restriction_bounds(n, alpha)
     draws = draws.reshape(reps * m, -1)
     restrictions = draws[:, -1]

@@ -54,9 +54,12 @@ def slice_size(n: int, d: int, alpha: float = 0.5) -> int:
         raise ValueError(f"slice size needs d >= 2 dimensions, got d={d}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    alpha = check_alpha(alpha)
-    size = _iceil(n * alpha ** (1.0 / (d - 1)))
-    return max(1, min(n, size))
+    return _slice_size(n, d, check_alpha(alpha))
+
+
+def _slice_size(n: int, d: int, alpha: float) -> int:
+    """:func:`slice_size` of arguments already checked, as an estimate's are."""
+    return max(1, min(n, _iceil(n * alpha ** (1.0 / (d - 1)))))
 
 
 def window_view(a: np.ndarray, width: int) -> np.ndarray:

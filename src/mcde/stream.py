@@ -44,6 +44,20 @@ row will be skipped.  A window whose end row was not predicted, as after a
 malformed row in lenient mode, draws a new block from its own end row on,
 so every emission stays exact.
 
+A window scored alone pays all of an estimate's fixed numpy bookkeeping,
+which :func:`~mcde.contrast._estimate` pays once for a stack of windows of
+one width.  So the rows in hand are scored as a block: the monitor loop
+takes its rows in blocks, each window keeps its index, seed and draws
+until its block ends or one draw-ahead block of windows waits, and the
+waiting windows are scored in one call and yielded in row order, their
+drift flags set as they go.  Reading ahead to fill a block would delay
+every window of a live source, such as a followed file, that holds back
+its next row: so the public :func:`monitor` takes one-row blocks and
+yields each window before it asks for the next row, and ``mcde monitor``
+reads blocks of ``_BLOCK_LINES`` rows only from a regular input file,
+whose rows are all on disk.  A window's score does not depend on the
+stack it is scored in, so the blocks change no emission.
+
 A drift layer flags windows whose score stays below a threshold
 for a run of consecutive emissions.  It is a plain heuristic convenience,
 not part of the estimator.
@@ -220,7 +234,26 @@ def monitor(
     covering the monitored columns.  Malformed rows raise
     :class:`StreamFormatError` when ``strict``; otherwise they are skipped
     and reported as :class:`RowError` items.  A stream shorter than the
-    window width produces no scores.
+    window width produces no scores.  Each window is yielded as soon as its
+    last row is read, before the next row is asked for, so a live source
+    such as a followed file waits for no row it has not sent.
+    """
+    yield from _monitor(([row] for row in source), cfg, strict)
+
+
+def _monitor(
+    blocks: Iterable[Sequence[Sequence]],
+    cfg: WindowConfig,
+    strict: bool,
+) -> Iterator[WindowScore | RowError]:
+    """:func:`monitor` over rows that come in blocks, numbered across them.
+
+    The windows that end in a block are scored together, in one
+    :func:`~mcde.contrast._estimate` stack each time ``LANES // m`` of them
+    wait and once more at the block's end, and yielded in row order, with
+    the :class:`RowError` items among them, before the next block is asked
+    for.  In strict mode a malformed row is raised after the windows before
+    it are yielded.  Scores and flags do not depend on the blocks.
     """
     width, step, d = cfg.width, cfg.step, len(cfg.dims)
     ahead = max(1, LANES // cfg.m)
@@ -230,48 +263,75 @@ def monitor(
     carried: list[_SortedColumn | None] = [None] * d  # seeded by tie-free rebuilds
     accepted = 0
     below_run = 0
+    row_index = -1
+    # windows (end row, index, seed, draws) and skipped rows, in row order
+    pending: list[tuple[int, RankIndex, int, np.ndarray] | RowError] = []
+    waiting = 0  # the windows in pending
 
-    for row_index, row in enumerate(source):
-        try:
-            values = _extract(row, cfg.dims, row_index)
-        except StreamFormatError as exc:
-            if strict:
-                raise
-            yield RowError(exc.row_index, exc.reason, exc.column)
-            continue
-
-        slot = accepted % width
-        if any(carried):
-            for j, leaving in enumerate(buffer[:, slot].tolist()):
-                if carried[j] and not carried[j].replace(leaving, values[j], accepted):
-                    carried[j] = None
-        buffer[:, slot] = values
-        accepted += 1
-        if accepted < width or (accepted - width) % step != 0:
-            continue
-
-        first = accepted - width
-        pivot = accepted % width
-        dims = []
-        for j, sorted_column in enumerate(carried):
-            if sorted_column is not None:
-                dims.append(sorted_column.index(first))
+    def scored() -> Iterator[WindowScore | RowError]:
+        """The pending events in row order, their windows scored in one
+        stack and flagged."""
+        nonlocal below_run, waiting
+        events = pending.copy()
+        pending.clear()
+        windows = [event for event in events if not isinstance(event, RowError)]
+        if windows:
+            _, indexes, seeds, draws = zip(*windows)
+            estimates = iter(_estimate(list(indexes), cfg.alpha, list(seeds), np.stack(draws)))
+        waiting = 0
+        for event in events:
+            if isinstance(event, RowError):
+                yield event
                 continue
-            # unroll the ring buffer into window order (oldest row first)
-            column = (np.concatenate((buffer[j, pivot:], buffer[j, :pivot])) if pivot
-                      else buffer[j])
-            dim = _build_dimension(column, j, tiebreak)
-            if dim.adjusted_ranks is None and step <= _CARRY_MAX_STEP:
-                carried[j] = _SortedColumn(column, dim.row_ids, first)
-            dims.append(dim)
+            estimate = next(estimates)
+            below_run = below_run + 1 if estimate.score < cfg.drift_threshold else 0
+            yield WindowScore(event[0], estimate, below_run >= cfg.drift_patience)
 
-        if row_index not in drawn:
-            ends = range(row_index, row_index + ahead * step, step)
-            seeds = derive_seeds(cfg.seed, [(end,) for end in ends])  # each window_seed
-            block = _draw(seeds, width, d, cfg.m, cfg.alpha)
-            drawn = dict(zip(ends, zip(seeds, block)))
-        seed, draws = drawn.pop(row_index)
-        estimate, = _estimate([RankIndex(tuple(dims), width)], cfg.alpha, [seed], draws[None])
+    for block in blocks:
+        for row in block:
+            row_index += 1
+            try:
+                values = _extract(row, cfg.dims, row_index)
+            except StreamFormatError as exc:
+                if strict:
+                    yield from scored()
+                    raise
+                pending.append(RowError(exc.row_index, exc.reason, exc.column))
+                continue
 
-        below_run = below_run + 1 if estimate.score < cfg.drift_threshold else 0
-        yield WindowScore(row_index, estimate, below_run >= cfg.drift_patience)
+            slot = accepted % width
+            if any(carried):
+                for j, leaving in enumerate(buffer[:, slot].tolist()):
+                    if carried[j] and not carried[j].replace(leaving, values[j], accepted):
+                        carried[j] = None
+            buffer[:, slot] = values
+            accepted += 1
+            if accepted < width or (accepted - width) % step != 0:
+                continue
+
+            first = accepted - width
+            pivot = accepted % width
+            dims = []
+            for j, sorted_column in enumerate(carried):
+                if sorted_column is not None:
+                    dims.append(sorted_column.index(first))
+                    continue
+                # unroll the ring buffer into window order (oldest row first)
+                column = (np.concatenate((buffer[j, pivot:], buffer[j, :pivot])) if pivot
+                          else buffer[j])
+                dim = _build_dimension(column, j, tiebreak)
+                if dim.adjusted_ranks is None and step <= _CARRY_MAX_STEP:
+                    carried[j] = _SortedColumn(column, dim.row_ids, first)
+                dims.append(dim)
+
+            if row_index not in drawn:
+                ends = range(row_index, row_index + ahead * step, step)
+                seeds = derive_seeds(cfg.seed, [(end,) for end in ends])  # each window_seed
+                block_draws = _draw(seeds, width, d, cfg.m, cfg.alpha)
+                drawn = dict(zip(ends, zip(seeds, block_draws)))
+            seed, draws = drawn.pop(row_index)
+            pending.append((row_index, RankIndex(tuple(dims), width), seed, draws))
+            waiting += 1
+            if waiting == ahead:
+                yield from scored()
+        yield from scored()

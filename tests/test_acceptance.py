@@ -179,15 +179,15 @@ def test_criterion_6_robustness_to_discretisation():
 # -------------------------------------------------------------------- 7 ---
 
 
-def _index_time_ratio(small, large, runs=11):
-    """Median build time of ``large`` over that of ``small``.  The builds
+def _time_ratio(small, large, runs=11):
+    """Median time of ``large()`` over that of ``small()``.  The calls
     alternate, one of each per round, so that both medians see the same
     phase of a host whose speed drifts."""
     times = ([], [])
     for _ in range(runs):
-        for data, out in zip((small, large), times):
+        for call, out in zip((small, large), times):
             t0 = time.perf_counter()
-            construct_index(data)
+            call()
             out.append(time.perf_counter() - t0)
     return statistics.median(times[1]) / statistics.median(times[0])
 
@@ -207,14 +207,21 @@ def test_criterion_7_complexity_scaling():
         small = mcde.generate(DependencySpec("independent", n, 3, 0.0, seed=71))
         large = mcde.generate(DependencySpec("independent", 2 * n, 3, 0.0, seed=72))
         construct_index(small)  # warm
-        index_ratios[n] = _index_time_ratio(small, large)
+        index_ratios[n] = _time_ratio(lambda: construct_index(small),
+                                      lambda: construct_index(large))
         assert index_ratios[n] <= 2.6, (n, index_ratios[n])
 
-    # contrast grows at most linearly in d at fixed n
-    by_d = {row.d: row.contrast_s for row in
-            mcde.runtime_profile([10_000], list(range(2, 11)), m=50, reps=7, seed=73)}
+    # contrast grows at most linearly in d at fixed n; each d is timed in
+    # rounds that alternate with d=2
+    indexes = {d: construct_index(mcde.generate(
+        DependencySpec("independent", 10_000, d, 0.0, seed=derive_seed(73, d))))
+        for d in range(2, 11)}
+    for d in range(2, 11):
+        contrast(indexes[d], m=50)  # warm
     for d in range(3, 11):
-        assert by_d[d] <= by_d[2] * (d / 2.0) * 1.6, (d, by_d[d] / by_d[2])
+        ratio = _time_ratio(lambda: contrast(indexes[2], m=50),
+                            lambda: contrast(indexes[d], m=50), runs=7)
+        assert ratio <= (d / 2.0) * 1.6, (d, ratio)
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0

@@ -4,10 +4,13 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import mcde
+import mcde.cli
 from mcde.cli import run
+from mcde.dataset import _BLOCK_LINES
 from oracles import csv_string
 
 
@@ -504,6 +507,113 @@ def test_monitor_bad_cell_after_blank_lines_names_its_file_line(capsys, monkeypa
                           stdin_text=text, monkeypatch=monkeypatch)
     assert code == 2
     assert err.endswith("mcde: error: row 1: cannot parse 'x' as a number at line 5, column 3\n")
+
+
+def _stream_text(levels=None, n=700, seed=5):
+    """A header and n rows of two dependent columns, rounded to ``levels``
+    levels when given."""
+    rng = np.random.default_rng(seed)
+    x = rng.random(n)
+    rows = np.column_stack((x, x + 0.2 * rng.standard_normal(n)))
+    if levels:
+        rows = np.floor(rows * levels) / levels
+    return "x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows.tolist())
+
+
+def _from_file_and_stdin(capsys, monkeypatch, tmp_path, argv, text):
+    """``mcde monitor`` on ``text`` from a file and from stdin; asserts the
+    two give the same exit code, stdout and stderr, and returns them."""
+    path = tmp_path / "stream.csv"
+    path.write_text(text)
+    from_file = _run(capsys, [*argv, "--input", str(path)])
+    assert from_file == _run(capsys, argv, stdin_text=text, monkeypatch=monkeypatch)
+    return from_file
+
+
+@pytest.mark.parametrize("step", [1, 7, 8, 20])
+@pytest.mark.parametrize("levels", [None, 10])
+def test_monitor_file_prints_what_stdin_prints(capsys, monkeypatch, tmp_path, step, levels):
+    # a file's 700 rows are read in blocks, so windows end in three of them
+    argv = ["monitor", "--width", "30", "--step", str(step), "--dims", "0,1", "--m", "10",
+            "--flag-drift", "--full-precision"]
+    code, out, err = _from_file_and_stdin(capsys, monkeypatch, tmp_path, argv,
+                                          _stream_text(levels))
+    assert code == 0
+    assert [int(line.split(",")[0]) for line in out.split()[1:]] == list(range(29, 700, step))
+
+
+def test_monitor_file_names_a_malformed_row_in_a_block_after_its_windows(
+        capsys, monkeypatch, tmp_path):
+    # row 300 is in the middle of the second block of rows 256-511; the
+    # blank line before it moves it to file line 303
+    lines = _stream_text().splitlines(keepends=True)
+    lines[301] = "0.5,nan\n"
+    lines.insert(100, "\n")
+    argv = ["monitor", "--width", "30", "--dims", "0,1", "--m", "10"]
+    code, out, err = _from_file_and_stdin(capsys, monkeypatch, tmp_path, argv, "".join(lines))
+    assert code == 2
+    assert [int(line.split(",")[0]) for line in out.split()[1:]] == list(range(29, 300))
+    assert err.endswith("mcde: error: row 300: non-finite value 'nan' at line 303, column 2\n")
+
+
+def test_monitor_file_lenient_reports_rows_at_their_lines(capsys, monkeypatch, tmp_path):
+    lines = _stream_text(levels=10).splitlines(keepends=True)
+    for k in (5, 256, 257, 400, 699):  # data rows k-1
+        lines[k] = "bad,0.1\n"
+    lines[600] = "0.3\n"
+    for k in (650, 300, 3, 1):
+        lines.insert(k, "\n")
+    argv = ["monitor", "--width", "30", "--step", "7", "--dims", "0,1", "--m", "10",
+            "--lenient", "--flag-drift"]
+    code, out, err = _from_file_and_stdin(capsys, monkeypatch, tmp_path, argv, "".join(lines))
+    assert code == 0
+    skipped = re.findall(r"# skipped row (\d+): .* at line (\d+)", err)
+    assert skipped == [("4", "8"), ("255", "259"), ("256", "260"), ("399", "404"),
+                       ("599", "604"), ("698", "704")]
+    assert "row 599: row has 1 cells, need columns [0, 1] at line 604\n" in err
+    assert len(out.split()) == 1 + len(range(29, 694, 7))
+
+
+def test_monitor_file_prints_the_windows_before_an_undecodable_line(
+        capsys, monkeypatch, tmp_path):
+    # the decoder fails on the chunk of text that holds line 600, after it
+    # has handed the csv module the rows before that chunk: their windows
+    # are printed, those of a block cut short too, as from stdin
+    lines = _stream_text().encode().splitlines(keepends=True)
+    lines[599] = b"0.3,\xff\n"
+    path = tmp_path / "stream.csv"
+    path.write_bytes(b"".join(lines))
+    argv = ["monitor", "--width", "30", "--dims", "0,1", "--m", "10"]
+    code, out, err = _run(capsys, [*argv, "--input", str(path)])
+    assert code == 2
+    ends = [int(line.split(",")[0]) for line in out.split()[1:]]
+    assert ends == list(range(29, 29 + len(ends))) and ends[-1] > _BLOCK_LINES
+    assert err.endswith("mcde: error: cannot decode byte b'\\xff' as utf-8 at line 600\n")
+    stdin = io.TextIOWrapper(io.BytesIO(b"".join(lines)), encoding="utf-8", newline="")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert _run(capsys, argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_monitor_reads_blocks_only_from_a_regular_file(capsys, monkeypatch, tmp_path, source):
+    sizes = []
+    scored = mcde.cli._monitor
+
+    def spy(blocks, *args):
+        return scored((sizes.append(len(block)) or block for block in blocks), *args)
+
+    monkeypatch.setattr(mcde.cli, "_monitor", spy)
+    text = _stream_text()
+    argv = ["monitor", "--width", "30", "--dims", "0,1", "--m", "5"]
+    if source == "file":
+        path = tmp_path / "stream.csv"
+        path.write_text(text)
+        code = _run(capsys, [*argv, "--input", str(path)])[0]
+    else:
+        code = _run(capsys, argv, stdin_text=text, monkeypatch=monkeypatch)[0]
+    assert code == 0
+    assert sizes == ([_BLOCK_LINES] * 2 + [700 - 2 * _BLOCK_LINES] if source == "file"
+                     else [1] * 700)
 
 
 def test_console_script_pipe_end_to_end():

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 from unittest.mock import patch
@@ -452,3 +453,83 @@ def test_carried_order_follows_the_leaving_row_through_its_tie_run(monkeypatch):
                     assert (got_a is None) == (want_a is None)
                     if got_a is not None:
                         assert np.array_equal(got_a, want_a)
+
+
+def _events(blocks, cfg, strict):
+    """The events of ``_monitor`` over ``blocks``, the first seed of every
+    block ``_draw`` drew, and the (row, reason, column) of a raised error."""
+    drawn = []
+    draw = mcde.stream._draw
+
+    def spy(seeds, *args):
+        drawn.append(seeds[0])
+        return draw(seeds, *args)
+
+    events, error = [], None
+    with patch.object(mcde.stream, "_draw", spy):
+        try:
+            events.extend(mcde.stream._monitor(iter(blocks), cfg, strict))
+        except StreamFormatError as exc:
+            error = (exc.row_index, exc.reason, exc.column)
+    return events, drawn, error
+
+
+@given(
+    stream=_streams(),
+    step=st.integers(1, _CARRY_MAX_STEP + 1),
+    # up to 2048 iterations draw ahead for 1 window, 10 or 40 at most
+    m=st.sampled_from([1, 5, 51, 204, 2048]),
+    seed=st.integers(0, 2**64 - 1),
+    strict=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_any_blocks_give_the_events_of_one_row_blocks(stream, step, m, seed, strict, data):
+    # blocks change when windows are scored and in which stacks, never what
+    # is yielded, raised or drawn
+    d, width, rows = stream
+    cfg = WindowConfig(width=width, dims=tuple(range(d)), step=step, m=m, seed=seed)
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(rows) - 1))))
+    blocks = [rows[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(rows)])]
+    assert _events(blocks, cfg, strict) == _events([[row] for row in rows], cfg, strict)
+
+
+def test_a_block_scores_its_windows_in_stacks_of_one_draw_pass(monkeypatch):
+    # M=204 draws ahead for 10 windows: the 31 windows of one block are
+    # scored as stacks of 10, 10, 10 and 1, and one-row blocks score alone
+    sizes = []
+    estimate = mcde.stream._estimate
+
+    def spy(stack, *args):
+        sizes.append(len(stack))
+        return estimate(stack, *args)
+
+    monkeypatch.setattr(mcde.stream, "_estimate", spy)
+    rows = _uniform_rows(50).tolist()
+    cfg = WindowConfig(width=20, dims=(0, 1), m=204, seed=3)
+    stacked = list(mcde.stream._monitor([rows], cfg, True))
+    assert sizes == [10, 10, 10, 1]
+    sizes.clear()
+    assert list(monitor(iter(rows), cfg)) == stacked
+    assert sizes == [1] * 31
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_monitor_yields_each_event_before_it_reads_the_next_row(strict):
+    rows = _uniform_rows(60).tolist()
+    rows[30] = ["bad", 0.5]
+    pulled = []  # the index of every row the source gave
+
+    def source():
+        for k, row in enumerate(rows):
+            pulled.append(k)
+            yield row
+
+    cfg = WindowConfig(width=10, dims=(0, 1), m=5, seed=0)
+    events = []
+    with pytest.raises(StreamFormatError) if strict else contextlib.nullcontext():
+        for event in monitor(source(), cfg, strict):
+            assert pulled[-1] == event.row_index
+            events.append(event.row_index)
+    assert events == list(range(9, 30)) + ([] if strict else [30, *range(31, 60)])
+    assert pulled == list(range(31 if strict else 60))
