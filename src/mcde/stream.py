@@ -235,10 +235,10 @@ def monitor(
     :class:`StreamFormatError` when ``strict``; otherwise they are skipped
     and reported as :class:`RowError` items.  A stream shorter than the
     window width produces no scores.  Each window is yielded as soon as its
-    last row is read, before the next row is asked for, so a live source
-    such as a followed file waits for no row it has not sent.
+    last row is read, before the next row is asked for, so a live source,
+    such as a followed file, is never read ahead.
     """
-    yield from _monitor(([row] for row in source), cfg, strict)
+    yield from _monitor(zip(source), cfg, strict)  # one-row blocks
 
 
 def _monitor(
@@ -271,14 +271,12 @@ def _monitor(
     def scored() -> Iterator[WindowScore | RowError]:
         """The pending events in row order, their windows scored in one
         stack and flagged."""
-        nonlocal below_run, waiting
-        events = pending.copy()
-        pending.clear()
+        nonlocal pending, waiting, below_run
+        events, pending, waiting = pending, [], 0
         windows = [event for event in events if not isinstance(event, RowError)]
         if windows:
             _, indexes, seeds, draws = zip(*windows)
-            estimates = iter(_estimate(list(indexes), cfg.alpha, list(seeds), np.stack(draws)))
-        waiting = 0
+            estimates = iter(_estimate(indexes, cfg.alpha, seeds, np.array(draws)))
         for event in events:
             if isinstance(event, RowError):
                 yield event
@@ -334,4 +332,5 @@ def _monitor(
             waiting += 1
             if waiting == ahead:
                 yield from scored()
-        yield from scored()
+        if pending:
+            yield from scored()
