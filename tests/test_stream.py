@@ -477,7 +477,7 @@ def _events(blocks, cfg, strict):
 @given(
     stream=_streams(),
     step=st.integers(1, _CARRY_MAX_STEP + 1),
-    # up to 2048 iterations draw ahead for 1 window, 10 or 40 at most
+    # one draw pass holds 2048, 409, 40, 10 or 1 windows
     m=st.sampled_from([1, 5, 51, 204, 2048]),
     seed=st.integers(0, 2**64 - 1),
     strict=st.booleans(),
