@@ -8,10 +8,8 @@ the effective value to stderr so published numbers stay reproducible.
 from __future__ import annotations
 
 import argparse
-import os
-import stat
+import io
 import sys
-from itertools import chain, islice
 
 from . import __version__
 from .benchmark import (
@@ -23,8 +21,8 @@ from .benchmark import (
     score_distribution,
 )
 from .contrast import contrast
-from .dataset import (_BLOCK_LINES, DataError, _decode_error_line, _looks_numeric, csv_rows,
-                      load_csv, read_csv, select_subspace, write_csv)
+from .dataset import (DataError, _decode_error_line, _looks_numeric, csv_blocks, load_csv,
+                      read_csv, select_subspace, write_csv)
 from .generators import DEPENDENCY_KINDS, DependencySpec, generate
 from .ranking import construct_index
 from .stream import RowError, StreamFormatError, WindowConfig, _monitor
@@ -86,7 +84,12 @@ def _header_mode(text: str) -> bool | None:
 
 def _cmd_estimate(args) -> int:
     if args.input == "-":
-        ds = read_csv(sys.stdin, has_header=args.header, delimiter=args.delimiter)
+        # stdin is read as a file is: UTF-8 with an optional BOM, line ends kept
+        stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig", newline="")
+        try:
+            ds = read_csv(stdin, has_header=args.header, delimiter=args.delimiter)
+        finally:
+            stdin.detach()  # so that closing the wrapper leaves stdin open
     else:
         ds = load_csv(args.input, has_header=args.header, delimiter=args.delimiter)
     if args.dims is not None:
@@ -235,50 +238,36 @@ def _cmd_monitor(args) -> int:
     _diag(f"seed={args.seed} width={args.width} step={args.step} "
           f"dims={','.join(map(str, cfg.dims))}")
 
-    fh = sys.stdin if args.input == "-" else open(args.input, "r", encoding="utf-8-sig", newline="")
+    fh = sys.stdin.buffer if args.input == "-" else open(args.input, "rb")
     try:
-        # blank lines are no rows, as for estimate
-        rows = ((line, row) for line, row in csv_rows(fh, delimiter=args.delimiter) if row)
-        first = next(rows, None)
-        if first is None:
+        # a block is the rows of one read, which takes what the input holds:
+        # no window waits for a row not yet written, and a burst is scored
+        # in stacks
+        blocks = csv_blocks(fh, delimiter=args.delimiter)
+        block = next(blocks, None)
+        if block is None:
             raise DataError("empty stream")
         # a header names the monitored columns; a row too short for them is
         # a malformed row, which monitor reports at row 0
-        head = first[1]
+        head = block[0][1]
         if not _looks_numeric([head[j] for j in cfg.dims if j in range(len(head))]):
             _diag("skipping header row")
-            first = None
-        # a regular file's rows are all on disk, so no reader waits for a
-        # window while the rows after it are read: they are read, and their
-        # windows scored, in blocks; any other input, one row at a time
-        regular = fh is not sys.stdin and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-        size = _BLOCK_LINES if regular else 1
+            del block[0]
 
         print("row_index,score,flag" if args.flag_drift else "row_index,score")
         emitted = 0
         consumed = 0
         lines: list[int] = []  # the file line of each row of the block read last
 
-        def blocks():
+        def numbered(block):
             nonlocal consumed
-            numbered = chain([first] if first else [], rows)
-            while True:
-                block = []
-                try:
-                    # extend keeps the rows it took before the source raised
-                    block.extend(islice(numbered, size))
-                except (DataError, OSError) as exc:  # raised after the rows before it
-                    error = exc
-                else:
-                    error = None
-                if block:
-                    lines[:] = [line for line, _ in block]
-                    consumed += len(block)
-                    yield [row for _, row in block]
-                if error is not None:
-                    raise error
-                if len(block) < size:
-                    return
+            while block is not None:
+                lines[:] = [line for line, _ in block]
+                consumed += len(block)
+                yield [row for _, row in block]
+                # the block's windows are printed: hand them on before a read waits
+                sys.stdout.flush()
+                block = next(blocks, None)
 
         def located(event: RowError | StreamFormatError) -> str:
             # every event is of a row of the last block, whose first row is
@@ -286,7 +275,7 @@ def _cmd_monitor(args) -> int:
             return _located(event, lines[event.row_index - (consumed - len(lines))])
 
         try:
-            for event in _monitor(blocks(), cfg, not args.lenient):
+            for event in _monitor(numbered(block), cfg, not args.lenient):
                 if isinstance(event, RowError):
                     _diag(f"skipped {located(event)}")
                     continue
@@ -301,7 +290,7 @@ def _cmd_monitor(args) -> int:
         if emitted == 0:
             _diag(f"end of stream after {consumed} rows; window of {cfg.width} never filled")
     finally:
-        if fh is not sys.stdin:
+        if args.input != "-":
             fh.close()
     return 0
 

@@ -46,10 +46,18 @@ row end past that block.  Values are held column-major (Fortran order)
 because every downstream pass walks single columns.  Datasets are immutable
 after construction; the backing array is marked read-only so they can be
 shared across threads.
+
+:func:`csv_blocks` gives the rows of a binary stream, a pipe from a
+followed file among them, in blocks: the rows of the complete lines one
+``read1`` returned, decoded and split as a text file opened with
+``newline=""`` is.  A read returns what the stream holds and waits only
+when it holds nothing, so a caller can act on the rows in hand before the
+next read waits for more.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -186,12 +194,15 @@ def _is_header(row: Sequence[str], has_header: bool | None) -> bool:
 
 
 def _decode_error_line(exc: UnicodeDecodeError, lines_read: int) -> int:
-    """1-based line of the byte a text stream failed to decode.
+    """1-based line of the byte a line source failed to decode.
 
-    A text stream decodes its input in chunks, ``exc.object`` being the one
-    that failed, and decodes the next chunk only once no line ending is left
-    in the text decoded so far: the failing chunk starts inside the line
-    after the ``lines_read`` the reader has taken.
+    ``exc.object`` starts inside the line after the ``lines_read`` the
+    reader has taken, so the line ends in ``exc.object[:exc.start]`` are
+    those of lines the reader was not handed.  A text stream decodes its
+    input in chunks, ``exc.object`` being the one that failed, and decodes
+    the next chunk only once no line ending is left in the text decoded so
+    far; :func:`_read_lines` hands over every line before the byte and
+    raises with ``exc.object`` starting at it.
     """
     before = exc.object[:exc.start]
     return lines_read + 1 + len(re.findall(rb"\r\n|\r|\n", before))
@@ -229,6 +240,81 @@ def csv_rows(source: Iterable[str], delimiter: str = ",") -> Iterator[tuple[int,
             yield line, row
     except (csv.Error, UnicodeDecodeError) as exc:
         raise _input_error(exc, last_line + 1, reader.line_num) from None
+
+
+# The most bytes one read of csv_blocks takes.  The monitor scores a block's
+# windows in stacks of one draw pass whatever its size, so larger reads score
+# no faster and only hold more rows at once: `mcde monitor` over 3,000 rows
+# from a file peaked at 33.2 MiB RSS with 16 KiB reads and at 33.8 MiB with
+# 64 KiB, in the same time (2-vCPU x86_64 host).
+_READ_SIZE = 1 << 14
+
+# a line with its end, which open(..., newline="") splits at \n, \r and \r\n,
+# or a last line without one
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
+def _read_lines(binary, left: list[str]) -> Iterator[str]:
+    """The lines of a binary stream, as ``open(path, "r",
+    encoding="utf-8-sig", newline="")`` yields them, taken one ``read1`` at
+    a time: what the file or pipe holds, which waits only when it holds
+    nothing.
+
+    ``left`` holds the complete lines of the last read not yet yielded, last
+    first.  A partial last line, or a last ``\\r`` that a ``\\n`` may follow,
+    waits for the next read.  The lines before an undecodable byte are
+    yielded before the error is raised, with its ``object`` starting at that
+    byte, so :func:`_decode_error_line` counts no line twice.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8-sig")()
+    held = ""
+    while True:
+        data = binary.read1(_READ_SIZE)
+        error = None
+        try:
+            text = held + decoder.decode(data, final=not data)
+        except UnicodeDecodeError as exc:
+            text = held + exc.object[:exc.start].decode("utf-8")
+            error = UnicodeDecodeError(exc.encoding, exc.object[exc.start:], 0,
+                                       exc.end - exc.start, exc.reason)
+        if error is not None:  # a last \r before the undecodable byte ends its line
+            end = max(text.rfind("\n"), text.rfind("\r")) + 1
+        elif data:  # a last \r may begin a \r\n
+            end = max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1
+        else:
+            end = len(text)
+        held = text[end:]
+        left[:] = reversed(_LINE.findall(text, 0, end))
+        while left:
+            yield left.pop()
+        if error is not None:
+            raise error
+        if not data:
+            return
+
+
+def csv_blocks(binary, delimiter: str = ",") -> Iterator[list[tuple[int, list[str]]]]:
+    """The rows of CSV bytes, as :func:`csv_rows` gives the lines a text
+    file of them holds, in blocks: a block is the rows of the complete lines
+    one read returned, blank lines left out.
+
+    A row that continues past the lines of a read, in a quoted cell, joins
+    the block of the read that completes it.  The rows before an error are
+    yielded as a block before it is raised.
+    """
+    left: list[str] = []
+    block: list[tuple[int, list[str]]] = []
+    try:
+        for line, row in csv_rows(_read_lines(binary, left), delimiter):
+            if row:
+                block.append((line, row))
+            if block and not left:  # the reader has taken every line of the read
+                yield block
+                block = []
+    except (DataError, OSError):
+        if block:
+            yield block
+        raise
 
 
 # Lines per block, in the fast path of read_csv and in write_csv.  The

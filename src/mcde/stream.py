@@ -53,10 +53,15 @@ waiting windows are scored in one call and yielded in row order, their
 drift flags set as they go.  Reading ahead to fill a block would delay
 every window of a live source, such as a followed file, that holds back
 its next row: so the public :func:`monitor` takes one-row blocks and
-yields each window before it asks for the next row, and ``mcde monitor``
-reads blocks of ``_BLOCK_LINES`` rows only from a regular input file,
-whose rows are all on disk.  A window's score does not depend on the
-stack it is scored in, so the blocks change no emission.
+yields each window before it asks for the next row, since an iterable has
+no rows "in hand".  ``mcde monitor`` makes a block of the rows of each
+read of its input (:func:`~mcde.dataset.csv_blocks`), which returns what
+the file or pipe holds and waits only when it holds nothing, and flushes
+its output after each block: a live source that writes one row at a time
+gives one-row blocks, each window printed before the next row is read,
+and a burst of rows is scored in stacks.  A window's score does not
+depend on the stack it is scored in, so the blocks change no emission,
+and a file, a pipe and stdin give the same bytes.
 
 A drift layer flags windows whose score stays below a threshold
 for a run of consecutive emissions.  It is a plain heuristic convenience,

@@ -1,22 +1,31 @@
 import io
 import os
 import re
+import select
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import mcde
 import mcde.cli
+import mcde.dataset
 from mcde.cli import run
-from mcde.dataset import _BLOCK_LINES
 from oracles import csv_string
+
+
+def _stdin(data):
+    """A stdin of ``data`` (text or bytes) that, as a real one, reads text
+    and has a binary ``buffer``."""
+    raw = data.encode() if isinstance(data, str) else data
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
 
 
 def _run(capsys, argv, stdin_text=None, monkeypatch=None):
     if stdin_text is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+        monkeypatch.setattr("sys.stdin", _stdin(stdin_text))
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -520,20 +529,23 @@ def _stream_text(levels=None, n=700, seed=5):
     return "x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows.tolist())
 
 
-def _from_file_and_stdin(capsys, monkeypatch, tmp_path, argv, text):
-    """``mcde monitor`` on ``text`` from a file and from stdin; asserts the
-    two give the same exit code, stdout and stderr, and returns them."""
+def _from_file_and_stdin(capsys, monkeypatch, tmp_path, argv, data):
+    """``mcde monitor`` on ``data`` (text or bytes) from a file and from
+    stdin; asserts the two give the same exit code, stdout and stderr, and
+    returns them.  Stdin is read 1000 bytes at a time, as a pipe may return
+    less than a file, so its blocks and reads differ from the file's."""
     path = tmp_path / "stream.csv"
-    path.write_text(text)
+    path.write_bytes(data.encode() if isinstance(data, str) else data)
     from_file = _run(capsys, [*argv, "--input", str(path)])
-    assert from_file == _run(capsys, argv, stdin_text=text, monkeypatch=monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(mcde.dataset, "_READ_SIZE", 1000)
+        assert from_file == _run(capsys, argv, stdin_text=data, monkeypatch=patch)
     return from_file
 
 
 @pytest.mark.parametrize("step", [1, 7, 8, 20])
 @pytest.mark.parametrize("levels", [None, 10])
 def test_monitor_file_prints_what_stdin_prints(capsys, monkeypatch, tmp_path, step, levels):
-    # a file's 700 rows are read in blocks, so windows end in three of them
     argv = ["monitor", "--width", "30", "--step", str(step), "--dims", "0,1", "--m", "10",
             "--flag-drift", "--full-precision"]
     code, out, err = _from_file_and_stdin(capsys, monkeypatch, tmp_path, argv,
@@ -542,9 +554,41 @@ def test_monitor_file_prints_what_stdin_prints(capsys, monkeypatch, tmp_path, st
     assert [int(line.split(",")[0]) for line in out.split()[1:]] == list(range(29, 700, step))
 
 
+# a BOM and CRLF or CR line ends, which a file may have; each changes no result
+_BOM_AND_LINE_ENDS = pytest.mark.parametrize("encode", [
+    lambda text: "\ufeff" + text,
+    lambda text: text.replace("\n", "\r\n"),
+    lambda text: "\ufeff" + text.replace("\n", "\r"),
+], ids=["bom", "crlf", "bom-cr"])
+
+
+@_BOM_AND_LINE_ENDS
+def test_monitor_line_ends_and_a_bom_change_nothing(capsys, monkeypatch, tmp_path, encode):
+    # a BOM is no part of the first row, which is no header, and every line
+    # end ends a row
+    argv = ["monitor", "--width", "30", "--step", "7", "--dims", "0,1", "--m", "10",
+            "--full-precision"]
+    text = _stream_text().split("\n", 1)[1]
+    plain = _run(capsys, argv, stdin_text=text, monkeypatch=monkeypatch)
+    assert _from_file_and_stdin(capsys, monkeypatch, tmp_path, argv, encode(text)) == plain
+    assert "skipping header row" not in plain[2]
+
+
+@_BOM_AND_LINE_ENDS
+def test_estimate_stdin_reads_as_a_file_does(capsys, monkeypatch, tmp_path, encode):
+    argv = ["estimate", "--m", "20", "--full-precision"]
+    text = _stream_text().split("\n", 1)[1]  # no header, so a BOM starts a data row
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    plain = _run(capsys, [*argv, "--input", str(path)])
+    path.write_bytes(encode(text).encode())
+    assert _run(capsys, [*argv, "--input", str(path)]) == plain
+    assert _run(capsys, [*argv, "--input", "-"], encode(text), monkeypatch) == plain
+
+
 def test_monitor_file_names_a_malformed_row_in_a_block_after_its_windows(
         capsys, monkeypatch, tmp_path):
-    # row 300 is in the middle of the second block of rows 256-511; the
+    # row 300 is in the middle of a block, from the file and from stdin; the
     # blank line before it moves it to file line 303
     lines = _stream_text().splitlines(keepends=True)
     lines[301] = "0.5,nan\n"
@@ -574,11 +618,12 @@ def test_monitor_file_lenient_reports_rows_at_their_lines(capsys, monkeypatch, t
     assert len(out.split()) == 1 + len(range(29, 694, 7))
 
 
+@pytest.mark.parametrize("read_size", [7, 1000, mcde.dataset._READ_SIZE])
 def test_monitor_file_prints_the_windows_before_an_undecodable_line(
-        capsys, monkeypatch, tmp_path):
-    # the decoder fails on the chunk of text that holds line 600, after it
-    # has handed the csv module the rows before that chunk: their windows
-    # are printed, those of a block cut short too, as from stdin
+        capsys, monkeypatch, tmp_path, read_size):
+    # whatever read the bad byte comes in, the rows of the lines before it
+    # are scored and their windows printed before the error
+    monkeypatch.setattr(mcde.dataset, "_READ_SIZE", read_size)
     lines = _stream_text().encode().splitlines(keepends=True)
     lines[599] = b"0.3,\xff\n"
     path = tmp_path / "stream.csv"
@@ -586,41 +631,115 @@ def test_monitor_file_prints_the_windows_before_an_undecodable_line(
     argv = ["monitor", "--width", "30", "--dims", "0,1", "--m", "10"]
     code, out, err = _run(capsys, [*argv, "--input", str(path)])
     assert code == 2
-    ends = [int(line.split(",")[0]) for line in out.split()[1:]]
-    assert ends == list(range(29, 29 + len(ends))) and ends[-1] > _BLOCK_LINES
+    assert [int(line.split(",")[0]) for line in out.split()[1:]] == list(range(29, 598))
     assert err.endswith("mcde: error: cannot decode byte b'\\xff' as utf-8 at line 600\n")
-    stdin = io.TextIOWrapper(io.BytesIO(b"".join(lines)), encoding="utf-8", newline="")
-    monkeypatch.setattr("sys.stdin", stdin)
-    assert _run(capsys, argv) == (code, out, err)
+    assert _run(capsys, argv, stdin_text=b"".join(lines), monkeypatch=monkeypatch) == (
+        code, out, err)
 
 
-@pytest.mark.parametrize("source", ["file", "stdin"])
-def test_monitor_reads_blocks_only_from_a_regular_file(capsys, monkeypatch, tmp_path, source):
-    sizes = []
+class _ScriptedStdin:
+    """A stdin whose ``buffer.read1`` returns one scripted chunk per call,
+    then ``b""``, and counts its calls."""
+
+    def __init__(self, chunks):
+        self.buffer = self
+        self.chunks = list(chunks)
+        self.reads = 0
+
+    def read1(self, size):
+        self.reads += 1
+        return self.chunks.pop(0) if self.chunks else b""
+
+
+def test_monitor_blocks_are_the_complete_rows_of_each_read(capsys, monkeypatch, tmp_path):
+    chunks = [
+        b"\xef\xbb",                                      # inside the BOM
+        b"\xbfx,y,note\n0.1,0.2,a\n0.3,0.",               # inside a line
+        b"4,b\r",                                         # inside a \r\n
+        b"\n0.5,0.6,\xc3",                                # inside a UTF-8 character
+        b'\xa9\n0.7,0.8,"two\n',                          # inside a quoted cell
+        b'lines"\n0.9,0.1,c\n',
+        b"0.2,0.3,d",                                     # a last line with no end
+    ]
+    blocks = []
     scored = mcde.cli._monitor
 
-    def spy(blocks, *args):
-        return scored((sizes.append(len(block)) or block for block in blocks), *args)
+    def spy(source, *args):
+        def recorded():
+            for block in source:
+                blocks.append((stdin.reads, block))
+                yield block
+        return scored(recorded(), *args)
 
     monkeypatch.setattr(mcde.cli, "_monitor", spy)
-    text = _stream_text()
-    argv = ["monitor", "--width", "30", "--dims", "0,1", "--m", "5"]
-    if source == "file":
-        path = tmp_path / "stream.csv"
-        path.write_text(text)
-        code = _run(capsys, [*argv, "--input", str(path)])[0]
-    else:
-        code = _run(capsys, argv, stdin_text=text, monkeypatch=monkeypatch)[0]
+    stdin = _ScriptedStdin(chunks)
+    monkeypatch.setattr("sys.stdin", stdin)
+    argv = ["monitor", "--width", "2", "--dims", "0,1", "--m", "5"]
+    code, out, err = _run(capsys, argv)
     assert code == 0
-    assert sizes == ([_BLOCK_LINES] * 2 + [700 - 2 * _BLOCK_LINES] if source == "file"
-                     else [1] * 700)
+    # each block is handed on after the read that completes its last row,
+    # and holds every row completed since the block before; a row the
+    # quoted cell continues waits for the read that ends it, and so do the
+    # rows of its read before it
+    assert blocks == [
+        (2, [["0.1", "0.2", "a"]]),
+        (4, [["0.3", "0.4", "b"]]),
+        (6, [["0.5", "0.6", "é"], ["0.7", "0.8", "two\nlines"], ["0.9", "0.1", "c"]]),
+        (8, [["0.2", "0.3", "d"]]),
+    ]
+    assert stdin.reads == 8
+    path = tmp_path / "stream.csv"
+    path.write_bytes(b"".join(chunks))
+    assert _run(capsys, [*argv, "--input", str(path)]) == (code, out, err)
+    assert [line.split(",")[0] for line in out.split()[1:]] == ["1", "2", "3", "4", "5"]
 
 
-def test_console_script_pipe_end_to_end():
-    # the children import the same mcde package as this test, installed or not
+def _child_env():
+    """The environment of a ``python -m mcde`` child that imports the same
+    mcde package as this test, installed or not."""
     package_root = os.path.dirname(os.path.dirname(mcde.__file__))
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=package_root + (os.pathsep + path if path else ""))
+
+
+def _read_lines_until(fd, count, deadline):
+    """Read from ``fd`` until it has given ``count`` lines or the deadline
+    passes, without blocking past it."""
+    data = b""
+    while data.count(b"\n") < count:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+            break
+        chunk = os.read(fd, 65536)
+        if not chunk:
+            break
+        data += chunk
+    return data.decode().splitlines()
+
+
+def test_monitor_prints_each_window_before_the_next_row_comes():
+    # with stdout a pipe, Python holds what is printed until its buffer
+    # fills, unless the monitor flushes it; the child must not be told to
+    # write unbuffered
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    lines = _stream_text(n=32).encode().splitlines(keepends=True)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "mcde", "monitor", "--width", "30", "--dims", "0,1",
+         "--m", "10"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        # the header and 31 rows end two windows, and the next row a third
+        for rows, expected in ((lines[:32], ["row_index", "29", "30"]), (lines[32:], ["31"])):
+            child.stdin.write(b"".join(rows))
+            child.stdin.flush()
+            got = _read_lines_until(child.stdout.fileno(), len(expected), time.monotonic() + 10)
+            assert [line.split(",")[0] for line in got] == expected
+    finally:
+        out, err = child.communicate(timeout=10)  # closes stdin and reaps the child
+    assert child.returncode == 0, err
+def test_console_script_pipe_end_to_end():
+    env = _child_env()
     gen = subprocess.run(
         [sys.executable, "-m", "mcde", "generate", "--kind", "linear",
          "--n", "400", "--d", "3", "--noise", "0", "--seed", "3"],
