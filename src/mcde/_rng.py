@@ -52,7 +52,8 @@ LANES = 2**11
 
 
 def check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    """``seed`` as an ``int``: any non-negative integer but a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)
 

@@ -196,7 +196,7 @@ def power(
     seed = check_seed(seed)
     _check_gamma(gamma)
     if omega is not None:
-        _check_omega(omega)
+        omega = _check_omega(omega)
     if threshold is None:
         threshold = independence_threshold(
             spec.n, spec.d, m=m, gamma=gamma, reps=reps, alpha=alpha, seed=seed
@@ -226,12 +226,11 @@ def robustness_sweep(
     usual null bar.
     """
     seed = check_seed(seed)
-    for omega in omega_levels:
-        _check_omega(int(omega))
+    omega_levels = [_check_omega(omega) for omega in omega_levels]
     # every cell's spec is built before any scoring, so a bad kind fails first
     cells = [
-        (DependencySpec(kind, n, d, float(noise), seed=0), int(omega),
-         derive_seed(seed, kind_pos, int(omega), int(round(noise * 1e6))))
+        (DependencySpec(kind, n, d, float(noise), seed=0), omega,
+         derive_seed(seed, kind_pos, omega, int(round(noise * 1e6))))
         for kind_pos, kind in enumerate(kinds)
         for omega in omega_levels
         for noise in noise_levels
@@ -254,14 +253,16 @@ def runtime_profile(
 ) -> list[RuntimeResult]:
     """Median wall-clock times per (n, d): index build, contrast with a
     prebuilt index, and contrast including the build."""
+    m, reps = check_count(m), check_count(reps)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     seed = check_seed(seed)
+    n_values = [check_count(n) for n in n_values]
+    d_values = [check_count(d) for d in d_values]
     rows = []
     for n in n_values:
         for d in d_values:
-            spec = DependencySpec("independent", int(n), int(d), 0.0,
-                                  seed=derive_seed(seed, int(n), int(d)))
+            spec = DependencySpec("independent", n, d, 0.0, seed=derive_seed(seed, n, d))
             data = generate(spec)
             # two untimed estimates first, so that first-call costs stay out
             for _ in range(2):
@@ -280,8 +281,8 @@ def runtime_profile(
                 t_total.append(t3 - t2)
             rows.append(
                 RuntimeResult(
-                    n=int(n),
-                    d=int(d),
+                    n=n,
+                    d=d,
                     m=m,
                     reps=reps,
                     index_s=statistics.median(t_index),

@@ -16,22 +16,26 @@ with quoted cells, is read twice.
 
 ``np.loadtxt`` holds the interpreter lock, so a large file is parsed in
 processes: its data lines are split at line ends into one part per CPU,
-each of at least ``_MIN_PART`` bytes.  The caller parses the first part
-with ``max_rows``, and a forked worker each other part with ``skiprows``,
-by the same path and with the same arguments, so numpy reads every line as
-it would in one call.  Each worker sends its rows through a pipe, and the
-caller writes every part into one Fortran-order array, which the dataset
-keeps without a copy.  The lines before the last split point are counted
-in chunks, and the file is split only where they hold no ``\r``, no ``"``
-and no empty data line, because ``max_rows`` skips an empty line that
-``skiprows`` counts.  A small file, a platform without ``os.fork``, a
-caller with other Python threads, and on Python 3.12 or later a process
-with other OS threads (numpy's BLAS starts them at import unless
-``OPENBLAS_NUM_THREADS=1``) parse the file in one call.  So does a split
-that fails, where numpy rejects a part, the parts differ in width or a
-worker fails; a non-finite value in any part sends the file to
-:func:`read_csv`, as above.  Workers write nothing, leave by ``os._exit``,
-and are always reaped, on an interrupt too.
+each of at least ``_MIN_PART`` bytes.  One scan of the file first counts
+each part's rows, and the dataset's Fortran-order array is allocated in an
+anonymous shared mapping.  The caller parses the first part with
+``max_rows``, and a forked worker each other part with ``skiprows``, by the
+same path and with the same arguments, so numpy reads every line as it
+would in one call; each writes its rows into its own rows of the array,
+which the dataset keeps without a copy.  The file is split only where the
+lines before the last split point hold no ``\r``, no ``"`` and no empty
+data line, because ``max_rows`` skips an empty line that ``skiprows``
+counts.  The last part is read to its end, so its rows are its lines less
+its empty ones; a ``\r`` in it outside a ``\r\n``, which numpy reads as a
+line end, keeps the file whole.  A small file, a platform without
+``os.fork``, a caller with other Python threads, and on Python 3.12 or
+later a process with other OS threads (numpy's BLAS starts them at import
+unless ``OPENBLAS_NUM_THREADS=1``) parse the file in one call.  So does a
+split that fails, where numpy rejects a part, a part's shape differs from
+its counted rows and the first data row's width, or a worker fails; a
+non-finite value in any part sends the file to :func:`read_csv`, as above.
+Workers write nothing but their rows, leave by ``os._exit``, and are always
+reaped, on an interrupt too.
 
 :func:`read_csv` parses any source of lines, stdin among them, into one
 flat buffer of floats, so no per-row object outlives its row.  Once the
@@ -59,7 +63,6 @@ from __future__ import annotations
 
 import codecs
 import csv
-import io
 import math
 import operator
 import os
@@ -481,13 +484,13 @@ def _short_lines(path: str) -> bool:
 
 
 # A file is parsed in parts only where each part holds at least this many
-# bytes: below it, the fork, the pipe and the line count cost more than the
-# part's share of the parse saves.  On a 2-vCPU x86_64 host two parts break
-# even near 0.3 MB each (a 0.6 MB file of three columns: 14.2 ms split,
-# 14.8 ms whole), and a 1 MB file split in two takes 0.87x the time.
+# bytes: below it, the fork and the line count cost more than the part's
+# share of the parse saves.  On a 2-vCPU x86_64 host two parts break even
+# near 0.3 MB each (a 0.6 MB file of three columns: 14.2 ms split, 14.8 ms
+# whole), and a 1 MB file split in two takes 0.87x the time.
 _MIN_PART = 1 << 19
 
-# the bytes of each read of _split_lines, and of each copy from a worker's pipe
+# the bytes of each read of _split_lines
 _CHUNK = 1 << 18
 
 
@@ -512,20 +515,22 @@ def _part_count(size: int) -> int:
     return min(parts, cpus)
 
 
-def _split_lines(path: str, size: int, skip: int, parts: int) -> list[int] | None:
-    """The number of lines before each of the points that split the file
-    into ``parts`` parts of about equal size, or None where the file cannot
-    be split.
+def _split_lines(path: str, size: int, skip: int, parts: int) -> list[tuple[int, int]] | None:
+    """The ``parts`` parts of about equal size that the file's lines after
+    the first ``skip`` are split into, each as the number of lines before
+    it and the number of rows it holds; None where the file cannot be split.
 
-    Each point follows a ``\\n``, and each part holds at least one line.
-    None also where the bytes up to the last point's first one hold a
-    ``\\r`` or a ``"``, or an empty line after the first ``skip`` lines: a
-    part is read up to its point with numpy's ``max_rows``, which skips
-    empty lines, and the next from its point with ``skiprows``, which counts
-    them.  The lines are counted in reads of ``_CHUNK`` bytes, so the file
-    is never held in memory.
+    Each part but the last ends after a ``\\n``, and each holds a row.  The
+    bytes before the last part hold no ``\\r``, no ``"`` and no empty line
+    after the first ``skip``: a part is read up to its end with numpy's
+    ``max_rows``, which skips empty lines, and the next from there with
+    ``skiprows``, which counts them.  The last part is read to the end of
+    the file, so its rows are its lines less its empty ones, which hold
+    nothing or a ``\\r\\n`` only; a ``\\r`` in it outside a ``\\r\\n`` ends a
+    line for numpy, so it keeps the file whole.  The lines are counted in
+    reads of ``_CHUNK`` bytes, so the file is never held in memory.
     """
-    points: list[int] = []
+    points: list[int] = []  # the first byte of each part after the first
     with open(path, "rb", buffering=0) as raw:
         for k in range(1, parts):
             # the first line end at or past the point's target
@@ -542,127 +547,112 @@ def _split_lines(path: str, size: int, skip: int, parts: int) -> list[int] | Non
         raw.seek(0)
         buf = bytearray(_CHUNK)
         view = memoryview(buf)
-        stop = points[-1] + 1  # the scan takes the last part's first byte
-        counts: list[int] = []
+        counts: list[int] = []  # the lines before each point
         base = lines = 0  # the bytes and the line ends before the chunk
+        blank = 0  # the empty lines of the last part
         after_end = True  # whether a line end precedes the chunk, as the file's start
-        while base < stop:
-            got = raw.readinto(view[:min(_CHUNK, stop - base)])
-            if not got:
-                return None  # no byte past the last point
-            if buf.find(b"\r", 0, got) >= 0 or buf.find(b'"', 0, got) >= 0:
+        # no read crosses the last point, so a chunk lies before it or in the last part
+        while got := raw.readinto(view[:min(_CHUNK, points[-1] - base)] if base < points[-1] else view):
+            last = base >= points[-1]
+            cr = buf.find(b"\r", 0, got) >= 0
+            if not last and (cr or buf.find(b'"', 0, got) >= 0):
                 return None
-            ends = np.frombuffer(buf, np.uint8, got) == ord("\n")
-            if (after_end and ends[0]) or (ends[1:] & ends[:-1]).any():
-                # a line end right after another ends an empty line, which
-                # is the line of its index among the line ends
+            if cr and buf.count(b"\r", 0, got) != buf.count(b"\r\n", 0, got):
+                return None  # a \r that numpy reads as a line end
+            data = np.frombuffer(buf, np.uint8, got)
+            ends = data == ord("\n")
+            if cr or (after_end and ends[0]) or (ends[1:] & ends[:-1]).any():
+                # a line end right after another, or after a \r right after
+                # another, ends an empty line, which is the line of its index
+                # among the line ends
                 at = np.flatnonzero(ends)
-                empty = np.flatnonzero(np.diff(at, prepend=-1 if after_end else -2) == 1)
-                if lines + empty[-1] >= skip:
+                gap = np.diff(at, prepend=-1 if after_end else -3)
+                empty = (gap == 1) | (gap == 2) & (data[at - 1] == ord("\r"))
+                if last:
+                    blank += int(np.count_nonzero(empty))
+                elif lines + np.flatnonzero(empty)[-1] >= skip:
                     return None
             while len(counts) < len(points) and points[len(counts)] <= base + got:
                 counts.append(lines + int(np.count_nonzero(ends[:points[len(counts)] - base])))
             lines += int(np.count_nonzero(ends))
             after_end = bool(ends[-1])
             base += got
-    return counts if counts[0] > skip else None
+    if len(counts) < len(points) or counts[0] <= skip:
+        return None
+    # the last part's rows, a last line without its end among them
+    rows = lines + (not after_end) - counts[-1] - blank
+    if rows < 1:
+        return None
+    starts = [skip, *counts]
+    return [(lo, hi - lo) for lo, hi in zip(starts, counts)] + [(counts[-1], rows)]
 
 
-def _read_into(pipe, array: np.ndarray) -> bool:
-    """Fill the C-contiguous ``array`` from ``pipe``; False where the pipe
-    ends first."""
-    view = memoryview(array).cast("B")
-    while view:
-        got = pipe.readinto(view)
-        if not got:
-            return False
-        view = view[got:]
-    return True
-
-
-def _fork_part(path: str, skip: int, rows: int | None, options: dict) -> tuple[int, io.FileIO]:
-    """Fork a worker that parses ``rows`` lines of the file (all where
-    None) after the first ``skip``, and writes the shape and the values of
-    their array to a pipe: the worker's pid and the pipe's read end.
+def _fork_part(path: str, skip: int, max_rows: int | None, out: np.ndarray, options: dict) -> int:
+    """Fork a worker that parses ``max_rows`` rows of the file (all where
+    None) after its first ``skip`` lines into the shared array ``out``:
+    the worker's pid.  It exits 0 only where their shape is ``out``'s.
 
     The worker writes nothing else, where numpy raises or warns included,
     and leaves by ``os._exit``, so it runs none of its parent's exit code.
     """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
+    pid = os.fork()
     if pid == 0:
         try:
-            os.close(read_end)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                values = np.loadtxt(path, skiprows=skip, max_rows=rows, **options)
-            with open(write_end, "wb") as pipe:
-                pipe.write(np.array(values.shape, dtype=np.int64).tobytes())
-                pipe.write(values.data)
-            os._exit(0)
+                part = np.loadtxt(path, skiprows=skip, max_rows=max_rows, **options)
+            if part.shape == out.shape:
+                out[...] = part
+                os._exit(0)
         finally:
             os._exit(1)
-    os.close(write_end)
-    return pid, open(read_end, "rb", buffering=0)
+    return pid
 
 
-def _parse_parts(path: str, skip: int, counts: list[int], options: dict) -> np.ndarray | None:
-    """The values of the file's lines after the first ``skip``, parsed by
-    numpy in parts that end after ``counts`` lines, as one Fortran-order
-    array; None where a part fails or its width differs from the first.
+def _parse_parts(path: str, parts: list[tuple[int, int]], d: int, options: dict) -> np.ndarray | None:
+    """The values of the file's ``parts`` (see :func:`_split_lines`), of
+    ``d`` columns each, parsed by numpy into one Fortran-order array; None
+    where a part fails or its shape differs from its rows and ``d``.
 
-    Each part after the first is parsed in a forked worker, the first by
-    the caller; every worker is reaped before this returns or raises.
+    The array lives in an anonymous shared mapping, allocated before the
+    first fork.  Each part after the first is parsed by a forked worker,
+    which writes it straight into its rows; the caller parses the first and
+    copies it in.  Every worker is reaped before this returns or raises.
     """
-    import signal  # here, so that importing mcde loads no more modules
+    import mmap  # here, so that importing mcde loads no more modules
+    import signal
 
-    bounds = [skip, *counts, None]  # the lines before each part, and the end
-    workers: list[tuple[int, io.FileIO]] = []  # until each is reaped
+    n = sum(rows for _, rows in parts)
+    values = np.ndarray((n, d), order="F", buffer=mmap.mmap(-1, 8 * n * d))
+    workers: list[int] = []  # until each is reaped
     try:
+        lo = parts[0][1]  # the caller's rows come first
         try:
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                workers.append(_fork_part(path, lo, None if hi is None else hi - lo, options))
-        except OSError:  # no process or pipe to be had
+            for k, (skip, rows) in enumerate(parts[1:], 2):
+                # the last part is read to its end: under max_rows numpy
+                # warns at an empty line
+                max_rows = None if k == len(parts) else rows
+                workers.append(_fork_part(path, skip, max_rows, values[lo:lo + rows], options))
+                lo += rows
+        except OSError:  # no process to be had
             return None
+        skip, rows = parts[0]
         try:
-            first = np.loadtxt(path, skiprows=skip, max_rows=counts[0] - skip, **options)
+            first = np.loadtxt(path, skiprows=skip, max_rows=rows, **options)
         except ValueError:
             return None
-        d = first.shape[1]
-        part_rows = []
-        for _, pipe in workers:
-            shape = np.empty(2, dtype=np.int64)
-            if not _read_into(pipe, shape) or shape[1] != d:
-                return None
-            part_rows.append(int(shape[0]))
-        values = np.empty((len(first) + sum(part_rows), d), order="F")
-        values[:len(first)] = first
-        lo = len(first)
+        if first.shape != (rows, d):
+            return None
+        values[:rows] = first
         del first
-        buf = np.empty((max(min(max(part_rows), _CHUNK // (8 * d)), 1), d))
-        for (_, pipe), rows in zip(workers, part_rows):
-            for start in range(lo, lo + rows, len(buf)):
-                part = buf[:min(len(buf), lo + rows - start)]
-                if not _read_into(pipe, part):
-                    return None
-                values[start:start + len(part)] = part
-            lo += rows
         while workers:
-            pid, pipe = workers[-1]
-            status = os.waitpid(pid, 0)[1]
+            status = os.waitpid(workers[-1], 0)[1]
             workers.pop()
-            pipe.close()
             if status:
                 return None
         return values
     finally:
-        for pid, pipe in workers:
-            pipe.close()
+        for pid in workers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
@@ -700,8 +690,8 @@ def _numpy_file(path, has_header: bool | None, delimiter: str) -> Dataset | None
     options = {"delimiter": delimiter, "comments": None, "ndmin": 2, "encoding": "utf-8-sig"}
     size = os.path.getsize(path)
     parts = _part_count(size)
-    counts = _split_lines(path, size, line - 1, parts) if parts > 1 else None
-    values = _parse_parts(path, line - 1, counts, options) if counts else None
+    split = _split_lines(path, size, line - 1, parts) if parts > 1 else None
+    values = _parse_parts(path, split, len(row), options) if split else None
     if values is None:  # the file in one part
         try:
             values = np.loadtxt(path, skiprows=line - 1, **options)

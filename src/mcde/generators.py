@@ -32,6 +32,7 @@ import numpy as np
 
 from ._rng import check_seed
 from .dataset import Dataset
+from .slicing import check_count
 
 DEPENDENCY_KINDS = (
     "cross",
@@ -151,9 +152,11 @@ def generate(spec: DependencySpec) -> Dataset:
     return Dataset(x)
 
 
-def _check_omega(omega: int) -> None:
+def _check_omega(omega: int) -> int:
+    omega = check_count(omega)
     if omega < 1:
         raise ValueError(f"omega must be >= 1, got {omega}")
+    return omega
 
 
 def discretise(ds: Dataset, omega: int) -> Dataset:
@@ -162,7 +165,7 @@ def discretise(ds: Dataset, omega: int) -> Dataset:
     Values are clamped into [0, 1] first since noised data may leave the
     unit range.  ``omega=1`` collapses everything to the constant 0.
     """
-    _check_omega(omega)
+    omega = _check_omega(omega)
     clipped = np.clip(ds.values, 0.0, 1.0)
     if omega == 1:
         binned = np.zeros_like(clipped)

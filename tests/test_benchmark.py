@@ -65,16 +65,23 @@ def _no_scoring(monkeypatch):
     monkeypatch.setattr(mcde.benchmark, "score_sample", fail)
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    (dict(gamma=150.0, threshold=0.5), r"^gamma must be in \(0, 100\), got 150.0$"),
-    (dict(gamma=100.0), r"^gamma must be in \(0, 100\), got 100.0$"),
-    (dict(gamma=0.0, threshold=0.5), r"^gamma must be in \(0, 100\), got 0.0$"),
-    (dict(omega=0), r"^omega must be >= 1, got 0$"),
-    (dict(omega=0, threshold=0.5), r"^omega must be >= 1, got 0$"),
+_FLOAT_COUNT = "'float' object cannot be interpreted as an integer"
+_BOOL_COUNT = "a count must be an integer, not a bool"
+
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    (dict(gamma=150.0, threshold=0.5), ValueError, r"^gamma must be in \(0, 100\), got 150.0$"),
+    (dict(gamma=100.0), ValueError, r"^gamma must be in \(0, 100\), got 100.0$"),
+    (dict(gamma=0.0, threshold=0.5), ValueError, r"^gamma must be in \(0, 100\), got 0.0$"),
+    (dict(omega=0), ValueError, r"^omega must be >= 1, got 0$"),
+    (dict(omega=0, threshold=0.5), ValueError, r"^omega must be >= 1, got 0$"),
+    (dict(omega=2.5, threshold=0.5), TypeError, _FLOAT_COUNT),
+    (dict(omega=True), TypeError, _BOOL_COUNT),
+    (dict(seed=True, threshold=0.5), ValueError, r"^seed must be a non-negative integer, got True$"),
 ])
-def test_power_checks_its_arguments_before_scoring(monkeypatch, kwargs, message):
+def test_power_checks_its_arguments_before_scoring(monkeypatch, kwargs, error, message):
     _no_scoring(monkeypatch)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(error, match=message):
         mcde.power(DependencySpec("linear", 100, 2, 0.0), reps=500, m=50, **kwargs)
 
 
@@ -84,17 +91,37 @@ def test_independence_threshold_checks_gamma_before_scoring(monkeypatch):
         mcde.independence_threshold(100, 2, gamma=100)
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    (dict(omega_levels=[3, 0]), r"^omega must be >= 1, got 0$"),
-    (dict(kinds=("linear", "foo")), r"^unknown dependency kind 'foo'"),
-    (dict(noise_levels=[0.0, -1.0]), r"^noise must be >= 0, got -1.0$"),
-    (dict(gamma=100.0), r"^gamma must be in \(0, 100\), got 100.0$"),
+@pytest.mark.parametrize("kwargs, error, message", [
+    (dict(omega_levels=[3, 0]), ValueError, r"^omega must be >= 1, got 0$"),
+    (dict(omega_levels=[3, 2.5]), TypeError, _FLOAT_COUNT),
+    (dict(omega_levels=[True]), TypeError, _BOOL_COUNT),
+    (dict(kinds=("linear", "foo")), ValueError, r"^unknown dependency kind 'foo'"),
+    (dict(noise_levels=[0.0, -1.0]), ValueError, r"^noise must be >= 0, got -1.0$"),
+    (dict(gamma=100.0), ValueError, r"^gamma must be in \(0, 100\), got 100.0$"),
 ])
-def test_robustness_sweep_checks_its_arguments_before_scoring(monkeypatch, kwargs, message):
+def test_robustness_sweep_checks_its_arguments_before_scoring(monkeypatch, kwargs, error, message):
     _no_scoring(monkeypatch)
     args = dict(omega_levels=[3], noise_levels=[0.0], n=100, d=2, m=10, reps=5)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(error, match=message):
         mcde.robustness_sweep(**{**args, **kwargs})
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(n_values=[200.7]), _FLOAT_COUNT),
+    (dict(d_values=[2, 2.9]), _FLOAT_COUNT),
+    (dict(reps=2.5), _FLOAT_COUNT),
+    (dict(reps=True), _BOOL_COUNT),
+    (dict(m=True), _BOOL_COUNT),
+    (dict(n_values=[True]), _BOOL_COUNT),
+])
+def test_runtime_profile_checks_its_counts_before_generating(monkeypatch, kwargs, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("generated before the counts were checked")
+
+    monkeypatch.setattr(mcde.benchmark, "generate", fail)
+    args = dict(n_values=[200], d_values=[2], m=5, reps=3)
+    with pytest.raises(TypeError, match=message):
+        mcde.runtime_profile(**{**args, **kwargs})
 
 
 def test_score_distribution_single_rep_has_zero_std():

@@ -52,6 +52,10 @@ def test_bad_alpha_and_seed_rejected(uniform_ds):
         contrast(uniform_ds, m=5, alpha=0.0)
     with pytest.raises(ValueError):
         contrast(uniform_ds, m=5, seed=-1)
+    # a bool would score as seed 0 or 1
+    for seed in (True, False, np.bool_(True)):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got"):
+            contrast(uniform_ds, m=5, seed=seed)
 
 
 def test_seed_past_the_64_bit_key_rejected(uniform_ds):

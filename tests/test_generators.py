@@ -139,6 +139,8 @@ def test_spec_validation():
         DependencySpec("linear", 10, 2, -0.1)
     with pytest.raises(ValueError):
         DependencySpec("linear", 10, 2, 0.0, seed=-5)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got True$"):
+        DependencySpec("linear", 10, 2, 0.0, seed=True)
 
 
 def test_discretise_omega_one_is_constant():
@@ -169,5 +171,10 @@ def test_discretise_clamps_noised_values():
 
 
 def test_discretisation_level_validation():
+    ds = Dataset(np.array([[0.4, 0.6]]))
     with pytest.raises(ValueError, match="^omega must be >= 1, got 0$"):
-        discretise(Dataset(np.array([[0.4, 0.6]])), 0)
+        discretise(ds, 0)
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        discretise(ds, 2.5)
+    with pytest.raises(TypeError, match="a count must be an integer, not a bool"):
+        discretise(ds, True)

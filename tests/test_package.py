@@ -64,16 +64,17 @@ def test_public_names_are_pinned():
     assert set(mcde.__all__) == PUBLIC
 
 
-# run in a fresh interpreter: prints whether numpy.random was imported
+# run in a fresh interpreter: prints which of the modules mcde imports
+# only where it needs them were imported, and the exit code
 _CHILD = """
 import sys
 from mcde.cli import run
 code = 0 if len(sys.argv) == 1 else run(sys.argv[1:])
-print("numpy.random" in sys.modules, code)
+print(sorted({"mmap", "numpy.random", "signal"} & set(sys.modules)), code)
 """
 
 
-def _random_imported(*argv):
+def _lazy_imports(*argv):
     package_root = os.path.dirname(os.path.dirname(mcde.__file__))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + path if path else ""))
@@ -85,12 +86,19 @@ def _random_imported(*argv):
 def test_start_up_and_a_tie_free_monitor_leave_numpy_random_unimported(tmp_path):
     # numpy.random is imported only to draw: by generators and by the
     # tie-break of a tied column
-    assert _random_imported() == "False 0"
+    assert _lazy_imports() == "[] 0"
     values = np.random.default_rng(3).random((300, 2))
     path = tmp_path / "stream.csv"
     mcde.save_csv(mcde.Dataset(values), str(path))
     argv = ["monitor", "--input", str(path), "--width", "50", "--dims", "0,1", "--m", "5"]
-    assert _random_imported(*argv) == "False 0"
+    assert _lazy_imports(*argv) == "[] 0"
     # a tied column draws its tie-break vector, so the check can fail
     mcde.save_csv(mcde.Dataset(np.round(values, 1)), str(path))
-    assert _random_imported(*argv) == "True 0"
+    assert _lazy_imports(*argv) == "['numpy.random'] 0"
+
+
+def test_a_small_estimate_leaves_the_split_loads_modules_unimported(tmp_path):
+    # mmap and signal are imported only to parse a file in parts
+    path = tmp_path / "data.csv"
+    mcde.save_csv(mcde.Dataset(np.random.default_rng(4).random((300, 3))), str(path))
+    assert _lazy_imports("estimate", "--input", str(path), "--m", "5") == "[] 0"
