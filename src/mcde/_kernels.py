@@ -28,8 +28,9 @@ popcounts, with no loop over windows.  A window's tie correction is the
 a difference of prefix sums over the column's runs: below 2**21 positions
 per window the difference is exact in int64 even where the prefix sums
 wrap, and a wider window sums its runs as exact integers.  Rank sums are
-multiples of 0.5 far below 2**52, and each tie correction is rounded once
-to float64, so the results do not depend on summation order.
+multiples of 0.5 below 2**52 when the caller keeps ``16 * width`` times
+the column's length below 2**52, and each tie correction is rounded once to
+float64, so the results do not depend on summation order.
 """
 
 from __future__ import annotations
@@ -89,25 +90,24 @@ def rank_scan(values: np.ndarray, order: np.ndarray):
     return adjusted, starts[tied], counts[tied]
 
 
-def window_rows(member, ranks, starts, width, *, run_starts=None, run_lengths=None, cuts=None):
+def window_rows(member, ranks=None, cuts=None):
     """Rank each restriction window locally and sum its member ranks.
 
-    Row i of ``member`` is the slice membership at the ``width`` sorted
-    positions from ``starts[i]`` on, inside the column.  For a column with
-    ties, row i of the 2-D ``ranks`` holds its :func:`rank_scan` ranks
-    there, and every row is a window of that one column, whose runs
-    ``run_starts`` and ``run_lengths`` give the windows' :func:`cut_runs`.
-    A caller that scores the windows of one column in batches may pass
-    ``cuts`` instead: theirs, found once for that batch size and sliced to
-    the batch.  Tie-free columns pass ``ranks=None``, as the index stores
-    them: the local rank of every window position is the position, so their
-    rows may be windows of different columns, such as the reference columns
-    of many estimates.  Each tie group contributes its window-local 0-based
-    average rank to the members inside it; the at most two runs cut by a
-    window boundary are ranked among window rows only.  Returns
-    ``(rank_sums, member_counts, tie_corrections)``, the last the sums of
-    ``g**3 - g`` over window-local group sizes, each exact at any window
-    width and then rounded to float64.
+    Row i of ``member`` is the slice membership at the positions of window
+    i, in sorted order.  For a column with ties, row i of the 2-D ``ranks``
+    holds its :func:`rank_scan` ranks there, and ``cuts`` holds the
+    windows' :func:`cut_runs`, found for the batches this one is read in
+    and sliced to it.  The windows may lie in different columns laid end to
+    end as one long column, as long as none crosses from one into the next.
+    Tie-free columns pass ``ranks=None``, as the index stores them: the
+    local rank of every window position is the position, so their rows may
+    be windows of different columns, such as the reference columns of many
+    estimates.  Each tie group contributes its window-local 0-based average
+    rank to the members inside it; the at most two runs cut by a window
+    boundary are ranked among window rows only.  Returns ``(rank_sums,
+    member_counts, tie_corrections)``, the last the sums of ``g**3 - g``
+    over window-local group sizes, each exact at any window width and then
+    rounded to float64.
 
     Each row is packed into bytes, bit b of byte k for position ``8k + b``.
     A tie-free row is counted by the popcount of its bytes, and its rank sum
@@ -121,9 +121,7 @@ def window_rows(member, ranks, starts, width, *, run_starts=None, run_lengths=No
         n1 = counts.sum(axis=1, dtype=np.int64)
         first_bits = np.arange(0, 8 * packed.shape[1], 8, dtype=np.int64)
         r1 = (counts @ first_bits + np.take(_BIT_POSITIONS, packed).sum(axis=1)).astype(np.float64)
-        return r1, n1, np.zeros(len(starts))
-    if cuts is None:
-        cuts = cut_runs(starts, width, run_starts, run_lengths, len(starts))
+        return r1, n1, np.zeros(member.shape[0])
     edge, word, bits, weight, corr = cuts
     # words[i, k] holds bit b of row i's position 64k + b, and below[i, k]
     # counts the row's members in its first k words
@@ -133,7 +131,7 @@ def window_rows(member, ranks, starts, width, *, run_starts=None, run_lengths=No
     below = np.zeros((words.shape[0], words.shape[1] + 1), dtype=np.int64)
     np.add.accumulate(np.bitwise_count(words), axis=1, dtype=np.int64, out=below[:, 1:])
     # the members before each edge: bits ``bits`` of word ``word``
-    rows = np.arange(len(starts))
+    rows = np.arange(member.shape[0])
     before = below[rows, word] + np.bitwise_count(words[rows, word] & bits)
     # the global ranks between the batch's two edges; einsum keeps the sums
     # off BLAS
@@ -145,7 +143,12 @@ def window_rows(member, ranks, starts, width, *, run_starts=None, run_lengths=No
 def cut_runs(starts, width, run_starts, run_lengths, batch):
     """Where the tie runs of one column meet each window ``[starts[i],
     starts[i] + width)``, as :func:`window_rows` reads it in batches of
-    ``batch`` windows.
+    ``batch`` windows.  The column may be several laid end to end, row t's
+    positions, ranks and runs shifted by the length of those before it: a
+    run never crosses a seam and no window crosses one either, so each
+    window finds only runs of its own row, and every weight below is a
+    difference of its start and its runs' positions, in which the shift
+    cancels, or pairs with ranks shifted alike.
 
     A window's head run is the last one starting at or before its start,
     and its tail run the last one starting before its end; every run

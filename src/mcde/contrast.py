@@ -22,10 +22,11 @@ lone d=2 monitor window form one group, while a stack of 40 such windows
 of width 900, a benchmark pass or an estimate at n=1e5 composes one
 reference at a time.  The
 iterations of a group are scored in batches: all those that drew a
-tie-free reference, whose windows are ranked by position, form one batch,
-whatever their reference and index, and those of a tied reference form a
-batch per index, with its ranks and the runs its windows cut, found once
-for all of its iterations (:func:`mcde._kernels.cut_runs`).  Slice
+tie-free reference, whose windows are ranked by position, form one batch
+series, whatever their reference and index, and all those that drew a tied
+reference form another, its references' ranks and runs laid end to end as
+one long column, with the runs its windows cut found once for all of its
+iterations (:func:`mcde._kernels.cut_runs`).  Slice
 membership over the restriction windows, the window statistics and the
 test values are each a few 2-D numpy passes over a batch
 (:func:`mcde.slicing.slice_windows`, :func:`mcde._kernels.window_rows`,
@@ -141,10 +142,16 @@ def _estimate(indexes, alpha: float, seeds, draws: np.ndarray,
     dimensions are taken in groups whose stack rows fill about
     ``_CHUNK_CELLS`` positions, at least one reference each.  Every
     iteration of a group with a tie-free reference ranks its window by
-    position, so those iterations are scored together; a tied reference brings
-    its own ranks and runs, so its iterations are scored per stack row, and
-    the runs their windows cut are found once for all of them.
-    Each score is bit-identical to the one its index gets alone.
+    position, so those iterations are scored together.  A tied reference
+    brings its own ranks and runs, so the group's tied stack rows are laid
+    end to end as one column of ``T * n`` positions: row t's ranks, run
+    starts and window starts are shifted by ``t * n``, its windows never
+    cross its end, and the runs all their windows cut are found at once.
+    Every term and partial sum of a rank sum then lies below ``8 * width *
+    T * n`` in magnitude, so at most ``2**48 // (n * width)`` rows are laid
+    together, and the sums stay exact multiples of 0.5 below 2**52.  One
+    row is laid alone at any size and reads its column's own arrays.  Each
+    score is bit-identical to the one its index gets alone.
     """
     n, d = indexes[0].n, indexes[0].d
     reps, m = draws.shape[:2]
@@ -171,6 +178,8 @@ def _estimate(indexes, alpha: float, seeds, draws: np.ndarray,
     n1 = np.empty(reps * m, dtype=np.int64)
     corr = np.empty(reps * m)
     chunk = max(1, _CHUNK_CELLS // width)
+    # the most tied stack rows laid end to end as one column (see above)
+    lay = max(1, 2**48 // (n * width))
     others = [[j for j in range(d) if j != ref] for ref in range(d)]
     group_rows = reps * max(1, _CHUNK_CELLS // (reps * (d - 1) * n))
     for top in range(0, d * reps, group_rows):
@@ -181,9 +190,8 @@ def _estimate(indexes, alpha: float, seeds, draws: np.ndarray,
         # stack rows some iteration drew fill theirs
         positions = np.empty((len(rows), d - 1, n), dtype=dtype)
         windows = window_view(positions, width)
-        groups = []  # (iterations, reference dimension), scored together
         free = np.zeros(d * reps, dtype=np.bool_)  # the tie-free stack rows
-        free_dim = None
+        tied = []  # the tied stack rows and their dimensions
         for s in rows:
             if not drew[s]:
                 continue
@@ -193,29 +201,39 @@ def _estimate(indexes, alpha: float, seeds, draws: np.ndarray,
                 _gather(positions[s - top, c], pos[k, j], dim.row_ids)
             if dim.adjusted_ranks is None:
                 free[s] = True
-                free_dim = dim
             else:
-                groups.append((np.flatnonzero(stack == s), dim))
-        if free_dim is not None:
-            groups.append((np.flatnonzero(free[stack]), free_dim))
-        for group, dim in groups:
-            tied = dim.adjusted_ranks is not None
-            if tied:
-                ranks = window_view(dim.adjusted_ranks, width)
-                cuts = _kernels.cut_runs(restrictions[group], width, dim.run_starts,
-                                         dim.run_lengths, chunk)
+                tied.append((s, dim))
+        # (iterations, ranks, window starts, cut runs), scored together
+        series = [(np.flatnonzero(free[stack]), None, None, None)] if free.any() else []
+        for at in range(0, len(tied), lay):
+            laid = tied[at:at + lay]
+            if len(laid) == 1:  # no copy
+                dim = laid[0][1]
+                ranks, run_starts, run_lengths = dim.adjusted_ranks, dim.run_starts, dim.run_lengths
+            else:
+                ranks = np.concatenate([dim.adjusted_ranks + t * n for t, (_, dim) in enumerate(laid)])
+                run_starts = np.concatenate([dim.run_starts + t * n for t, (_, dim) in enumerate(laid)])
+                run_lengths = np.concatenate([dim.run_lengths for _, dim in laid])
+            # the offset of each laid stack row in the long column, -1 elsewhere
+            offset = np.full(d * reps, -1)
+            offset[[s for s, _ in laid]] = np.arange(0, len(laid) * n, n)
+            group = np.flatnonzero(offset[stack] >= 0)
+            starts = restrictions[group] + offset[stack[group]]
+            series.append((group, window_view(ranks, width), starts,
+                           _kernels.cut_runs(starts, width, run_starts, run_lengths, chunk)))
+        for group, ranks, starts, cuts in series:
             for at in range(0, group.size, chunk):
                 its = group[at:at + chunk]
-                lo = restrictions[its]
-                member = slice_windows(windows, stack[its] - top, draws[its, 1:-1], size, lo)
-                if not tied:
-                    r1[its], n1[its], corr[its] = _kernels.window_rows(member, None, lo, width)
+                member = slice_windows(windows, stack[its] - top, draws[its, 1:-1], size,
+                                       restrictions[its])
+                if ranks is None:
+                    r1[its], n1[its], corr[its] = _kernels.window_rows(member)
                     continue
+                lo = starts[at:at + chunk]
                 # one window reads a view of its ranks, as slice_windows does
                 window_ranks = ranks[lo[0]:lo[0] + 1] if its.size == 1 else ranks[lo]
                 r1[its], n1[its], corr[its] = _kernels.window_rows(
-                    member, window_ranks, lo, width,
-                    cuts=[part[..., at:at + chunk] for part in cuts])
+                    member, window_ranks, [part[..., at:at + chunk] for part in cuts])
         # free them before the next group allocates its own
         del positions, windows
 

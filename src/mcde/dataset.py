@@ -148,9 +148,17 @@ class Dataset:
         return f"Dataset(n={self.n}, d={self.d}, columns={list(self.column_names)})"
 
 
+def check_index(j: int) -> int:
+    """A column index as an ``int``: any integer but a bool, which would
+    select column 0 or 1."""
+    if isinstance(j, bool):
+        raise TypeError("a column index must be an integer, not a bool")
+    return operator.index(j)
+
+
 def check_dims(dims: Sequence[int], d: int) -> tuple[int, ...]:
     """Validate a column-index selection: distinct integers, each in [0, d)."""
-    dims = tuple(map(operator.index, dims))
+    dims = tuple(map(check_index, dims))
     if len(set(dims)) != len(dims):
         raise ValueError(f"duplicate column indices in {list(dims)}")
     for j in dims:

@@ -66,6 +66,8 @@ class DependencySpec:
             raise ValueError(
                 f"unknown dependency kind {self.kind!r}; choose from {DEPENDENCY_KINDS}"
             )
+        for count in ("n", "d"):
+            object.__setattr__(self, count, check_count(getattr(self, count)))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         min_d = 1 if self.kind == "independent" else 2

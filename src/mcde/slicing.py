@@ -34,6 +34,8 @@ def _iceil(x: float) -> int:
 
 
 def check_alpha(alpha: float) -> float:
+    if isinstance(alpha, (bool, np.bool_)):
+        raise TypeError("alpha must be a number, not a bool")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     return float(alpha)

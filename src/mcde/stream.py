@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -81,6 +80,7 @@ import numpy as np
 
 from ._rng import LANES, check_seed, derive_seed, derive_seeds
 from .contrast import ContrastEstimate, _draw, _estimate
+from .dataset import check_index
 from .ranking import DimensionIndex, RankIndex, _build_dimension, _tie_free, _tiebreak
 from .slicing import check_alpha, check_count
 
@@ -116,7 +116,7 @@ class WindowConfig:
     drift_patience: int = 3
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(map(operator.index, self.dims)))
+        object.__setattr__(self, "dims", tuple(map(check_index, self.dims)))
         for count in ("width", "step", "m", "drift_patience"):
             object.__setattr__(self, count, check_count(getattr(self, count)))
         if self.width < 2:

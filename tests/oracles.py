@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 import mcde
-from mcde._kernels import window_rows
+from mcde._kernels import cut_runs, window_rows
 from mcde.dataset import _decode_error_line, _looks_numeric, _parse_cell
 from mcde.mwp import confidences, restriction_bounds
 
@@ -183,11 +183,8 @@ def window_stats(member, order, adjusted_ranks, start, end, *, run_starts, run_l
     Returns ``(rank_sum, member_count, tie_correction)``.
     """
     ranks = None if adjusted_ranks is None else adjusted_ranks[None, start:end]
-    r1, n1, corr = window_rows(
-        member[order[start:end]][None], ranks,
-        np.array([start]), end - start,
-        run_starts=run_starts, run_lengths=run_lengths,
-    )
+    cuts = cut_runs(np.array([start]), end - start, run_starts, run_lengths, 1)
+    r1, n1, corr = window_rows(member[order[start:end]][None], ranks, cuts)
     return float(r1[0]), int(n1[0]), float(corr[0])
 
 

@@ -50,6 +50,10 @@ def test_single_row_rejected():
 def test_bad_alpha_and_seed_rejected(uniform_ds):
     with pytest.raises(ValueError):
         contrast(uniform_ds, m=5, alpha=0.0)
+    # a bool would score at alpha 1
+    for alpha in (True, np.bool_(True)):
+        with pytest.raises(TypeError, match="alpha must be a number, not a bool"):
+            contrast(uniform_ds, m=5, alpha=alpha)
     with pytest.raises(ValueError):
         contrast(uniform_ds, m=5, seed=-1)
     # a bool would score as seed 0 or 1
@@ -305,18 +309,24 @@ def test_stacked_estimate_equals_one_contrast_per_index(n, d, alpha):
 @st.composite
 def _stacks(draw):
     """A stack of indexes of one (n, d), each column continuous, at a drawn
-    number of tie levels, or constant."""
+    number of tie levels, or constant.  In every index one column's least
+    and greatest values are both tied (it is constant below 4 rows), so
+    where tied stack rows are laid end to end, runs meet at every seam."""
     n = draw(st.integers(2, 300))
     d = draw(st.integers(2, 5))
-    reps = draw(st.integers(1, 4))
+    reps = draw(st.integers(1, 8))
+    seam = draw(st.integers(0, d - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     indexes = []
     for _ in range(reps):
         columns = []
-        for _ in range(d):
+        for j in range(d):
             levels = draw(st.sampled_from([0, 1, 2, 7, n // 2 + 1]))
             column = rng.random(n)
-            columns.append(np.floor(column * levels) if levels else column)
+            column = np.floor(column * levels) if levels else column
+            if j == seam:
+                column[rng.permutation(n)[:4]] = [-1.0, -1.0, n, n] if n >= 4 else -1.0
+            columns.append(column)
         indexes.append(mcde.construct_index(mcde.Dataset(np.column_stack(columns))))
     return indexes
 
@@ -342,6 +352,44 @@ def test_estimate_does_not_depend_on_stack_or_grouping(indexes, m, alpha, group,
         stacked = _estimate(indexes, alpha, seeds, draws, record_iterations=True)
     for estimate, single in zip(stacked, alone, strict=True):
         assert estimate.score == single.per_iteration.mean()
+        assert estimate.per_iteration.tobytes() == single.per_iteration.tobytes()
+        assert dataclasses.replace(estimate, per_iteration=None) == \
+            dataclasses.replace(single, per_iteration=None)
+
+
+@pytest.mark.parametrize("references_per_group", [None, 1])
+def test_a_stack_finds_the_cut_runs_of_its_tied_references_once_per_group(
+        monkeypatch, references_per_group):
+    # 8 indexes whose references are all tied, each column's least and
+    # greatest values too: one cut_runs call per reference group, whatever
+    # the stack, and every estimate as its index gets it alone
+    rng = np.random.default_rng(8)
+    n, d, reps = 60, 3, 8
+    indexes = []
+    for _ in range(reps):
+        values = np.floor(rng.random((n, d)) * 5)
+        values[:2], values[-2:] = -1.0, 5.0
+        indexes.append(mcde.construct_index(mcde.Dataset(values)))
+    seeds = list(range(reps))
+    alone = [contrast(index, m=40, seed=s, record_iterations=True)
+             for index, s in zip(indexes, seeds)]
+    draws = _draw(seeds, n, d, 40, 0.5)
+    assert np.unique(draws[..., 0]).size == d
+    module = importlib.import_module("mcde.contrast")
+    if references_per_group:
+        monkeypatch.setattr(module, "_CHUNK_CELLS", references_per_group * reps * (d - 1) * n)
+    calls = []
+    cut_runs = _kernels.cut_runs
+
+    def spy(starts, *args):
+        calls.append(starts.size)
+        return cut_runs(starts, *args)
+
+    monkeypatch.setattr(module._kernels, "cut_runs", spy)
+    stacked = _estimate(indexes, 0.5, seeds, draws, record_iterations=True)
+    assert calls == ([reps * 40] if references_per_group is None
+                     else np.bincount(draws[..., 0].ravel(), minlength=d).tolist())
+    for estimate, single in zip(stacked, alone, strict=True):
         assert estimate.per_iteration.tobytes() == single.per_iteration.tobytes()
         assert dataclasses.replace(estimate, per_iteration=None) == \
             dataclasses.replace(single, per_iteration=None)

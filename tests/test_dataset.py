@@ -445,6 +445,9 @@ def test_select_subspace_rejects_a_non_integral_column_index():
     ds = Dataset(np.arange(6.0).reshape(2, 3))
     with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
         select_subspace(ds, [0, 2.9])
+    # a bool would select column 0 or 1
+    with pytest.raises(TypeError, match="a column index must be an integer, not a bool"):
+        select_subspace(ds, [True, 0])
     assert select_subspace(ds, [np.int64(2), np.int32(0)]).column_names == ("col2", "col0")
 
 

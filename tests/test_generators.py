@@ -141,6 +141,15 @@ def test_spec_validation():
         DependencySpec("linear", 10, 2, 0.0, seed=-5)
     with pytest.raises(ValueError, match="^seed must be a non-negative integer, got True$"):
         DependencySpec("linear", 10, 2, 0.0, seed=True)
+    # n and d are counts: checked by the spec, not by numpy in generate
+    for kind, n, d in [("independent", 2.5, 2), ("linear", 10, 2.0)]:
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            DependencySpec(kind, n, d)
+    for n, d in [(True, 2), (10, True)]:
+        with pytest.raises(TypeError, match="a count must be an integer, not a bool"):
+            DependencySpec("linear", n, d)
+    spec = DependencySpec("linear", np.int64(10), np.int32(2))
+    assert (spec.n, spec.d) == (10, 2) and type(spec.n) is type(spec.d) is int
 
 
 def test_discretise_omega_one_is_constant():

@@ -138,8 +138,8 @@ def test_window_rows_equal_one_window_at_a_time(case):
     member = rng.random(n) < 0.5
     rows = np.array([member[order][s:s + width] for s in starts])
     ranks = None if adj is None else np.array([adj[s:s + width] for s in starts])
-    r1, n1, corr = _kernels.window_rows(rows, ranks, starts, width,
-                                        run_starts=run_starts, run_lengths=run_lengths)
+    cuts = _kernels.cut_runs(starts, width, run_starts, run_lengths, len(starts))
+    r1, n1, corr = _kernels.window_rows(rows, ranks, cuts)
     for i, s in enumerate(starts.tolist()):
         expected = local_window_stats_oracle(member, order, column, s, s + width)
         assert (r1[i], n1[i], corr[i]) == expected
@@ -155,11 +155,10 @@ def test_tie_free_window_rows_equal_explicit_ranks(width):
     starts = np.array([0, 40]) if width > 2**20 else rng.integers(0, n - width + 1, 9)
     member = rng.random((starts.size, width)) < 0.5
     empty = np.empty(0, dtype=np.intp)
-    got = _kernels.window_rows(member, None, starts, width,
-                               run_starts=empty, run_lengths=empty)
+    got = _kernels.window_rows(member)
     explicit = window_view(np.arange(n, dtype=np.float64), width)[starts]
-    expected = _kernels.window_rows(member, explicit, starts, width,
-                                    run_starts=empty, run_lengths=empty)
+    expected = _kernels.window_rows(member, explicit,
+                                    _kernels.cut_runs(starts, width, empty, empty, len(starts)))
     for g, e in zip(got, expected):
         assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
     exact = [int(np.flatnonzero(row).sum()) for row in member]
@@ -189,8 +188,8 @@ def test_packed_window_rows_equal_oracle_at_every_width(tied):
         starts = rng.integers(0, n - width + 1, size=len(members))
         rows = np.array([m[order][s:s + width] for m, s in zip(members, starts)])
         ranks = None if adj is None else window_view(adj, width)[starts]
-        r1, n1, corr = _kernels.window_rows(rows, ranks, starts, width,
-                                            run_starts=run_starts, run_lengths=run_lengths)
+        cuts = _kernels.cut_runs(starts, width, run_starts, run_lengths, len(starts))
+        r1, n1, corr = _kernels.window_rows(rows, ranks, cuts)
         assert r1.dtype == np.float64 and n1.dtype == np.int64
         for i, (member, s) in enumerate(zip(members, starts.tolist())):
             expected = local_window_stats_oracle(member, order, column, s, s + width)
@@ -211,8 +210,8 @@ def test_packed_window_rows_exact_past_int64_safe_width(tied):
     members = _member_vectors(rng, n)
     rows = np.array([m[s:s + width] for m, s in zip(members, starts)])
     ranks = None if adj is None else window_view(adj, width)[starts]
-    r1, n1, corr = _kernels.window_rows(rows, ranks, starts, width,
-                                        run_starts=run_starts, run_lengths=run_lengths)
+    cuts = _kernels.cut_runs(starts, width, run_starts, run_lengths, len(starts))
+    r1, n1, corr = _kernels.window_rows(rows, ranks, cuts)
     for i, s in enumerate(starts.tolist()):
         if tied:
             head = 3 - s % 3
@@ -239,18 +238,17 @@ def _check_batched_cuts(column, width, starts, seed):
     members = np.random.default_rng(seed).random((starts.size, column.size)) < 0.5
     rows = np.array([m[s:s + width] for m, s in zip(members, starts)])
     ranks = window_view(adj, width)[starts]
-    got = _kernels.window_rows(rows, ranks, starts, width,
-                               run_starts=run_starts, run_lengths=run_lengths)
+    got = _kernels.window_rows(
+        rows, ranks, _kernels.cut_runs(starts, width, run_starts, run_lengths, len(starts)))
     batch = max(1, starts.size // 2)
     cuts = _kernels.cut_runs(starts, width, run_starts, run_lengths, batch)
     for part in (slice(at, at + batch) for at in range(0, starts.size, batch)):
-        read = _kernels.window_rows(rows[part], ranks[part], starts[part], width,
-                                    cuts=[c[..., part] for c in cuts])
+        read = _kernels.window_rows(rows[part], ranks[part], [c[..., part] for c in cuts])
         for g, r in zip(got, read):
             assert g[part].tobytes() == r.tobytes()
     for i, s in enumerate(starts.tolist()):
-        one = _kernels.window_rows(rows[i:i + 1], ranks[i:i + 1], starts[i:i + 1], width,
-                                   run_starts=run_starts, run_lengths=run_lengths)
+        one = _kernels.window_rows(rows[i:i + 1], ranks[i:i + 1],
+                                   _kernels.cut_runs(starts[i:i + 1], width, run_starts, run_lengths, 1))
         expected = local_window_stats_oracle(members[i], order, column, s, s + width)
         assert (got[0][i], got[1][i], got[2][i]) == (one[0][0], one[1][0], one[2][0]) == expected, s
 

@@ -169,6 +169,8 @@ def test_projection_rejects_a_non_integral_column_index():
     index = construct_index(Dataset(np.random.default_rng(5).random((50, 4))))
     with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
         index.project([0, 1.5])
+    with pytest.raises(TypeError, match="a column index must be an integer, not a bool"):
+        index.project([False, 2])
     sub = index.project([np.int64(3), np.int32(1)])
     assert sub.dims == (index.dims[3], index.dims[1])
 

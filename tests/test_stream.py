@@ -157,6 +157,8 @@ def test_config_rejects_a_non_integral_count(count):
 def test_config_rejects_a_non_integral_column_index():
     with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
         WindowConfig(width=10, dims=(0, 1.7))
+    with pytest.raises(TypeError, match="a column index must be an integer, not a bool"):
+        WindowConfig(width=10, dims=(True, 0))
     cfg = WindowConfig(width=10, dims=(np.int64(2), np.int32(0)))
     assert cfg.dims == (2, 0) and all(type(j) is int for j in cfg.dims)
 
