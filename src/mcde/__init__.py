@@ -39,7 +39,6 @@ from .dataset import (
     ValidationError,
     load_csv,
     read_csv,
-    save_csv,
     select_subspace,
     write_csv,
 )
@@ -50,7 +49,6 @@ from .generators import (
     generate,
 )
 from .ranking import DimensionIndex, RankIndex, construct_index
-from .slicing import slice_size
 from .stream import (
     RowError,
     StreamFormatError,
@@ -76,7 +74,6 @@ __all__ = [
     "ValidationError",
     "load_csv",
     "read_csv",
-    "save_csv",
     "select_subspace",
     "write_csv",
     "DEPENDENCY_KINDS",
@@ -86,7 +83,6 @@ __all__ = [
     "DimensionIndex",
     "RankIndex",
     "construct_index",
-    "slice_size",
     "PowerResult",
     "RuntimeResult",
     "independence_threshold",

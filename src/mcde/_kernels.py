@@ -16,9 +16,9 @@ against its global tie-averaged ranks in one 2-D pass.  Those are already
 the window-local ranks, shifted by the window start, everywhere except in
 the at most two tie runs the window boundary cuts.  Which runs a window
 cuts depends only on its start, so :func:`cut_runs` finds them for many
-windows of a column at once: two ``searchsorted`` passes give each window's
-head run, the last one starting at or before its start, and its tail run,
-the last one starting before its end.  The head run's part of the window is
+windows of a tied column at once: two ``searchsorted`` passes give each
+window's head run, the last one starting at or before its start, and its
+tail run, the last one starting before its end.  The head run's part of the window is
 a prefix of its row and a cut tail run's part a suffix, each of one global
 rank, so the 2-D pass sums only between a batch's cut parts, and the fix
 needs only the members before five edges of each row, which
@@ -27,10 +27,11 @@ popcounts, with no loop over windows.  A window's tie correction is the
 ``g**3 - g`` of its head and tail parts plus that of the runs between them,
 a difference of prefix sums over the column's runs: below 2**21 positions
 per window the difference is exact in int64 even where the prefix sums
-wrap, and a wider window sums its runs as exact integers.  Rank sums are
-multiples of 0.5 below 2**52 when the caller keeps ``16 * width`` times
-the column's length below 2**52, and each tie correction is rounded once to
-float64, so the results do not depend on summation order.
+wrap, and a wider window sums its runs' terms by their 32-bit halves.
+Rank sums are multiples of 0.5 below 2**52 when the caller keeps
+``16 * width`` times the column's length below 2**52, and each tie
+correction is rounded once to float64, so the results do not depend on
+summation order.
 """
 
 from __future__ import annotations
@@ -48,14 +49,10 @@ _BIT_POSITIONS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
 # the bits below bit b of a 64-bit word, for b in 0..64
 _LOW_BITS = np.array([(1 << b) - 1 for b in range(65)], dtype=np.uint64)
 
-# the runs cut_runs reads for a column without tie runs: one empty run
-_NO_RUN = np.zeros(1, dtype=np.intp)
 
-
-def _tie_correction(counts: np.ndarray, width: int) -> int:
-    """Exact ``sum(g**3 - g)`` over the group sizes ``counts`` of a window."""
-    if width < _INT64_SAFE_WIDTH:
-        return int((counts * counts * counts - counts).sum())
+def _tie_correction(counts: np.ndarray) -> int:
+    """Exact ``sum(g**3 - g)`` over the group sizes ``counts`` of a window
+    of any width."""
     # groups below the safe width have terms < 2**63; their 32-bit halves
     # sum without overflow.  At most width / 2**21 groups are larger.
     big = counts >= _INT64_SAFE_WIDTH
@@ -141,14 +138,15 @@ def window_rows(member, ranks=None, cuts=None):
 
 
 def cut_runs(starts, width, run_starts, run_lengths, batch):
-    """Where the tie runs of one column meet each window ``[starts[i],
-    starts[i] + width)``, as :func:`window_rows` reads it in batches of
-    ``batch`` windows.  The column may be several laid end to end, row t's
-    positions, ranks and runs shifted by the length of those before it: a
-    run never crosses a seam and no window crosses one either, so each
-    window finds only runs of its own row, and every weight below is a
-    difference of its start and its runs' positions, in which the shift
-    cancels, or pairs with ranks shifted alike.
+    """Where the tie runs of one tied column, which has at least one run,
+    meet each window ``[starts[i], starts[i] + width)``, as
+    :func:`window_rows` reads it in batches of ``batch`` windows.  The
+    column may be several laid end to end, row t's positions, ranks and
+    runs shifted by the length of those before it: a run never crosses a
+    seam and no window crosses one either, so each window finds only runs
+    of its own row, and every weight below is a difference of its start
+    and its runs' positions, in which the shift cancels, or pairs with
+    ranks shifted alike.
 
     A window's head run is the last one starting at or before its start,
     and its tail run the last one starting before its end; every run
@@ -169,8 +167,6 @@ def cut_runs(starts, width, run_starts, run_lengths, batch):
     shape (5, windows), the last the windows' exact tie corrections rounded
     once to float64.
     """
-    if not run_starts.size:  # ranks given for a tie-free column
-        run_starts = run_lengths = _NO_RUN
     ends = starts + width
     head, tail = np.searchsorted(run_starts, np.add.outer((0, width - 1), starts), "right") - 1
     head_start, tail_start = run_starts[head], run_starts[tail]
@@ -214,7 +210,7 @@ def cut_runs(starts, width, run_starts, run_lengths, batch):
         corr = (cubes[outer - lo] - cubes[inner - lo]
                 + head_g * head_g * head_g - head_g + tail_g * tail_g * tail_g - tail_g)
         return edge, word, bits, weight, corr.astype(np.float64)
-    corr = [float(_tie_correction(np.concatenate(([h], run_lengths[lo:hi], [t])), width))
+    corr = [float(_tie_correction(np.concatenate(([h], run_lengths[lo:hi], [t]))))
             for h, t, lo, hi in zip(head_g.tolist(), tail_g.tolist(), inner.tolist(), outer.tolist())]
     return edge, word, bits, weight, np.array(corr)
 

@@ -18,6 +18,7 @@ grow with n.  Timing results are the only non-deterministic output.
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
 from dataclasses import dataclass, fields, replace
@@ -27,7 +28,7 @@ import numpy as np
 
 from ._rng import LANES, check_seed, derive_seed, derive_seeds
 from .contrast import _CHUNK_CELLS, _check_shape, _draw, _estimate, contrast
-from .generators import DependencySpec, _check_omega, discretise, generate
+from .generators import DependencySpec, discretise, generate
 from .ranking import construct_index
 from .slicing import check_alpha, check_count
 
@@ -78,11 +79,7 @@ def score_sample(
     omega: int | None = None,
 ) -> np.ndarray:
     """Score ``reps`` fresh instances of ``spec``; one derived seed each."""
-    reps, m = check_count(reps), check_count(m)
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    reps, m = check_count(reps, "reps"), check_count(m, "m")
     alpha = check_alpha(alpha)
     seed = check_seed(seed)
     _check_shape(spec.n, spec.d)
@@ -112,6 +109,8 @@ def _instance(spec: DependencySpec, seed: int, omega: int | None):
 
 
 def _check_gamma(gamma: float) -> None:
+    if isinstance(gamma, (bool, np.bool_)):
+        raise TypeError("gamma must be a number, not a bool")
     if not 0.0 < gamma < 100.0:
         raise ValueError(f"gamma must be in (0, 100), got {gamma}")
 
@@ -196,11 +195,13 @@ def power(
     seed = check_seed(seed)
     _check_gamma(gamma)
     if omega is not None:
-        omega = _check_omega(omega)
+        omega = check_count(omega, "omega")
     if threshold is None:
         threshold = independence_threshold(
             spec.n, spec.d, m=m, gamma=gamma, reps=reps, alpha=alpha, seed=seed
         )
+    elif not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     scores = score_sample(
         spec, reps, m=m, alpha=alpha, seed=derive_seed(seed, _DEP_STREAM), omega=omega
     )
@@ -226,7 +227,7 @@ def robustness_sweep(
     usual null bar.
     """
     seed = check_seed(seed)
-    omega_levels = [_check_omega(omega) for omega in omega_levels]
+    omega_levels = [check_count(omega, "omega") for omega in omega_levels]
     # every cell's spec is built before any scoring, so a bad kind fails first
     cells = [
         (DependencySpec(kind, n, d, float(noise), seed=0), omega,
@@ -253,9 +254,7 @@ def runtime_profile(
 ) -> list[RuntimeResult]:
     """Median wall-clock times per (n, d): index build, contrast with a
     prebuilt index, and contrast including the build."""
-    m, reps = check_count(m), check_count(reps)
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    m, reps = check_count(m), check_count(reps, "reps")
     seed = check_seed(seed)
     n_values = [check_count(n) for n in n_values]
     d_values = [check_count(d) for d in d_values]

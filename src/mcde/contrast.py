@@ -113,9 +113,7 @@ def contrast(
     values on the result.  ``seed`` keys the 64-bit Philox streams of the
     iterations, so it must lie in [0, 2**64).
     """
-    m = check_count(m)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = check_count(m, "m")
     alpha = check_alpha(alpha)
     seed = check_key_seed(seed)
     index = data if isinstance(data, RankIndex) else construct_index(data)
@@ -259,9 +257,7 @@ def _estimate(indexes, alpha: float, seeds, draws: np.ndarray,
 
 def hoeffding_bound(m: int, epsilon: float) -> float:
     """Upper bound on the probability of an estimate deviating >= epsilon."""
-    m = check_count(m)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = check_count(m, "m")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     return min(1.0, 2.0 * math.exp(-2.0 * m * epsilon * epsilon))

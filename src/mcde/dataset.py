@@ -131,10 +131,6 @@ class Dataset:
     def d(self) -> int:
         return self.values.shape[1]
 
-    def column(self, j: int) -> np.ndarray:
-        """Contiguous read-only view of column ``j``."""
-        return self.values[:, j]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
@@ -738,8 +734,3 @@ def write_csv(ds: Dataset, fh, delimiter: str = ",") -> None:
     # the csv module writes a float as its repr
     for lo in range(0, ds.n, _BLOCK_LINES):
         writer.writerows(ds.values[lo:lo + _BLOCK_LINES].tolist())
-
-
-def save_csv(ds: Dataset, path: str, delimiter: str = ",") -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_csv(ds, fh, delimiter=delimiter)

@@ -26,6 +26,7 @@ independent      every coordinate i.i.d. U[0,1]
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,15 +67,17 @@ class DependencySpec:
             raise ValueError(
                 f"unknown dependency kind {self.kind!r}; choose from {DEPENDENCY_KINDS}"
             )
-        for count in ("n", "d"):
-            object.__setattr__(self, count, check_count(getattr(self, count)))
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", check_count(self.n, "n"))
+        object.__setattr__(self, "d", check_count(self.d))
         min_d = 1 if self.kind == "independent" else 2
         if self.d < min_d:
             raise ValueError(f"kind {self.kind!r} needs d >= {min_d}, got {self.d}")
+        if isinstance(self.noise, (bool, np.bool_)):
+            raise TypeError("noise must be a number, not a bool")
         if self.noise < 0:
             raise ValueError(f"noise must be >= 0, got {self.noise}")
+        if not math.isfinite(self.noise):
+            raise ValueError(f"noise must be finite, got {self.noise}")
         check_seed(self.seed)
 
 
@@ -154,20 +157,13 @@ def generate(spec: DependencySpec) -> Dataset:
     return Dataset(x)
 
 
-def _check_omega(omega: int) -> int:
-    omega = check_count(omega)
-    if omega < 1:
-        raise ValueError(f"omega must be >= 1, got {omega}")
-    return omega
-
-
 def discretise(ds: Dataset, omega: int) -> Dataset:
     """Round every value to one of ``omega`` evenly spaced levels in [0, 1].
 
     Values are clamped into [0, 1] first since noised data may leave the
     unit range.  ``omega=1`` collapses everything to the constant 0.
     """
-    omega = _check_omega(omega)
+    omega = check_count(omega, "omega")
     clipped = np.clip(ds.values, 0.0, 1.0)
     if omega == 1:
         binned = np.zeros_like(clipped)

@@ -41,26 +41,20 @@ def check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
-def check_count(count: int) -> int:
+def check_count(count: int, name: str | None = None, least: int = 1) -> int:
     """``count`` as an ``int``: any integer but a bool, which would count
-    as 0 or 1."""
+    as 0 or 1.  A named count must also be at least ``least``."""
     if isinstance(count, bool):
         raise TypeError("a count must be an integer, not a bool")
-    return operator.index(count)
-
-
-def slice_size(n: int, d: int, alpha: float = 0.5) -> int:
-    """Rows kept per condition: ``ceil(n * alpha**(1/(d-1)))``, in [1, n]."""
-    n, d = check_count(n), check_count(d)
-    if d < 2:
-        raise ValueError(f"slice size needs d >= 2 dimensions, got d={d}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return _slice_size(n, d, check_alpha(alpha))
+    count = operator.index(count)
+    if name is not None and count < least:
+        raise ValueError(f"{name} must be >= {least}, got {count}")
+    return count
 
 
 def _slice_size(n: int, d: int, alpha: float) -> int:
-    """:func:`slice_size` of arguments already checked, as an estimate's are."""
+    """Rows kept per condition: ``ceil(n * alpha**(1/(d-1)))``, in [1, n],
+    for the checked ``n >= 1``, ``d >= 2`` and ``alpha`` of an estimate."""
     return max(1, min(n, _iceil(n * alpha ** (1.0 / (d - 1)))))
 
 

@@ -117,12 +117,8 @@ class WindowConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(map(check_index, self.dims)))
-        for count in ("width", "step", "m", "drift_patience"):
-            object.__setattr__(self, count, check_count(getattr(self, count)))
-        if self.width < 2:
-            raise ValueError(f"width must be >= 2, got {self.width}")
-        if self.step < 1:
-            raise ValueError(f"step must be >= 1, got {self.step}")
+        for count, least in (("width", 2), ("step", 1), ("m", 1), ("drift_patience", 1)):
+            object.__setattr__(self, count, check_count(getattr(self, count), count, least))
         if len(self.dims) < 2:
             raise ValueError(f"need at least 2 monitored columns, got {self.dims}")
         if len(set(self.dims)) != len(self.dims):
@@ -130,13 +126,9 @@ class WindowConfig:
         for j in self.dims:
             if j < 0:
                 raise ValueError(f"column index {j} out of range")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
         object.__setattr__(self, "alpha", check_alpha(self.alpha))
         if not math.isfinite(self.drift_threshold):
             raise ValueError(f"drift_threshold must be finite, got {self.drift_threshold}")
-        if self.drift_patience < 1:
-            raise ValueError(f"drift_patience must be >= 1, got {self.drift_patience}")
         check_seed(self.seed)
 
 

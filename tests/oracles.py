@@ -26,6 +26,7 @@ import mcde
 from mcde._kernels import cut_runs, window_rows
 from mcde.dataset import _decode_error_line, _looks_numeric, _parse_cell
 from mcde.mwp import confidences, restriction_bounds
+from mcde.slicing import window_view
 
 
 def average_ranks_oracle(column):
@@ -161,7 +162,9 @@ def draw_slice(index, ref_dim, alpha, rng):
     if not 0 <= ref_dim < index.d:
         raise ValueError(f"ref_dim {ref_dim} out of range for d={index.d}")
     n = index.n
-    size = mcde.slice_size(n, index.d, alpha)
+    # ceil(n * alpha**(1/(d-1))) in [1, n], forgiving float overshoot below
+    # 1e-9 (300.0000000004 keeps 300 rows)
+    size = max(1, min(n, math.ceil(n * alpha ** (1.0 / (index.d - 1)) - 1e-9)))
     member = np.ones(n, dtype=bool)
     if size >= n:
         return member
@@ -182,10 +185,20 @@ def window_stats(member, order, adjusted_ranks, start, end, *, run_starts, run_l
 
     Returns ``(rank_sum, member_count, tie_correction)``.
     """
-    ranks = None if adjusted_ranks is None else adjusted_ranks[None, start:end]
-    cuts = cut_runs(np.array([start]), end - start, run_starts, run_lengths, 1)
-    r1, n1, corr = window_rows(member[order[start:end]][None], ranks, cuts)
+    r1, n1, corr = column_window_rows(member[order[start:end]][None], adjusted_ranks,
+                                      np.array([start]), end - start, run_starts, run_lengths)
     return float(r1[0]), int(n1[0]), float(corr[0])
+
+
+def column_window_rows(rows, adjusted_ranks, starts, width, run_starts, run_lengths):
+    """``window_rows`` of the windows ``[starts[i], starts[i] + width)`` of
+    one column, called as ``contrast`` calls it: a tie-free column
+    (``adjusted_ranks`` is ``None``) with the membership alone, a tied one
+    with its ranks and the windows' cut runs."""
+    if adjusted_ranks is None:
+        return window_rows(rows)
+    cuts = cut_runs(starts, width, run_starts, run_lengths, len(starts))
+    return window_rows(rows, window_view(adjusted_ranks, width)[starts], cuts)
 
 
 class MwpOutcome(NamedTuple):

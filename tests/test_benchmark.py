@@ -1,6 +1,7 @@
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import mcde
@@ -78,6 +79,10 @@ _BOOL_COUNT = "a count must be an integer, not a bool"
     (dict(omega=2.5, threshold=0.5), TypeError, _FLOAT_COUNT),
     (dict(omega=True), TypeError, _BOOL_COUNT),
     (dict(seed=True, threshold=0.5), ValueError, r"^seed must be a non-negative integer, got True$"),
+    (dict(threshold=float("nan")), ValueError, r"^threshold must be finite, got nan$"),
+    (dict(threshold=float("-inf")), ValueError, r"^threshold must be finite, got -inf$"),
+    (dict(gamma=True, threshold=0.5), TypeError, r"^gamma must be a number, not a bool$"),
+    (dict(gamma=np.True_), TypeError, r"^gamma must be a number, not a bool$"),
 ])
 def test_power_checks_its_arguments_before_scoring(monkeypatch, kwargs, error, message):
     _no_scoring(monkeypatch)
@@ -97,6 +102,8 @@ def test_independence_threshold_checks_gamma_before_scoring(monkeypatch):
     (dict(omega_levels=[True]), TypeError, _BOOL_COUNT),
     (dict(kinds=("linear", "foo")), ValueError, r"^unknown dependency kind 'foo'"),
     (dict(noise_levels=[0.0, -1.0]), ValueError, r"^noise must be >= 0, got -1.0$"),
+    (dict(noise_levels=[0.0, float("nan")]), ValueError, r"^noise must be finite, got nan$"),
+    (dict(noise_levels=[float("inf")]), ValueError, r"^noise must be finite, got inf$"),
     (dict(gamma=100.0), ValueError, r"^gamma must be in \(0, 100\), got 100.0$"),
 ])
 def test_robustness_sweep_checks_its_arguments_before_scoring(monkeypatch, kwargs, error, message):

@@ -34,7 +34,7 @@ def _run(capsys, argv, stdin_text=None, monkeypatch=None):
 def _write_csv(tmp_path, name, kind="linear", n=300, d=2, noise=0.0, seed=3):
     ds = mcde.generate(mcde.DependencySpec(kind, n, d, noise, seed))
     path = tmp_path / name
-    mcde.save_csv(ds, str(path))
+    path.write_text(csv_string(ds))
     return path
 
 
@@ -275,6 +275,19 @@ def test_generate_rejects_unknown_kind(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("noise, message", [
+    ("nan", "noise must be finite, got nan"),
+    ("inf", "noise must be finite, got inf"),
+    ("-inf", "noise must be >= 0, got -inf"),
+])
+def test_generate_rejects_a_non_finite_noise(capsys, noise, message):
+    code, out, err = _run(capsys, ["generate", "--kind", "linear", "--n", "3", "--d", "2",
+                                   f"--noise={noise}"])
+    assert code == 1
+    assert out == ""
+    assert f"mcde: error: {message}" in err
+
+
 def test_benchmark_power_schema(capsys):
     code, out, _ = _run(capsys, ["benchmark", "power", "--kind", "linear",
                                  "--n", "150", "--d", "2", "--m", "10",
@@ -299,6 +312,9 @@ def test_benchmark_power_deterministic(capsys):
     (["power", "--omega", "0"], "omega must be >= 1, got 0"),
     (["robustness", "--kinds", "linear,foo"], "unknown dependency kind 'foo'"),
     (["robustness", "--omegas", "2,0"], "omega must be >= 1, got 0"),
+    (["power", "--threshold", "nan"], "threshold must be finite, got nan"),
+    (["power", "--noise", "inf"], "noise must be finite, got inf"),
+    (["robustness", "--noises", "nan", "--omegas", "2"], "noise must be finite, got nan"),
 ])
 def test_benchmark_rejects_bad_arguments_before_scoring(capsys, monkeypatch, argv, message):
     def fail(*args, **kwargs):

@@ -146,14 +146,18 @@ def test_row_permutation_invariance_on_tie_free_data(case):
 @pytest.mark.parametrize("n, d, alpha", [(40, 2, 0.5), (1000, 3, 0.5), (5000, 4, 0.2)])
 def test_tie_free_columns_score_as_if_they_stored_their_ranks(n, d, alpha):
     """A tie-free column stores no ranks; giving it the explicit ranks
-    ``arange(n)`` changes no iteration's value."""
+    ``arange(n)``, each position a group of its own, changes no iteration's
+    value: the tied path, which reads a column's runs, agrees with the
+    tie-free one."""
     x = np.random.default_rng(n).random((n, d))
     x[:, 1] += x[:, 0]
     index = mcde.construct_index(mcde.Dataset(x))
     assert all(dim.adjusted_ranks is None for dim in index.dims)
     ranks = np.arange(n, dtype=np.float64)
-    explicit = mcde.RankIndex(tuple(dataclasses.replace(dim, adjusted_ranks=ranks)
-                                    for dim in index.dims), n)
+    explicit = mcde.RankIndex(tuple(
+        dataclasses.replace(dim, adjusted_ranks=ranks, run_starts=np.arange(n),
+                            run_lengths=np.ones(n, dtype=np.intp))
+        for dim in index.dims), n)
     kwargs = dict(m=60, alpha=alpha, seed=n, record_iterations=True)
     a = contrast(index, **kwargs)
     b = contrast(explicit, **kwargs)

@@ -23,7 +23,6 @@ from mcde import (
     ValidationError,
     load_csv,
     read_csv,
-    save_csv,
     select_subspace,
 )
 from mcde import dataset as dataset_module
@@ -419,7 +418,7 @@ def test_roundtrip_bit_exact(tmp_path):
     ])
     ds = Dataset(values.reshape(-1, 1))
     path = tmp_path / "round.csv"
-    save_csv(ds, str(path))
+    path.write_text(csv_string(ds))
     again = load_csv(str(path))
     assert np.array_equal(ds.values, again.values)
     assert ds == again
@@ -678,7 +677,7 @@ def test_load_csv_reads_a_fifo_once(tmp_path):
 def test_load_csv_peak_memory_is_a_small_multiple_of_the_values(tmp_path, monkeypatch):
     values = np.random.default_rng(5).random((20_000, 3))
     path = tmp_path / "data.csv"
-    save_csv(Dataset(values), str(path))
+    path.write_text(csv_string(Dataset(values)))
     _no_block_loop(monkeypatch)
     tracemalloc.start()
     try:

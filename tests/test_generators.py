@@ -152,6 +152,18 @@ def test_spec_validation():
     assert (spec.n, spec.d) == (10, 2) and type(spec.n) is type(spec.d) is int
 
 
+@pytest.mark.parametrize("noise, error, message", [
+    (float("nan"), ValueError, r"^noise must be finite, got nan$"),
+    (float("inf"), ValueError, r"^noise must be finite, got inf$"),
+    (float("-inf"), ValueError, r"^noise must be >= 0, got -inf$"),
+    (True, TypeError, r"^noise must be a number, not a bool$"),
+    (np.True_, TypeError, r"^noise must be a number, not a bool$"),
+])
+def test_spec_rejects_a_non_finite_or_bool_noise(noise, error, message):
+    with pytest.raises(error, match=message):
+        DependencySpec("linear", 10, 2, noise)
+
+
 def test_discretise_omega_one_is_constant():
     ds = generate(DependencySpec("linear", 100, 2, 0.0, seed=1))
     flat = discretise(ds, 1)
@@ -169,7 +181,7 @@ def test_discretise_bounds_distinct_values():
     ds = generate(DependencySpec("independent", 5000, 2, 0.0, seed=2))
     out = discretise(ds, 100)
     for j in range(out.d):
-        assert len(np.unique(out.column(j))) <= 100
+        assert len(np.unique(out.values[:, j])) <= 100
 
 
 def test_discretise_clamps_noised_values():

@@ -8,6 +8,7 @@ from mcde import _kernels
 from mcde.slicing import window_view
 from conftest import random_tied_column
 from oracles import (
+    column_window_rows,
     dimension_index_oracle,
     index_order_oracle,
     local_window_stats_oracle,
@@ -118,10 +119,12 @@ def test_window_stats_cut_run_beyond_int64_width():
 @pytest.mark.parametrize("counts", [
     [2**21 - 1] * 600 + [5, 1],       # every term fits in int64, the sum does not
     [3 * 2**21, 2**21, 7, 2**20],     # terms beyond int64
+    [2, 3, 1],                        # small groups
+    [0, 5],                           # an empty head part
 ])
 def test_tie_correction_exact_beyond_int64(counts):
     expected = sum(g**3 - g for g in counts)
-    assert _kernels._tie_correction(np.array(counts, dtype=np.int64), sum(counts)) == expected
+    assert _kernels._tie_correction(np.array(counts, dtype=np.int64)) == expected
 
 
 @pytest.mark.parametrize("case", range(10))
@@ -137,9 +140,7 @@ def test_window_rows_equal_one_window_at_a_time(case):
     starts = np.sort(rng.integers(0, n - width + 1, size=9))
     member = rng.random(n) < 0.5
     rows = np.array([member[order][s:s + width] for s in starts])
-    ranks = None if adj is None else np.array([adj[s:s + width] for s in starts])
-    cuts = _kernels.cut_runs(starts, width, run_starts, run_lengths, len(starts))
-    r1, n1, corr = _kernels.window_rows(rows, ranks, cuts)
+    r1, n1, corr = column_window_rows(rows, adj, starts, width, run_starts, run_lengths)
     for i, s in enumerate(starts.tolist()):
         expected = local_window_stats_oracle(member, order, column, s, s + width)
         assert (r1[i], n1[i], corr[i]) == expected
@@ -147,22 +148,27 @@ def test_window_rows_equal_one_window_at_a_time(case):
 
 @pytest.mark.parametrize("width", [1, 2, 7, 300, 2**21 + 5])
 def test_tie_free_window_rows_equal_explicit_ranks(width):
-    """Tie-free windows (``ranks=None``) give the rank sums of the explicit
-    rank windows ``arange(start, start + width)``, bit for bit, also past
-    2**21 rows."""
+    """Tie-free windows (``ranks=None``) give the sums of their explicit
+    ranks, the exact sums of their set-bit positions, also past 2**21 rows,
+    and the brute-force window statistics."""
     rng = np.random.default_rng(width)
     n = width + 40
     starts = np.array([0, 40]) if width > 2**20 else rng.integers(0, n - width + 1, 9)
     member = rng.random((starts.size, width)) < 0.5
-    empty = np.empty(0, dtype=np.intp)
-    got = _kernels.window_rows(member)
-    explicit = window_view(np.arange(n, dtype=np.float64), width)[starts]
-    expected = _kernels.window_rows(member, explicit,
-                                    _kernels.cut_runs(starts, width, empty, empty, len(starts)))
-    for g, e in zip(got, expected):
-        assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+    r1, n1, corr = _kernels.window_rows(member)
+    assert (r1.dtype, n1.dtype, corr.dtype) == (np.float64, np.int64, np.float64)
     exact = [int(np.flatnonzero(row).sum()) for row in member]
-    assert got[0].tolist() == exact
+    assert r1.tolist() == exact
+    assert n1.tolist() == member.sum(axis=1).tolist()
+    assert not corr.any()
+    if width > 2**20:
+        return
+    column = np.arange(n, dtype=np.float64)
+    for i, s in enumerate(starts.tolist()):
+        rows = np.zeros(n, dtype=bool)
+        rows[s:s + width] = member[i]
+        expected = local_window_stats_oracle(rows, np.arange(n), column, s, s + width)
+        assert (r1[i], n1[i], corr[i]) == expected
 
 
 def _member_vectors(rng, n):
@@ -187,9 +193,7 @@ def test_packed_window_rows_equal_oracle_at_every_width(tied):
         members = _member_vectors(rng, n)
         starts = rng.integers(0, n - width + 1, size=len(members))
         rows = np.array([m[order][s:s + width] for m, s in zip(members, starts)])
-        ranks = None if adj is None else window_view(adj, width)[starts]
-        cuts = _kernels.cut_runs(starts, width, run_starts, run_lengths, len(starts))
-        r1, n1, corr = _kernels.window_rows(rows, ranks, cuts)
+        r1, n1, corr = column_window_rows(rows, adj, starts, width, run_starts, run_lengths)
         assert r1.dtype == np.float64 and n1.dtype == np.int64
         for i, (member, s) in enumerate(zip(members, starts.tolist())):
             expected = local_window_stats_oracle(member, order, column, s, s + width)
@@ -209,9 +213,7 @@ def test_packed_window_rows_exact_past_int64_safe_width(tied):
     starts = np.array([1, 7, 0, 2, 4])
     members = _member_vectors(rng, n)
     rows = np.array([m[s:s + width] for m, s in zip(members, starts)])
-    ranks = None if adj is None else window_view(adj, width)[starts]
-    cuts = _kernels.cut_runs(starts, width, run_starts, run_lengths, len(starts))
-    r1, n1, corr = _kernels.window_rows(rows, ranks, cuts)
+    r1, n1, corr = column_window_rows(rows, adj, starts, width, run_starts, run_lengths)
     for i, s in enumerate(starts.tolist()):
         if tied:
             head = 3 - s % 3

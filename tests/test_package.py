@@ -1,12 +1,15 @@
 """The package's export list and start-up imports."""
 
+import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
 import mcde
+from oracles import csv_string
 
 # Every public name; adding or removing one means editing this set.
 PUBLIC = {
@@ -23,7 +26,6 @@ PUBLIC = {
     "ValidationError",
     "load_csv",
     "read_csv",
-    "save_csv",
     "select_subspace",
     "write_csv",
     "DEPENDENCY_KINDS",
@@ -33,7 +35,6 @@ PUBLIC = {
     "DimensionIndex",
     "RankIndex",
     "construct_index",
-    "slice_size",
     "PowerResult",
     "RuntimeResult",
     "independence_threshold",
@@ -89,16 +90,28 @@ def test_start_up_and_a_tie_free_monitor_leave_numpy_random_unimported(tmp_path)
     assert _lazy_imports() == "[] 0"
     values = np.random.default_rng(3).random((300, 2))
     path = tmp_path / "stream.csv"
-    mcde.save_csv(mcde.Dataset(values), str(path))
+    path.write_text(csv_string(mcde.Dataset(values)))
     argv = ["monitor", "--input", str(path), "--width", "50", "--dims", "0,1", "--m", "5"]
     assert _lazy_imports(*argv) == "[] 0"
     # a tied column draws its tie-break vector, so the check can fail
-    mcde.save_csv(mcde.Dataset(np.round(values, 1)), str(path))
+    path.write_text(csv_string(mcde.Dataset(np.round(values, 1))))
     assert _lazy_imports(*argv) == "['numpy.random'] 0"
 
 
 def test_a_small_estimate_leaves_the_split_loads_modules_unimported(tmp_path):
     # mmap and signal are imported only to parse a file in parts
     path = tmp_path / "data.csv"
-    mcde.save_csv(mcde.Dataset(np.random.default_rng(4).random((300, 3))), str(path))
+    path.write_text(csv_string(mcde.Dataset(np.random.default_rng(4).random((300, 3)))))
     assert _lazy_imports("estimate", "--input", str(path), "--m", "5") == "[] 0"
+
+
+def test_the_benchmark_workers_manifest_runs():
+    # the benchmark harness calls mcde through perfbench/worker.py, so an
+    # export it reads cannot go without this failing
+    root = Path(__file__).resolve().parents[1]
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(root / "src") + (os.pathsep + path if path else ""))
+    child = subprocess.run([sys.executable, str(root / "perfbench" / "worker.py"), "manifest"],
+                           capture_output=True, text=True, env=env, cwd=root)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout)["mcde_backend"] == "numpy"

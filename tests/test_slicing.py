@@ -1,48 +1,45 @@
 import numpy as np
 import pytest
 
-from mcde import Dataset, construct_index, slice_size
+from mcde import Dataset, construct_index
 from mcde._rng import iteration_rng
-from mcde.slicing import slice_windows, window_view
+from mcde.slicing import _slice_size, check_count, slice_windows, window_view
 from numpy.lib.stride_tricks import sliding_window_view
 from oracles import draw_slice
 
 
 def test_slice_size_spec_values():
-    assert slice_size(1000, 2, 0.5) == 500
-    assert slice_size(1000, 3, 0.5) == 708
-
-
-def test_slice_size_requires_two_dimensions():
-    with pytest.raises(ValueError):
-        slice_size(1000, 1, 0.5)
+    assert _slice_size(1000, 2, 0.5) == 500
+    assert _slice_size(1000, 3, 0.5) == 708
 
 
 def test_slice_size_bounds():
-    assert slice_size(1000, 3, 1.0) == 1000
-    assert slice_size(10, 5, 1e-9) == 1
-    assert 1 <= slice_size(7, 4, 0.3) <= 7
-    with pytest.raises(ValueError):
-        slice_size(1000, 3, 0.0)
-    with pytest.raises(ValueError):
-        slice_size(1000, 3, 1.5)
-    with pytest.raises(ValueError):
-        slice_size(0, 3, 0.5)
+    assert _slice_size(1000, 3, 1.0) == 1000
+    assert _slice_size(10, 5, 1e-9) == 1
+    assert 1 <= _slice_size(7, 4, 0.3) <= 7
 
 
-@pytest.mark.parametrize("n, d, error", [
-    (10.5, 2, "'float' object cannot be interpreted as an integer"),
-    (10, 2.5, "'float' object cannot be interpreted as an integer"),
-    (True, 2, "a count must be an integer, not a bool"),
-    (10, True, "a count must be an integer, not a bool"),
+@pytest.mark.parametrize("count, error", [
+    (10.5, "'float' object cannot be interpreted as an integer"),
+    (True, "a count must be an integer, not a bool"),
+    (np.True_, "object cannot be interpreted as an integer"),
 ])
-def test_slice_size_rejects_a_non_integral_count(n, d, error):
+def test_check_count_rejects_a_non_integral_count(count, error):
     with pytest.raises(TypeError, match=error):
-        slice_size(n, d, 0.5)
+        check_count(count)
+    with pytest.raises(TypeError, match=error):
+        check_count(count, "n")
 
 
-def test_slice_size_takes_numpy_integers():
-    assert slice_size(np.int64(1000), np.int32(3), 0.5) == 708
+def test_check_count_takes_numpy_integers_and_checks_a_named_bound():
+    got = check_count(np.int64(1000), "n")
+    assert got == 1000 and type(got) is int
+    assert check_count(np.int32(-3)) == -3  # an unnamed count has no bound
+    assert check_count(2, "width", 2) == 2
+    with pytest.raises(ValueError, match=r"^width must be >= 2, got 1$"):
+        check_count(np.int8(1), "width", 2)
+    with pytest.raises(ValueError, match=r"^m must be >= 1, got 0$"):
+        check_count(0, "m")
 
 
 def _index(n, d, seed=0):
@@ -65,7 +62,7 @@ def test_full_alpha_keeps_all_rows():
 def test_exact_survivors_per_conditioning_dimension():
     n, d, alpha = 200, 3, 0.5
     index = _index(n, d, seed=3)
-    size = slice_size(n, d, alpha)
+    size = _slice_size(n, d, alpha)
     rng = iteration_rng(77, 0)
     member = draw_slice(index, 1, alpha, rng)
     # replay the draws to recover each dimension's window
