@@ -258,37 +258,40 @@ def runtime_profile(
     seed = check_seed(seed)
     n_values = [check_count(n) for n in n_values]
     d_values = [check_count(d) for d in d_values]
+    # every cell's shape is checked before any is timed, so a bad cell fails first
+    cells = [(n, d) for n in n_values for d in d_values]
+    for n, d in cells:
+        _check_shape(n, d)
     rows = []
-    for n in n_values:
-        for d in d_values:
-            spec = DependencySpec("independent", n, d, 0.0, seed=derive_seed(seed, n, d))
-            data = generate(spec)
-            # two untimed estimates first, so that first-call costs stay out
-            for _ in range(2):
-                contrast(construct_index(data), m=m, alpha=alpha, seed=0)
-            t_index, t_contrast, t_total = [], [], []
-            for r in range(reps):
-                t0 = time.perf_counter()
-                index = construct_index(data)
-                t1 = time.perf_counter()
-                contrast(index, m=m, alpha=alpha, seed=r)
-                t2 = time.perf_counter()
-                contrast(data, m=m, alpha=alpha, seed=r)
-                t3 = time.perf_counter()
-                t_index.append(t1 - t0)
-                t_contrast.append(t2 - t1)
-                t_total.append(t3 - t2)
-            rows.append(
-                RuntimeResult(
-                    n=n,
-                    d=d,
-                    m=m,
-                    reps=reps,
-                    index_s=statistics.median(t_index),
-                    contrast_s=statistics.median(t_contrast),
-                    total_s=statistics.median(t_total),
-                )
+    for n, d in cells:
+        spec = DependencySpec("independent", n, d, 0.0, seed=derive_seed(seed, n, d))
+        data = generate(spec)
+        # two untimed estimates first, so that first-call costs stay out
+        for _ in range(2):
+            contrast(construct_index(data), m=m, alpha=alpha, seed=0)
+        t_index, t_contrast, t_total = [], [], []
+        for r in range(reps):
+            t0 = time.perf_counter()
+            index = construct_index(data)
+            t1 = time.perf_counter()
+            contrast(index, m=m, alpha=alpha, seed=r)
+            t2 = time.perf_counter()
+            contrast(data, m=m, alpha=alpha, seed=r)
+            t3 = time.perf_counter()
+            t_index.append(t1 - t0)
+            t_contrast.append(t2 - t1)
+            t_total.append(t3 - t2)
+        rows.append(
+            RuntimeResult(
+                n=n,
+                d=d,
+                m=m,
+                reps=reps,
+                index_s=statistics.median(t_index),
+                contrast_s=statistics.median(t_contrast),
+                total_s=statistics.median(t_total),
             )
+        )
     return rows
 
 

@@ -20,7 +20,7 @@ from .benchmark import (
     runtime_profile,
     score_distribution,
 )
-from .contrast import contrast
+from .contrast import _check_args, contrast
 from .dataset import (DataError, _decode_error_line, _looks_numeric, csv_blocks, load_csv,
                       read_csv, select_subspace, write_csv)
 from .generators import DEPENDENCY_KINDS, DependencySpec, generate
@@ -95,6 +95,7 @@ def _cmd_estimate(args) -> int:
     if args.dims is not None:
         ds = select_subspace(ds, args.dims)
     _diag(f"seed={args.seed} m={args.m} alpha={args.alpha}")
+    _check_args(args.m, args.alpha, args.seed, ds.n, ds.d)
     # score the index alone, so the values are freed before scoring allocates
     index = construct_index(ds)
     del ds

@@ -87,6 +87,14 @@ def _check_shape(n: int, d: int) -> None:
         raise ValueError(f"contrast needs at least 2 rows, got n={n}")
 
 
+def _check_args(m, alpha, seed, n: int, d: int) -> tuple[int, float, int]:
+    """:func:`contrast`'s ``m``, ``alpha`` and ``seed``, checked, then the
+    shape of its data, so that bad input fails before an index is built."""
+    m, alpha, seed = check_count(m, "m"), check_alpha(alpha), check_key_seed(seed)
+    _check_shape(n, d)
+    return m, alpha, seed
+
+
 def _draw(seeds, n: int, d: int, m: int, alpha: float) -> np.ndarray:
     """The integers drawn by iterations ``0..m-1`` of an estimate on n rows
     and d columns, for each seed: ``out[s, i]`` holds iteration i's
@@ -113,11 +121,8 @@ def contrast(
     values on the result.  ``seed`` keys the 64-bit Philox streams of the
     iterations, so it must lie in [0, 2**64).
     """
-    m = check_count(m, "m")
-    alpha = check_alpha(alpha)
-    seed = check_key_seed(seed)
+    m, alpha, seed = _check_args(m, alpha, seed, data.n, data.d)
     index = data if isinstance(data, RankIndex) else construct_index(data)
-    _check_shape(index.n, index.d)
     draws = _draw([seed], index.n, index.d, m, alpha)
     return _estimate([index], alpha, [seed], draws, record_iterations)[0]
 

@@ -18,24 +18,25 @@ with quoted cells, is read twice.
 processes: its data lines are split at line ends into one part per CPU,
 each of at least ``_MIN_PART`` bytes.  One scan of the file first counts
 each part's rows, and the dataset's Fortran-order array is allocated in an
-anonymous shared mapping.  The caller parses the first part with
-``max_rows``, and a forked worker each other part with ``skiprows``, by the
-same path and with the same arguments, so numpy reads every line as it
-would in one call; each writes its rows into its own rows of the array,
-which the dataset keeps without a copy.  The file is split only where the
-lines before the last split point hold no ``\r``, no ``"`` and no empty
-data line, because ``max_rows`` skips an empty line that ``skiprows``
-counts.  The last part is read to its end, so its rows are its lines less
-its empty ones; a ``\r`` in it outside a ``\r\n``, which numpy reads as a
-line end, keeps the file whole.  A small file, a platform without
-``os.fork``, a caller with other Python threads, and on Python 3.12 or
-later a process with other OS threads (numpy's BLAS starts them at import
-unless ``OPENBLAS_NUM_THREADS=1``) parse the file in one call.  So does a
-split that fails, where numpy rejects a part, a part's shape differs from
-its counted rows and the first data row's width, or a worker fails; a
-non-finite value in any part sends the file to :func:`read_csv`, as above.
-Workers write nothing but their rows, leave by ``os._exit``, and are always
-reaped, on an interrupt too.
+anonymous shared mapping.  A forked worker parses each part, from its line
+on with ``skiprows`` and, but for the last part, up to its end with
+``max_rows``, by the same path and with the same arguments, so numpy reads
+every line as it would in one call; it writes its rows into its own rows
+of the array, which the dataset keeps without a copy.  The caller parses
+no part: it allocates the array, forks, waits and reaps.  The file is
+split only where the lines before the last split point hold no ``\r``, no
+``"`` and no empty data line, because ``max_rows`` skips an empty line
+that ``skiprows`` counts.  The last part is read to its end, so its rows
+are its lines less its empty ones; a ``\r`` in it outside a ``\r\n``,
+which numpy reads as a line end, keeps the file whole.  A small file, a
+platform without ``os.fork``, a caller with other Python threads, and on
+Python 3.12 or later a process with other OS threads (numpy's BLAS starts
+them at import unless ``OPENBLAS_NUM_THREADS=1``) parse the file in one
+call.  So does a split that fails, where numpy rejects a part, a part's
+shape differs from its counted rows and the first data row's width, or a
+worker fails otherwise; a non-finite value in any part sends the file to
+:func:`read_csv`, as above.  Workers write nothing but their rows, leave
+by ``os._exit``, and are always reaped, on an interrupt too.
 
 :func:`read_csv` parses any source of lines, stdin among them, into one
 flat buffer of floats, so no per-row object outlives its row.  Once the
@@ -619,9 +620,9 @@ def _parse_parts(path: str, parts: list[tuple[int, int]], d: int, options: dict)
     where a part fails or its shape differs from its rows and ``d``.
 
     The array lives in an anonymous shared mapping, allocated before the
-    first fork.  Each part after the first is parsed by a forked worker,
-    which writes it straight into its rows; the caller parses the first and
-    copies it in.  Every worker is reaped before this returns or raises.
+    first fork.  Each part is parsed by a forked worker, which writes it
+    straight into its rows; the caller only waits.  Every worker is reaped
+    before this returns or raises.
     """
     import mmap  # here, so that importing mcde loads no more modules
     import signal
@@ -630,9 +631,9 @@ def _parse_parts(path: str, parts: list[tuple[int, int]], d: int, options: dict)
     values = np.ndarray((n, d), order="F", buffer=mmap.mmap(-1, 8 * n * d))
     workers: list[int] = []  # until each is reaped
     try:
-        lo = parts[0][1]  # the caller's rows come first
+        lo = 0
         try:
-            for k, (skip, rows) in enumerate(parts[1:], 2):
+            for k, (skip, rows) in enumerate(parts, 1):
                 # the last part is read to its end: under max_rows numpy
                 # warns at an empty line
                 max_rows = None if k == len(parts) else rows
@@ -640,15 +641,6 @@ def _parse_parts(path: str, parts: list[tuple[int, int]], d: int, options: dict)
                 lo += rows
         except OSError:  # no process to be had
             return None
-        skip, rows = parts[0]
-        try:
-            first = np.loadtxt(path, skiprows=skip, max_rows=rows, **options)
-        except ValueError:
-            return None
-        if first.shape != (rows, d):
-            return None
-        values[:rows] = first
-        del first
         while workers:
             status = os.waitpid(workers[-1], 0)[1]
             workers.pop()

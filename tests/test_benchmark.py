@@ -131,6 +131,20 @@ def test_runtime_profile_checks_its_counts_before_generating(monkeypatch, kwargs
         mcde.runtime_profile(**{**args, **kwargs})
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(d_values=[3, 1]), "contrast needs at least 2 dimensions, got d=1"),
+    (dict(n_values=[100, 1]), "contrast needs at least 2 rows, got n=1"),
+])
+def test_runtime_profile_checks_every_cells_shape_before_timing(monkeypatch, kwargs, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("a cell was timed before every shape was checked")
+
+    monkeypatch.setattr(mcde.benchmark, "construct_index", fail)
+    args = dict(n_values=[100], d_values=[2], m=5, reps=2)
+    with pytest.raises(ValueError, match=message):
+        mcde.runtime_profile(**{**args, **kwargs})
+
+
 def test_score_distribution_single_rep_has_zero_std():
     stats = mcde.score_distribution(DependencySpec("linear", 100, 2, 0.0),
                                     reps=1, m=10, seed=1)

@@ -362,6 +362,40 @@ def test_benchmark_runtime(capsys):
     assert len(lines) == 2
 
 
+def _no_index_build(monkeypatch, module):
+    def fail(*args, **kwargs):
+        raise AssertionError("an index was built before the shape was checked")
+
+    monkeypatch.setattr(module, "construct_index", fail)
+
+
+@pytest.mark.parametrize("cells, message", [
+    (["--n-values", "150", "--d-values", "3,1"], "contrast needs at least 2 dimensions, got d=1"),
+    (["--n-values", "150,1", "--d-values", "2"], "contrast needs at least 2 rows, got n=1"),
+])
+def test_benchmark_runtime_rejects_a_bad_cell_before_timing_any(capsys, monkeypatch, cells, message):
+    _no_index_build(monkeypatch, mcde.benchmark)
+    code, out, err = _run(capsys, ["benchmark", "runtime", *cells, "--m", "5", "--reps", "2"])
+    assert code == 1
+    assert out == ""
+    assert err.endswith(f"mcde: error: {message}\n")
+
+
+@pytest.mark.parametrize("text, dims, message", [
+    ("a,b\n1,2\n3,4\n", ["--dims", "0"], "contrast needs at least 2 dimensions, got d=1"),
+    ("a,b\n1,2\n", [], "contrast needs at least 2 rows, got n=1"),
+])
+def test_estimate_rejects_a_bad_shape_before_building_the_index(
+        capsys, monkeypatch, tmp_path, text, dims, message):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    _no_index_build(monkeypatch, mcde.cli)
+    code, out, err = _run(capsys, ["estimate", "--input", str(path), *dims])
+    assert code == 1
+    assert out == ""
+    assert err.endswith(f"mcde: error: {message}\n")
+
+
 def test_benchmark_config_file_with_flag_override(capsys, tmp_path):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("kind=linear\nn=120\nd=2\nm=8\nreps=4\nthreshold=0.9\n# comment\n")

@@ -35,15 +35,24 @@ def test_a_non_integral_count_is_rejected_before_scoring(uniform_ds):
     assert contrast(uniform_ds, m=np.int64(5), seed=3) == contrast(uniform_ds, m=5, seed=3)
 
 
-def test_single_column_rejected():
+def _no_index_build(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the index was built before the shape was checked")
+
+    monkeypatch.setattr(importlib.import_module("mcde.contrast"), "construct_index", fail)
+
+
+def test_single_column_rejected(monkeypatch):
     ds = mcde.Dataset(np.random.default_rng(0).random((50, 1)))
-    with pytest.raises(ValueError):
+    _no_index_build(monkeypatch)
+    with pytest.raises(ValueError, match="contrast needs at least 2 dimensions, got d=1"):
         contrast(ds, m=10)
 
 
-def test_single_row_rejected():
+def test_single_row_rejected(monkeypatch):
     ds = mcde.Dataset(np.array([[1.0, 2.0]]))
-    with pytest.raises(ValueError):
+    _no_index_build(monkeypatch)
+    with pytest.raises(ValueError, match="contrast needs at least 2 rows, got n=1"):
         contrast(ds, m=10)
 
 

@@ -836,7 +836,7 @@ def test_a_split_load_assembles_one_fortran_array_read_csv_equals(tmp_path):
     path.write_bytes(_file_text(values, header="abcd").encode())
     with _split_forced(parts=4) as forked:
         ds = load_csv(str(path))
-    assert len(forked) == 3
+    assert len(forked) == 4
     assert ds.values.flags.f_contiguous and ds.values.tobytes() == values.tobytes()
     assert ds == read_csv(io.StringIO(path.read_text()))
 
@@ -862,7 +862,7 @@ def test_split_workers_print_nothing(tmp_path, monkeypatch, capfd):
             load_csv(str(bad))
         monkeypatch.setattr(np, "loadtxt", warning)
         assert load_csv(str(good)) == read_csv(io.StringIO(good.read_text()))
-    assert len(forked) == 6
+    assert len(forked) == 9
     assert capfd.readouterr() == ("", "")
 
 
@@ -885,26 +885,49 @@ def test_a_worker_that_exits_non_zero_gives_the_whole_files_result(tmp_path, mon
     monkeypatch.setattr(np, "loadtxt", spy)
     with _split_forced() as forked:
         assert _outcome(load_csv, lambda: str(path)) == want
-    assert len(forked) == 2
+    assert len(forked) == 3
     assert whole == [1]  # one np.loadtxt of all data lines, as without a split
 
 
-def test_an_interrupt_in_the_callers_part_kills_and_reaps_the_workers(tmp_path, monkeypatch):
+def test_a_split_load_parses_no_part_in_the_caller(tmp_path, monkeypatch):
     path = tmp_path / "data.csv"
     path.write_bytes(_rows_text().encode())
-    caller = os.getpid()
+    want = _strict_load(path)
+    _no_block_loop(monkeypatch)
+    caller, loadtxt = os.getpid(), np.loadtxt
+    calls = []
 
-    def interrupted(*args, **kwargs):
+    def spy(*args, **kwargs):
         if os.getpid() == caller:
-            raise KeyboardInterrupt
-        time.sleep(60)  # a worker that would outlive its caller
+            calls.append(kwargs)
+        return loadtxt(*args, **kwargs)
 
-    monkeypatch.setattr(np, "loadtxt", interrupted)
+    monkeypatch.setattr(np, "loadtxt", spy)
+    with _split_forced() as forked:
+        assert _outcome(load_csv, lambda: str(path)) == want
+    assert len(forked) == 3
+    assert calls == []
+
+
+def test_an_interrupt_in_the_callers_wait_kills_and_reaps_the_workers(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_bytes(_rows_text().encode())
+    waitpid = os.waitpid
+    interrupts = [KeyboardInterrupt]
+
+    def interrupted(*args):
+        if interrupts:  # the caller's first wait
+            raise interrupts.pop()
+        return waitpid(*args)
+
+    # a worker that would outlive its caller
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: time.sleep(60))
+    monkeypatch.setattr(os, "waitpid", interrupted)
     start = time.monotonic()
     with _split_forced() as forked, pytest.raises(KeyboardInterrupt):
         load_csv(str(path))
     assert time.monotonic() - start < 30
-    assert len(forked) == 2
+    assert len(forked) == 3
     for pid in forked:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
