@@ -50,7 +50,6 @@ from .generators import (
 )
 from .ranking import DimensionIndex, RankIndex, construct_index
 from .stream import (
-    RowError,
     StreamFormatError,
     WindowConfig,
     WindowScore,
@@ -94,7 +93,6 @@ __all__ = [
     "runtime_profile",
     "score_distribution",
     "score_sample",
-    "RowError",
     "StreamFormatError",
     "WindowConfig",
     "WindowScore",

@@ -27,7 +27,7 @@ popcounts, with no loop over windows.  A window's tie correction is the
 ``g**3 - g`` of its head and tail parts plus that of the runs between them,
 a difference of prefix sums over the column's runs: below 2**21 positions
 per window the difference is exact in int64 even where the prefix sums
-wrap, and a wider window sums its runs' terms by their 32-bit halves.
+wrap, and a wider window's prefix sums are exact Python ints.
 Rank sums are multiples of 0.5 below 2**52 when the caller keeps
 ``16 * width`` times the column's length below 2**52, and each tie
 correction is rounded once to float64, so the results do not depend on
@@ -48,18 +48,6 @@ _BIT_POSITIONS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
 
 # the bits below bit b of a 64-bit word, for b in 0..64
 _LOW_BITS = np.array([(1 << b) - 1 for b in range(65)], dtype=np.uint64)
-
-
-def _tie_correction(counts: np.ndarray) -> int:
-    """Exact ``sum(g**3 - g)`` over the group sizes ``counts`` of a window
-    of any width."""
-    # groups below the safe width have terms < 2**63; their 32-bit halves
-    # sum without overflow.  At most width / 2**21 groups are larger.
-    big = counts >= _INT64_SAFE_WIDTH
-    small = counts[~big]
-    terms = small * small * small - small
-    total = (int((terms >> 32).sum()) << 32) + int((terms & 0xFFFFFFFF).sum())
-    return total + sum(g**3 - g for g in counts[big].tolist())
 
 
 def rank_scan(values: np.ndarray, order: np.ndarray):
@@ -200,19 +188,18 @@ def cut_runs(starts, width, run_starts, run_lengths, batch):
     # the runs between the head and tail runs, [inner, outer)
     inner = head + 1
     outer = np.maximum(tail, inner)
-    if width < _INT64_SAFE_WIDTH:
-        # every window's sum of g**3 - g is below 2**63, so differences of
-        # int64 prefix sums give it exactly even where the sums wrap
-        lo, hi = int(inner.min()), int(outer.max())
-        inside = run_lengths[lo:hi]
-        cubes = np.zeros(hi - lo + 1, dtype=np.int64)
-        np.add.accumulate(inside * inside * inside - inside, out=cubes[1:])
-        corr = (cubes[outer - lo] - cubes[inner - lo]
-                + head_g * head_g * head_g - head_g + tail_g * tail_g * tail_g - tail_g)
-        return edge, word, bits, weight, corr.astype(np.float64)
-    corr = [float(_tie_correction(np.concatenate(([h], run_lengths[lo:hi], [t]))))
-            for h, t, lo, hi in zip(head_g.tolist(), tail_g.tolist(), inner.tolist(), outer.tolist())]
-    return edge, word, bits, weight, np.array(corr)
+    # every window's sum of g**3 - g, as differences of prefix sums: in
+    # int64 below the safe width, where each window's sum is below 2**63 and
+    # so exact even where the prefix sums wrap, and in Python ints above it
+    exact = np.int64 if width < _INT64_SAFE_WIDTH else object
+    lo, hi = int(inner.min()), int(outer.max())
+    inside = run_lengths[lo:hi].astype(exact, copy=False)
+    cubes = np.zeros(hi - lo + 1, dtype=exact)
+    np.add.accumulate(inside * inside * inside - inside, out=cubes[1:])
+    head_g, tail_g = head_g.astype(exact, copy=False), tail_g.astype(exact, copy=False)
+    corr = (cubes[outer - lo] - cubes[inner - lo]
+            + head_g * head_g * head_g - head_g + tail_g * tail_g * tail_g - tail_g)
+    return edge, word, bits, weight, corr.astype(np.float64)
 
 
 def backend_name() -> str:

@@ -118,9 +118,12 @@ def _check_gamma(gamma: float) -> None:
 def nearest_rank_percentile(scores: Sequence[float], gamma: float) -> float:
     """The gamma-th percentile as an actual observed value (nearest rank)."""
     _check_gamma(gamma)
-    ordered = np.sort(np.asarray(scores, dtype=np.float64))
-    if not ordered.size:
+    values = np.asarray(scores, dtype=np.float64)
+    if not values.size:
         raise ValueError("no scores to take a percentile of")
+    if np.isnan(values).any():  # np.sort would rank it above every score
+        raise ValueError("a score is NaN")
+    ordered = np.sort(values)
     rank = int(np.ceil(gamma / 100.0 * ordered.size))
     return float(ordered[min(max(rank, 1), ordered.size) - 1])
 

@@ -25,7 +25,7 @@ from .dataset import (DataError, _decode_error_line, _looks_numeric, csv_blocks,
                       read_csv, select_subspace, write_csv)
 from .generators import DEPENDENCY_KINDS, DependencySpec, generate
 from .ranking import construct_index
-from .stream import RowError, StreamFormatError, WindowConfig, _monitor
+from .stream import StreamFormatError, WindowConfig, _monitor
 
 
 class _UsageError(Exception):
@@ -258,27 +258,20 @@ def _cmd_monitor(args) -> int:
         print("row_index,score,flag" if args.flag_drift else "row_index,score")
         emitted = 0
         consumed = 0
-        lines: list[int] = []  # the file line of each row of the block read last
 
-        def numbered(block):
+        def flushed(block):
             nonlocal consumed
             while block is not None:
-                lines[:] = [line for line, _ in block]
                 consumed += len(block)
-                yield [row for _, row in block]
+                yield block
                 # the block's windows are printed: hand them on before a read waits
                 sys.stdout.flush()
                 block = next(blocks, None)
 
-        def located(event: RowError | StreamFormatError) -> str:
-            # every event is of a row of the last block, whose first row is
-            # row consumed - len(lines)
-            return _located(event, lines[event.row_index - (consumed - len(lines))])
-
         try:
-            for event in _monitor(numbered(block), cfg, not args.lenient):
-                if isinstance(event, RowError):
-                    _diag(f"skipped {located(event)}")
+            for event in _monitor(flushed(block), cfg, not args.lenient):
+                if isinstance(event, StreamFormatError):
+                    _diag(f"skipped {event}")
                     continue
                 score = _fmt(event.estimate.score, args.full_precision)
                 if args.flag_drift:
@@ -287,20 +280,13 @@ def _cmd_monitor(args) -> int:
                     print(f"{event.row_index},{score}")
                 emitted += 1
         except StreamFormatError as exc:
-            raise DataError(located(exc)) from None
+            raise DataError(str(exc)) from None
         if emitted == 0:
             _diag(f"end of stream after {consumed} rows; window of {cfg.width} never filled")
     finally:
         if args.input != "-":
             fh.close()
     return 0
-
-
-def _located(error: RowError | StreamFormatError, line: int) -> str:
-    """A malformed row's reason, with its file line and the column of a bad
-    cell, as estimate reports them."""
-    where = f"line {line}" if error.column is None else f"line {line}, column {error.column}"
-    return f"row {error.row_index}: {error.reason} at {where}"
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ back to :func:`read_csv` wherever numpy may read it otherwise: when it is
 no regular file (a pipe can be read only once), when its name ends in a
 suffix numpy decompresses, when the delimiter takes no fast path, when no
 data row follows the header or the header's width differs from the first
-row's, when a line passes the csv module's field size limit, and when
+row's, when a field passes the csv module's field size limit, and when
 numpy rejects the file or reads a non-finite value.
 So every file gives the dataset or the error, with its line and column,
 that :func:`read_csv` gives, and a valid file numpy rejects, such as one
@@ -357,8 +357,9 @@ def _plain_values(block: list[str], width: int, delimiter: str) -> np.ndarray | 
     if not text.isascii() or text.encode("ascii").translate(None, plain):
         return None
     limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, block)) > limit:
-        return None  # a cell may pass the csv module's field size limit
+    if len(text) > limit and any(len(cell) > limit for line in block if len(line) > limit
+                                 for cell in line.split(delimiter)):
+        return None  # a cell, with its line break, passes the csv module's field size limit
     if not text.lstrip("\r\n"):
         return np.empty((0, width))  # blank lines only, which hold no row
     try:
@@ -460,28 +461,29 @@ def read_csv(
 # file by these suffixes; read_csv reads such a file as text
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
-# the bytes _short_lines reads first from each block
+# the bytes _short_fields reads first from each block
 _LINE_PROBE = 4096
 
 
-def _short_lines(path: str) -> bool:
-    """Whether every line of the file is shorter than the csv module's
+def _short_fields(path: str, delimiter: str) -> bool:
+    """Whether every field of the file is shorter than the csv module's
     field size limit, which :func:`read_csv` enforces and numpy does not.
 
-    Each whole block of half the limit must hold a line break: a stretch
-    with no line break then spans no whole block, so it is shorter than the
-    limit in bytes and in characters.  Only a block's first ``_LINE_PROBE``
-    bytes are read unless they hold no line break, so the scan reads a
-    small part of a file of short lines; a memory map of the file would
-    add its pages to the peak resident size.
+    Each whole block of half the limit must hold a line break or the
+    delimiter: a stretch with neither then spans no whole block, so it is
+    shorter than the limit in bytes and in characters.  Only a block's
+    first ``_LINE_PROBE`` bytes are read unless they hold neither, so the
+    scan reads a small part of a file of short fields; a memory map of the
+    file would add its pages to the peak resident size.
     """
     half = max(csv.field_size_limit() // 2, 1)
+    separators = (b"\n", b"\r", delimiter.encode())
     with open(path, "rb", buffering=0) as raw:
         for lo in range(0, os.fstat(raw.fileno()).st_size - half + 1, half):
             for size in (min(half, _LINE_PROBE), half):  # the block's head, then all of it
                 raw.seek(lo)
                 block = raw.read(size)
-                if b"\n" in block or b"\r" in block:
+                if any(separator in block for separator in separators):
                     break
             else:
                 return False
@@ -680,7 +682,7 @@ def _numpy_file(path, has_header: bool | None, delimiter: str) -> Dataset | None
                 return None  # no data row, of which numpy only warns
         except ParseError:
             return None
-    if (names is not None and len(names) != len(row)) or not _short_lines(path):
+    if (names is not None and len(names) != len(row)) or not _short_fields(path, delimiter):
         return None
     path = os.path.abspath(path)  # which numpy cannot take for a URL
     options = {"delimiter": delimiter, "comments": None, "ndmin": 2, "encoding": "utf-8-sig"}

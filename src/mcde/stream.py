@@ -61,7 +61,10 @@ its output after each block: a live source that writes one row at a time
 gives one-row blocks, each window printed before the next row is read,
 and a burst of rows is scored in stacks.  A window's score does not
 depend on the stack it is scored in, so the blocks change no emission,
-and a file, a pipe and stdin give the same bytes.
+and a file, a pipe and stdin give the same bytes.  A block pairs each row
+with the file line it starts on, which :func:`monitor` does not know: a
+malformed row's :class:`StreamFormatError`, raised in strict mode and
+yielded as an item in lenient mode, names its ``line`` where it is known.
 
 A drift layer flags windows whose score stays below a threshold
 for a run of consecutive emissions.  It is a plain heuristic convenience,
@@ -91,15 +94,19 @@ _CARRY_MAX_STEP = 7
 
 
 class StreamFormatError(Exception):
-    """A stream row could not be used; carries the 0-based row index and,
-    for a bad cell, its 1-based column."""
+    """A stream row could not be used; carries the 0-based row index, the
+    1-based column of a bad cell and the 1-based file line of the row,
+    where they are known."""
 
-    def __init__(self, row_index: int, reason: str, column: int | None = None):
-        where = "" if column is None else f" at column {column}"
-        super().__init__(f"row {row_index}: {reason}{where}")
+    def __init__(self, row_index: int, reason: str, column: int | None = None,
+                 line: int | None = None):
+        where = ", ".join(f"{name} {at}" for name, at in (("line", line), ("column", column))
+                          if at is not None)
+        super().__init__(f"row {row_index}: {reason}" + (f" at {where}" if where else ""))
         self.row_index = row_index
         self.reason = reason
         self.column = column
+        self.line = line
 
 
 @dataclass(frozen=True)
@@ -127,6 +134,8 @@ class WindowConfig:
             if j < 0:
                 raise ValueError(f"column index {j} out of range")
         object.__setattr__(self, "alpha", check_alpha(self.alpha))
+        if isinstance(self.drift_threshold, (bool, np.bool_)):
+            raise TypeError("drift_threshold must be a number, not a bool")
         if not math.isfinite(self.drift_threshold):
             raise ValueError(f"drift_threshold must be finite, got {self.drift_threshold}")
         check_seed(self.seed)
@@ -142,38 +151,30 @@ class WindowScore:
     flag: bool
 
 
-@dataclass(frozen=True)
-class RowError:
-    """A skipped malformed row (lenient mode only); ``column`` is the
-    1-based column of a bad cell."""
-
-    row_index: int
-    reason: str
-    column: int | None = None
-
-
 def window_seed(master_seed: int, end_row: int) -> int:
     """Seed used for the window ending at stream row ``end_row``."""
     return derive_seed(master_seed, end_row)
 
 
-def _extract(row: Sequence, dims: tuple[int, ...], row_index: int) -> list[float]:
-    """The row's values in the monitored columns, each checked finite."""
+def _extract(row: Sequence, dims: tuple[int, ...], row_index: int,
+             line: int | None) -> list[float]:
+    """The row's values in the monitored columns, each checked finite; a
+    malformed row raises its error at its file ``line``."""
     values = []
     for j in dims:
         try:
             cell = row[j]
         except IndexError:
             raise StreamFormatError(
-                row_index, f"row has {len(row)} cells, need columns {list(dims)}"
+                row_index, f"row has {len(row)} cells, need columns {list(dims)}", line=line
             ) from None
         try:
             value = float(cell)
         except (ValueError, TypeError):
             raise StreamFormatError(row_index, f"cannot parse {cell!r} as a number",
-                                    j + 1) from None
+                                    j + 1, line) from None
         if not math.isfinite(value):
-            raise StreamFormatError(row_index, f"non-finite value {cell!r}", j + 1)
+            raise StreamFormatError(row_index, f"non-finite value {cell!r}", j + 1, line)
         values.append(value)
     return values
 
@@ -224,33 +225,37 @@ def monitor(
     source: Iterable[Sequence],
     cfg: WindowConfig,
     strict: bool = True,
-) -> Iterator[WindowScore | RowError]:
+) -> Iterator[WindowScore | StreamFormatError]:
     """Yield one :class:`WindowScore` per evaluated window, in row order.
 
     ``source`` yields rows (any sequences of numbers or numeric strings)
     covering the monitored columns.  Malformed rows raise
     :class:`StreamFormatError` when ``strict``; otherwise they are skipped
-    and reported as :class:`RowError` items.  A stream shorter than the
-    window width produces no scores.  Each window is yielded as soon as its
-    last row is read, before the next row is asked for, so a live source,
-    such as a followed file, is never read ahead.
+    and reported as :class:`StreamFormatError` items, whose ``line`` is
+    None.  A stream shorter than the window width produces no scores.  Each
+    window is yielded as soon as its last row is read, before the next row
+    is asked for, so a live source, such as a followed file, is never read
+    ahead.
     """
-    yield from _monitor(zip(source), cfg, strict)  # one-row blocks
+    yield from _monitor(([(None, row)] for row in source), cfg, strict)  # one-row blocks
 
 
 def _monitor(
-    blocks: Iterable[Sequence[Sequence]],
+    blocks: Iterable[Sequence[tuple[int | None, Sequence]]],
     cfg: WindowConfig,
     strict: bool,
-) -> Iterator[WindowScore | RowError]:
-    """:func:`monitor` over rows that come in blocks, numbered across them.
+) -> Iterator[WindowScore | StreamFormatError]:
+    """:func:`monitor` over rows that come in blocks of ``(line, row)``
+    pairs, as :func:`~mcde.dataset.csv_blocks` gives them, numbered across
+    the blocks; a malformed row's error carries its ``line``.
 
     The windows that end in a block are scored together, in one
     :func:`~mcde.contrast._estimate` stack each time ``LANES // m`` of them
     wait and once more at the block's end, and yielded in row order, with
-    the :class:`RowError` items among them, before the next block is asked
-    for.  In strict mode a malformed row is raised after the windows before
-    it are yielded.  Scores and flags do not depend on the blocks.
+    the skipped rows' :class:`StreamFormatError` items among them, before
+    the next block is asked for.  In strict mode a malformed row is raised
+    after the windows before it are yielded.  Scores and flags do not
+    depend on the blocks.
     """
     width, step, d = cfg.width, cfg.step, len(cfg.dims)
     ahead = max(1, LANES // cfg.m)
@@ -262,20 +267,20 @@ def _monitor(
     below_run = 0
     row_index = -1
     # windows (end row, index, seed, draws) and skipped rows, in row order
-    pending: list[tuple[int, RankIndex, int, np.ndarray] | RowError] = []
+    pending: list[tuple[int, RankIndex, int, np.ndarray] | StreamFormatError] = []
     waiting = 0  # the windows in pending
 
-    def scored() -> Iterator[WindowScore | RowError]:
+    def scored() -> Iterator[WindowScore | StreamFormatError]:
         """The pending events in row order, their windows scored in one
         stack and flagged."""
         nonlocal pending, waiting, below_run
         events, pending, waiting = pending, [], 0
-        windows = [event for event in events if not isinstance(event, RowError)]
+        windows = [event for event in events if not isinstance(event, StreamFormatError)]
         if windows:
             _, indexes, seeds, draws = zip(*windows)
             estimates = iter(_estimate(indexes, cfg.alpha, seeds, np.array(draws)))
         for event in events:
-            if isinstance(event, RowError):
+            if isinstance(event, StreamFormatError):
                 yield event
                 continue
             estimate = next(estimates)
@@ -283,15 +288,15 @@ def _monitor(
             yield WindowScore(event[0], estimate, below_run >= cfg.drift_patience)
 
     for block in blocks:
-        for row in block:
+        for line, row in block:
             row_index += 1
             try:
-                values = _extract(row, cfg.dims, row_index)
+                values = _extract(row, cfg.dims, row_index, line)
             except StreamFormatError as exc:
                 if strict:
                     yield from scored()
                     raise
-                pending.append(RowError(exc.row_index, exc.reason, exc.column))
+                pending.append(exc.with_traceback(None))  # an item holds no frames
                 continue
 
             slot = accepted % width

@@ -32,6 +32,11 @@ def test_percentile_rejects_an_empty_sample():
         nearest_rank_percentile([], 95)
 
 
+def test_percentile_rejects_a_nan_score():
+    with pytest.raises(ValueError, match="^a score is NaN$"):
+        nearest_rank_percentile([0.1, float("nan"), 0.3], 50)
+
+
 def test_power_counts_strict_exceedances():
     spec = DependencySpec("independent", 120, 2, 0.0)
     below = mcde.power(spec, reps=10, m=8, seed=3, threshold=-1.0)

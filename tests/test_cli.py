@@ -730,12 +730,14 @@ def test_monitor_blocks_are_the_complete_rows_of_each_read(capsys, monkeypatch, 
     # each block is handed on after the read that completes its last row,
     # and holds every row completed since the block before; a row the
     # quoted cell continues waits for the read that ends it, and so do the
-    # rows of its read before it
+    # rows of its read before it; each row comes with the file line it
+    # starts on
     assert blocks == [
-        (2, [["0.1", "0.2", "a"]]),
-        (4, [["0.3", "0.4", "b"]]),
-        (6, [["0.5", "0.6", "é"], ["0.7", "0.8", "two\nlines"], ["0.9", "0.1", "c"]]),
-        (8, [["0.2", "0.3", "d"]]),
+        (2, [(2, ["0.1", "0.2", "a"])]),
+        (4, [(3, ["0.3", "0.4", "b"])]),
+        (6, [(4, ["0.5", "0.6", "é"]), (5, ["0.7", "0.8", "two\nlines"]),
+             (7, ["0.9", "0.1", "c"])]),
+        (8, [(8, ["0.2", "0.3", "d"])]),
     ]
     assert stdin.reads == 8
     path = tmp_path / "stream.csv"

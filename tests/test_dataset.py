@@ -332,6 +332,23 @@ def test_a_plain_cell_over_the_csv_field_limit_is_parse_error():
         read_csv(lines)
 
 
+def test_a_block_of_long_lines_of_short_cells_is_parsed_by_numpy(monkeypatch):
+    # the csv module limits each field, not each line
+    values = np.random.default_rng(2).normal(size=(6, 7_000))
+    lines = [",".join(map(repr, row)) + "\n" for row in values.tolist()]
+    assert min(map(len, lines)) > csv.field_size_limit()
+    parsed = []
+
+    def spy(block, width, delimiter):
+        got = _plain_values(block, width, delimiter)
+        parsed.append(got is not None)
+        return got
+
+    monkeypatch.setattr(dataset_module, "_plain_values", spy)
+    assert _outcome(read_csv, lambda: lines) == _outcome(read_csv_oracle, lambda: lines)
+    assert parsed == [True]  # the lines after the first data row
+
+
 def test_an_element_that_is_no_string_raises_the_csv_error():
     lines = ["1,2\n"] + _plain_rows(2 * _B)
     lines[_B + 20] = b"3,4\n"
@@ -590,6 +607,19 @@ def test_load_csv_parses_a_plain_file_with_numpy_as_read_csv_reads_it(tmp_path, 
     assert isinstance(want[0], tuple)  # a dataset
     _no_block_loop(monkeypatch)
     assert _outcome(load_csv, lambda: str(path), **kwargs) == want
+
+
+def test_load_csv_parses_lines_past_the_field_limit_with_numpy(tmp_path, monkeypatch):
+    # a whole block of half the field limit may hold no line break, as long
+    # as it holds a delimiter
+    path = tmp_path / "wide.csv"
+    path.write_text(_file_text(_file_values(10, 8_000)))
+    with open(path) as fh:
+        assert min(map(len, fh)) > csv.field_size_limit()
+    want = _strict_load(path)
+    assert isinstance(want[0], tuple)  # a dataset
+    _no_block_loop(monkeypatch)
+    assert _outcome(load_csv, lambda: str(path)) == want
 
 
 _FIELD_LIMIT = "field larger than field limit (131072) at line 3"

@@ -123,8 +123,16 @@ def test_window_stats_cut_run_beyond_int64_width():
     [0, 5],                           # an empty head part
 ])
 def test_tie_correction_exact_beyond_int64(counts):
-    expected = sum(g**3 - g for g in counts)
-    assert _kernels._tie_correction(np.array(counts, dtype=np.int64)) == expected
+    # a window whose parts are ``counts`` in order: a head run cut at the
+    # window's start, the runs of the groups of two or more between, and a
+    # tail run cut at its end
+    start, width = 10, sum(counts)
+    lengths = [counts[0] + 3, *counts[1:-1], counts[-1] + 4]
+    firsts = np.cumsum([start - 3, *lengths[:-1]])
+    run = np.array(lengths) >= 2
+    corr = _kernels.cut_runs(np.array([start]), width, firsts[run],
+                             np.array(lengths)[run], 1)[-1]
+    assert corr.tolist() == [float(sum(g**3 - g for g in counts))]
 
 
 @pytest.mark.parametrize("case", range(10))

@@ -46,7 +46,6 @@ PUBLIC = {
     "runtime_profile",
     "score_distribution",
     "score_sample",
-    "RowError",
     "StreamFormatError",
     "WindowConfig",
     "WindowScore",

@@ -12,7 +12,7 @@ import mcde
 import mcde.stream
 from mcde import Dataset, WindowConfig, monitor, window_seed
 from mcde.ranking import _build_dimension
-from mcde.stream import _CARRY_MAX_STEP, RowError, StreamFormatError, WindowScore
+from mcde.stream import _CARRY_MAX_STEP, StreamFormatError, WindowScore
 
 
 def _uniform_rows(n, d=2, seed=4):
@@ -76,7 +76,7 @@ def test_malformed_row_lenient_skips_and_reports():
     rows = [[0.1, 0.2], ["bad", 0.4], [0.5], [0.5, 0.6], [0.7, 0.8]]
     cfg = WindowConfig(width=3, dims=(0, 1), m=5, seed=0)
     events = list(monitor(iter(rows), cfg, strict=False))
-    errors = [e for e in events if isinstance(e, RowError)]
+    errors = [e for e in events if isinstance(e, StreamFormatError)]
     scores = [e for e in events if isinstance(e, WindowScore)]
     assert [e.row_index for e in errors] == [1, 2]
     # window fills with the 3rd valid row, which is stream row 4
@@ -136,6 +136,9 @@ def test_config_validation():
     for threshold in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="drift_threshold must be finite"):
             WindowConfig(width=10, dims=(0, 1), drift_threshold=threshold)
+    for threshold in (True, np.bool_(False)):
+        with pytest.raises(TypeError, match="^drift_threshold must be a number, not a bool$"):
+            WindowConfig(width=10, dims=(0, 1), drift_threshold=threshold)
     with pytest.raises(ValueError):
         WindowConfig(width=10, dims=(0, 1), seed=-2)
     with pytest.raises(ValueError):
@@ -193,7 +196,7 @@ def test_lenient_emissions_with_skipped_rows_equal_offline_contrast(monkeypatch)
         rows[k] = ["bad", 0.0, 0.0]
     cfg = WindowConfig(width=20, dims=(2, 0), step=3, m=200, seed=2**64 - 5)
     events = list(monitor(iter(rows), cfg, strict=False))
-    assert [e.row_index for e in events if isinstance(e, RowError)] == [31, 32, 77, 101]
+    assert [e.row_index for e in events if isinstance(e, StreamFormatError)] == [31, 32, 77, 101]
     scores = [e for e in events if isinstance(e, WindowScore)]
     assert len(scores) == 39
     # misses after rows 31-32, 77 and 101; refills at 63 and 134
@@ -249,8 +252,26 @@ def test_bad_cell_error_names_its_column():
     assert str(info.value) == "row 1: cannot parse 'x' as a number at column 3"
     assert (info.value.row_index, info.value.column) == (1, 3)
     events = list(monitor(iter([*rows, [0.1, 0.2, float("inf")]]), cfg, strict=False))
-    assert events == [RowError(1, "cannot parse 'x' as a number", 3),
-                      RowError(2, "non-finite value inf", 3)]
+    assert [(e.row_index, e.reason, e.column, e.line) for e in events] == \
+        [(1, "cannot parse 'x' as a number", 3, None), (2, "non-finite value inf", 3, None)]
+    assert str(events[1]) == "row 2: non-finite value inf at column 3"
+
+
+def test_a_malformed_row_names_the_line_it_came_with():
+    # csv_blocks pairs each row with its file line; monitor knows no line
+    blocks = [[(2, [0.1, 0.2, 0.3]), (5, [0.4, 0.5, "x"])], [(6, [0.6])]]
+    cfg = WindowConfig(width=2, dims=(0, 2), m=5, seed=0)
+    events = list(mcde.stream._monitor(blocks, cfg, False))
+    assert [str(e) for e in events] == [
+        "row 1: cannot parse 'x' as a number at line 5, column 3",
+        "row 2: row has 1 cells, need columns [0, 2] at line 6",
+    ]
+    assert [(e.line, e.column) for e in events] == [(5, 3), (6, None)]
+    with pytest.raises(StreamFormatError) as info:
+        list(mcde.stream._monitor(blocks, cfg, True))
+    assert str(info.value) == str(events[0])
+    with pytest.raises(StreamFormatError, match=r"^row 0: row has 1 cells, need columns \[0, 2\]$"):
+        list(monitor(iter([[0.6]]), cfg))
 
 
 # a few values, so leaving rows often have duplicates and windows move in and
@@ -319,7 +340,7 @@ def test_carried_emissions_equal_offline_estimates(stream, step, m, seed, strict
             assert info.value.row_index == end
         else:
             events.extend(monitor(iter(rows), cfg, strict=strict))
-    assert [e.row_index for e in events if isinstance(e, RowError)] == \
+    assert [e.row_index for e in events if isinstance(e, StreamFormatError)] == \
         ([] if strict else malformed)
     good = [(i, rows[i]) for i in range(end) if valid[i]]
 
@@ -457,9 +478,15 @@ def test_carried_order_follows_the_leaving_row_through_its_tie_run(monkeypatch):
                         assert np.array_equal(got_a, want_a)
 
 
+def _fields(error):
+    """A stream error's fields, which compare as the error does not."""
+    return error.row_index, error.reason, error.column, error.line
+
+
 def _events(blocks, cfg, strict):
-    """The events of ``_monitor`` over ``blocks``, the first seed of every
-    block ``_draw`` drew, and the (row, reason, column) of a raised error."""
+    """The events of ``_monitor`` over ``blocks``, a skipped row's error as
+    its fields, the first seed of every block ``_draw`` drew, and the
+    fields of a raised error."""
     drawn = []
     draw = mcde.stream._draw
 
@@ -470,9 +497,10 @@ def _events(blocks, cfg, strict):
     events, error = [], None
     with patch.object(mcde.stream, "_draw", spy):
         try:
-            events.extend(mcde.stream._monitor(iter(blocks), cfg, strict))
+            events.extend(_fields(event) if isinstance(event, StreamFormatError) else event
+                          for event in mcde.stream._monitor(iter(blocks), cfg, strict))
         except StreamFormatError as exc:
-            error = (exc.row_index, exc.reason, exc.column)
+            error = _fields(exc)
     return events, drawn, error
 
 
@@ -491,9 +519,10 @@ def test_any_blocks_give_the_events_of_one_row_blocks(stream, step, m, seed, str
     # is yielded, raised or drawn
     d, width, rows = stream
     cfg = WindowConfig(width=width, dims=tuple(range(d)), step=step, m=m, seed=seed)
+    pairs = list(enumerate(rows, 1))  # each row at a line of its own
     cuts = sorted(data.draw(st.sets(st.integers(1, len(rows) - 1))))
-    blocks = [rows[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(rows)])]
-    assert _events(blocks, cfg, strict) == _events([[row] for row in rows], cfg, strict)
+    blocks = [pairs[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(rows)])]
+    assert _events(blocks, cfg, strict) == _events([[pair] for pair in pairs], cfg, strict)
 
 
 def test_a_block_scores_its_windows_in_stacks_of_one_draw_pass(monkeypatch):
@@ -509,7 +538,7 @@ def test_a_block_scores_its_windows_in_stacks_of_one_draw_pass(monkeypatch):
     monkeypatch.setattr(mcde.stream, "_estimate", spy)
     rows = _uniform_rows(50).tolist()
     cfg = WindowConfig(width=20, dims=(0, 1), m=204, seed=3)
-    stacked = list(mcde.stream._monitor([rows], cfg, True))
+    stacked = list(mcde.stream._monitor([[(None, row) for row in rows]], cfg, True))
     assert sizes == [10, 10, 10, 1]
     sizes.clear()
     assert list(monitor(iter(rows), cfg)) == stacked
